@@ -307,7 +307,12 @@ def test_forest_speedup(tmp_path, emit):
 
 
 def _liu_fif_workload(forest, schedules, mems, vectorize):
-    """One whole-forest OptMinMem + MinPeaks + FiF pass, engine pinned."""
+    """One whole-forest OptMinMem + MinPeaks + FiF pass, engine pinned.
+
+    Drops the forest's Liu memo first, so every repeat times the sweeps
+    instead of reading the previous repeat's results.
+    """
+    forest._liu_cache = None
     peaks = fk.forest_min_peaks(forest, vectorize=vectorize)
     opt = fk.forest_opt_min_mem(forest, vectorize=vectorize)
     sims = fk.forest_simulate_fif(forest, schedules, mems, vectorize=vectorize)

@@ -28,8 +28,10 @@ from ..core.engine import AUTO_THRESHOLD, default_engine, engine_scope
 from ..core.forest import ArrayForest
 from ..core.forest_kernels import (
     FOREST_STRATEGIES,
+    forest_liu_sweep,
     forest_memory_bounds,
     forest_traversals,
+    forest_validate,
 )
 from ..core.simulator import InfeasibleSchedule
 from ..core.traversal import InvalidTraversal, validate
@@ -276,9 +278,11 @@ def execute_batch(request: BatchRequest) -> dict[str, Any]:
     With ``request.forest`` set (the default) the batch solves through
     the forest layer: one :class:`~repro.core.forest.ArrayForest` packs
     all trees, the memory grid comes from one whole-forest bounds sweep,
-    and every kernel-backed strategy runs as a forest batch; strategies
-    without a forest kernel (the RecExpand family) fall back to per-tree
-    dispatch over the forest's member views.  Both paths produce
+    every kernel-backed strategy runs as a forest batch, and one
+    :func:`~repro.core.forest_kernels.forest_validate` pass checks each
+    strategy's traversals; strategies without a forest kernel (the
+    RecExpand family) fall back to per-tree dispatch over the forest's
+    member views.  Both paths produce
     byte-identical payloads — pinning ``engine="object"`` (field or
     ``REPRO_ENGINE``) disables the forest path entirely, as do trees
     beyond the forest's int64 budgets (e.g. huge weights).
@@ -326,10 +330,18 @@ def _execute_batch_forest(
     memories: list[int],
     sizes: list[int],
 ) -> None:
-    """The forest execution path of :func:`execute_batch` (same columns out)."""
+    """The forest execution path of :func:`execute_batch` (same columns out).
+
+    Solves on the forest it is given: one Liu sweep serves both the
+    bounds and ``OptMinMem``, one :func:`forest_validate` pass checks
+    each strategy, and members are materialised only for strategies
+    without a forest kernel.
+    """
     from ..experiments.registry import get_algorithm
 
     if request.memory is None:
+        if "OptMinMem" in request.algorithms:
+            forest_liu_sweep(forest)
         bounds = [
             MemoryBounds(lb=lb, peak_incore=peak)
             for lb, peak in forest_memory_bounds(forest)
@@ -338,23 +350,17 @@ def _execute_batch_forest(
         if not keep:
             return
         mems = [bounds[k].grid()[request.bound] for k in keep]
-        trees = [forest.tree(k) for k in keep]
-        kept_forest = ArrayForest.from_trees(trees)
+        if len(keep) < forest.n_trees:
+            forest = forest.subset(keep)
     else:
         mems = [request.memory] * forest.n_trees
-        trees = [forest.tree(k) for k in range(forest.n_trees)]
-        kept_forest = forest
     memories.extend(mems)
-    sizes.extend(t.n for t in trees)
+    sizes.extend(forest.sizes().tolist())
     for a in request.algorithms:
         if a in FOREST_STRATEGIES:
-            for tree, memory, traversal in zip(
-                trees, mems, forest_traversals(kept_forest, a, mems)
-            ):
-                validate(tree, traversal, memory)
-                io[a].append(traversal.io_volume)
+            traversals = forest_traversals(forest, a, mems)
         else:
-            for tree, memory in zip(trees, mems):
-                traversal = get_algorithm(a)(tree, memory)
-                validate(tree, traversal, memory)
-                io[a].append(traversal.io_volume)
+            solve = get_algorithm(a)
+            traversals = [solve(forest.tree(k), m) for k, m in enumerate(mems)]
+        forest_validate(forest, traversals, mems)
+        io[a].extend(t.io_volume for t in traversals)

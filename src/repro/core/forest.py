@@ -71,8 +71,9 @@ class ArrayForest:
     parents, weights)``, fully validated in vectorised passes), from
     already-validated trees (:meth:`from_trees`, which concatenates
     their derived buffers directly), from per-tree ``(parents,
-    weights)`` pairs (:meth:`from_pairs`), or from a packed wire buffer
-    (:meth:`from_packed`).
+    weights)`` pairs (:meth:`from_pairs`), from a packed wire buffer
+    (:meth:`from_packed`), or as some members of another forest
+    (:meth:`subset`).
 
     Error messages from the vectorised validation use *global* node
     indices (forest-wide positions) with the owning tree named where the
@@ -96,6 +97,7 @@ class ArrayForest:
         "_depth_cache",
         "_levels_cache",
         "_subtree_sizes_cache",
+        "_liu_cache",
     )
 
     def __init__(
@@ -125,6 +127,7 @@ class ArrayForest:
         self._depth_cache = None
         self._levels_cache = None
         self._subtree_sizes_cache = None
+        self._liu_cache = None
         self._topo_cache = None
         if n_trees == 0:
             empty = np.zeros(0, dtype=np.int64)
@@ -263,6 +266,7 @@ class ArrayForest:
         self._depth_cache = None
         self._levels_cache = None
         self._subtree_sizes_cache = None
+        self._liu_cache = None
         self._topo_cache = None
         if sum(float(at.total_weight()) for at in ats) > _MAX_TOTAL_WEIGHT:
             raise TreeError(
@@ -434,6 +438,29 @@ class ArrayForest:
         return TaskTree(
             self._parents[a:b].tolist(), self._weights[a:b].tolist()
         )
+
+    def subset(self, keep: Sequence[int]) -> "ArrayForest":
+        """Members ``keep`` (ascending indices) as a new forest.
+
+        Built once from this forest's columns — no per-member
+        materialisation.  A memoised Liu sweep carries over: its peaks
+        and schedules are per tree, so the kept trees' rows and node
+        blocks are exactly what a fresh sweep of the subset would emit.
+        """
+        rows = np.asarray(keep, dtype=np.int64)
+        chosen = np.zeros(self._n_trees, dtype=bool)
+        chosen[rows] = True
+        nodes = chosen[self._globals()[4]]
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(self.sizes()[rows], out=offsets[1:])
+        sub = ArrayForest(offsets, self._parents[nodes], self._weights[nodes])
+        if self._liu_cache is not None:
+            peaks, schedule = self._liu_cache
+            sub._liu_cache = (
+                peaks[rows],
+                None if schedule is None else schedule[nodes],
+            )
+        return sub
 
     def _child_start_col(self) -> np.ndarray:
         """The concatenated tree-local ``child_start`` slots, lazily.

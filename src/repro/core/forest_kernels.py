@@ -25,6 +25,11 @@ enforced by ``tests/test_forest.py``.  The loop cores stay reachable
 (``vectorize=False``, small batches, degenerate shapes) and are the
 single source of truth.
 
+Liu's sweep is memoised on the forest (:func:`_liu_memo`), so bounds
+and ``OptMinMem`` share one sweep, and :func:`forest_validate` checks
+the paper's validity conditions for every member in one pass, deferring
+to the scalar :func:`~repro.core.traversal.validate` for its messages.
+
 ``memories`` arguments accept ``None`` (unbounded), one int for the
 whole forest, or one value per tree.
 """
@@ -32,6 +37,7 @@ whole forest, or one value per tree.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -46,10 +52,11 @@ from .kernels import (
     liu_segments_core,
     simulate_fif_core,
 )
-from .traversal import Traversal
+from .traversal import Traversal, validate
 
 __all__ = [
     "FOREST_STRATEGIES",
+    "forest_liu_sweep",
     "forest_lower_bounds",
     "forest_min_peaks",
     "forest_memory_bounds",
@@ -57,6 +64,7 @@ __all__ = [
     "forest_opt_min_mem",
     "forest_simulate_fif",
     "forest_traversals",
+    "forest_validate",
 ]
 
 #: registry strategies with a whole-forest implementation (the kernel
@@ -126,7 +134,7 @@ def forest_min_peaks(
     if vectorize is None:
         vectorize = _liu_vectorizable(forest)
     if vectorize:
-        return _liu_vector(forest, schedules=False)[0].tolist()
+        return _liu_memo(forest, schedules=False)[0].tolist()
     off, _p, w, _wb, topo, cs, ci = forest._as_lists()
     out = []
     push = out.append
@@ -670,6 +678,32 @@ def _liu_vector(forest: ArrayForest, *, schedules: bool = True):
     return peaks, schedule
 
 
+def _liu_memo(forest: ArrayForest, *, schedules: bool):
+    """:func:`_liu_vector`, memoised on the (immutable) forest.
+
+    A cached sweep that emitted schedules also answers a peaks-only
+    request; a peaks-only entry never answers one that needs schedules
+    — that request runs the full sweep, which then replaces it.
+    """
+    cached = forest._liu_cache
+    if cached is None or (schedules and cached[1] is None):
+        cached = _liu_vector(forest, schedules=schedules)
+        forest._liu_cache = cached
+    return cached
+
+
+def forest_liu_sweep(forest: ArrayForest) -> None:
+    """Run Liu's schedule-emitting sweep now and memoise it on ``forest``.
+
+    For callers that need both ``Peak_incore`` (the memory bounds) and
+    ``OPTMINMEM`` schedules of the same forest: the bounds then read
+    their peaks from this one sweep instead of a peaks-only sweep of
+    their own.  A no-op where the loop cores serve the forest.
+    """
+    if _liu_vectorizable(forest):
+        _liu_memo(forest, schedules=True)
+
+
 def forest_opt_min_mem(
     forest: ArrayForest, *, vectorize: bool | None = None
 ) -> list[tuple[list[int], int]]:
@@ -685,7 +719,7 @@ def forest_opt_min_mem(
     if vectorize is None:
         vectorize = _liu_vectorizable(forest)
     if vectorize:
-        peaks, schedule = _liu_vector(forest, schedules=True)
+        peaks, schedule = _liu_memo(forest, schedules=True)
         off_l = forest._offsets.tolist()
         sched_l = schedule.tolist()
         peaks_l = peaks.tolist()
@@ -1001,11 +1035,116 @@ def forest_traversals(
             f"{FOREST_STRATEGIES}"
         )
     sims = forest_simulate_fif(forest, schedules, mems)
-    sizes = forest.sizes().tolist()
-    return [
-        Traversal(
-            tuple(schedule),
-            tuple(io.get(v, 0) for v in range(n)),
+    traversals = []
+    for schedule, (io, _vol, _peak) in zip(schedules, sims):
+        dense = [0] * len(schedule)  # FiF's I/O maps are sparse
+        for v, amount in io.items():
+            dense[v] = amount
+        traversals.append(Traversal(tuple(schedule), tuple(dense)))
+    return traversals
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def forest_validate(
+    forest: ArrayForest, traversals: Sequence[Traversal], memories
+) -> None:
+    """:func:`~repro.core.traversal.validate` for every member in one pass.
+
+    Checks the paper's three validity conditions (Section 3.1) across
+    the whole forest with the idioms of the FiF sweep:
+
+    1. a topological permutation — a scatter of the schedules' node ids
+       (every node hit exactly once) and of their positions (every child
+       before its parent);
+    2. ``0 <= tau(i) <= w_i`` — elementwise on the concatenated I/O;
+    3. the memory condition — one segmented cumsum over schedule order:
+       ``need = wbar[v] + resident_before - sum_children (w_c - tau_c)``
+       against the tree's bound, the CSR child sums taken by
+       ``np.add.reduceat``.
+
+    Scalar :func:`~repro.core.traversal.validate` stays the oracle: when
+    any member fails, it is re-run on the lowest-index failing member,
+    so the :class:`~repro.core.traversal.InvalidTraversal` raised is the
+    one (message included) a per-tree loop would raise first.
+    Traversals carry integer ids and amounts, as every solver emits;
+    ``memories`` is one int for the forest or one per tree.
+    """
+    n_trees = forest.n_trees
+    if len(traversals) != n_trees:
+        raise ValueError(f"{len(traversals)} traversals for {n_trees} trees")
+    mems = _memory_list(memories, n_trees)
+    if n_trees == 0:
+        return
+    try:
+        first = _first_invalid_member(forest, traversals, mems)
+    except OverflowError:  # ids or amounts beyond int64: the oracle decides
+        for k in range(n_trees):
+            validate(forest.tree(k), traversals[k], mems[k])
+        return
+    if first is not None:
+        validate(forest.tree(first), traversals[first], mems[first])
+        raise RuntimeError(
+            f"forest_validate rejects tree {first}, which validate accepts"
         )
-        for schedule, (io, _vol, _peak), n in zip(schedules, sims, sizes)
-    ]
+
+
+def _first_invalid_member(forest, traversals, mems) -> int | None:
+    """Index of the lowest member failing a validity condition, or None."""
+    n_trees = forest.n_trees
+    total = forest.total_nodes
+    gcs, gci, gpar, base, tree_of = forest._globals()
+    w = forest._weights
+    sizes = forest.sizes()
+
+    # shape faults (schedule or io not node-aligned) fail outright; a
+    # placeholder keeps the concatenated layout node-aligned for the rest
+    scheds = [t.schedule for t in traversals]
+    ios = [t.io for t in traversals]
+    first = n_trees
+    for k, n in enumerate(sizes.tolist()):
+        if len(scheds[k]) != n or len(ios[k]) != n:
+            first = min(first, k)
+            scheds[k] = ios[k] = [0] * n
+    sched = np.fromiter(chain.from_iterable(scheds), np.int64, total)
+    io = np.fromiter(chain.from_iterable(ios), np.int64, total)
+
+    # 1. permutation: in-range ids, every node scheduled exactly once;
+    # precedence by the scattered positions (slot blocks mirror node
+    # blocks, so base/tree_of index slots too)
+    ids = np.arange(total, dtype=np.int64)
+    in_range = (sched >= 0) & (sched < sizes[tree_of])
+    gsched = np.where(in_range, sched + base, base)
+    bad = ~in_range
+    bad |= np.bincount(gsched, minlength=total) != 1
+    pos = np.full(total, -1, dtype=np.int64)  # -1: never scheduled
+    pos[gsched] = ids
+    nonroot = gpar >= 0
+    bad |= nonroot & (pos >= pos[gpar])
+
+    # 2. io bounds; out-of-range amounts are zeroed so the memory sums
+    # below stay inside the forest's int64 budget
+    io_bad = (io < 0) | (io > w)
+    bad |= io_bad
+    resid = w - np.where(io_bad, 0, io)  # resident part of each output
+
+    # 3. memory: the children's resident parts leave memory when their
+    # parent runs (they are inside wbar), its own enters after
+    child_sum = np.zeros(total, dtype=np.int64)
+    internal = np.flatnonzero(gcs[1:] > gcs[:-1])
+    if len(internal):
+        child_sum[internal] = np.add.reduceat(resid[gci], gcs[internal])
+    delta = np.where(nonroot, resid, 0) - child_sum
+    step = delta[gsched]
+    before = np.cumsum(step) - step
+    need = forest._wbar[gsched] - child_sum[gsched] + before - before[base]
+    bounds = np.array(
+        [min(max(m, _INT64.min), _INT64.max) for m in mems], dtype=np.int64
+    )
+    bad |= need > bounds[tree_of]
+
+    hits = np.flatnonzero(bad)
+    if len(hits):
+        first = min(first, int(tree_of[hits[0]]))
+    return None if first == n_trees else first

@@ -201,6 +201,9 @@ class ServiceMetrics:
         self._cache_misses = r.counter(
             "cache_misses_total", "result-cache misses"
         )
+        self._cache_write_errors = r.counter(
+            "cache_write_errors_total", "result-cache writes that failed"
+        )
         self._latency = r.histogram(
             "solve_seconds", "request latency in seconds (bounded window)"
         )
@@ -251,6 +254,10 @@ class ServiceMetrics:
     def inc_memo_hit(self) -> None:
         if self.enabled:
             self._memo_hits.inc()
+
+    def inc_cache_write_errors(self) -> None:
+        if self.enabled:
+            self._cache_write_errors.inc()
 
     def record_latency(self, seconds: float) -> None:
         if self.enabled:
@@ -343,6 +350,7 @@ class ServiceMetrics:
                 "misses": self.cache_misses,
                 "memo_hits": self._memo_hits._value,
                 "disk_hits": self._disk_hits._value,
+                "write_errors": self._cache_write_errors.value,
             },
             "latency_ms": self._latency.summary(scale=1000.0),
             "wire_bytes": {
@@ -527,7 +535,8 @@ class ServiceServer:
                             None, self.cache.put, key, envelope["result"]
                         )
                     except OSError:
-                        pass  # a full disk must not take the service down
+                        # a full disk must not take the service down
+                        self.metrics.inc_cache_write_errors()
                 if timings is not None and envelope.get("ok"):
                     merged = dict(envelope.get("timings") or {})
                     merged.update(timings)

@@ -222,3 +222,120 @@ class TestForestPath:
         pa.pop("seconds")
         pb.pop("seconds")
         assert pa == pb
+
+
+def _synth_pairs(sizes, seed):
+    """Seeded binary trees of the given sizes, each with an I/O regime."""
+    from repro.analysis.bounds import memory_bounds
+    from repro.datasets.synth import synth_instance
+
+    pairs = []
+    for n in sizes:
+        tree = synth_instance(n, seed=seed)
+        while not memory_bounds(tree).has_io_regime:
+            seed += 1
+            tree = synth_instance(n, seed=seed)
+        seed += 1
+        pairs.append((tuple(tree.parents), tuple(tree.weights)))
+    return pairs
+
+
+#: members without an I/O regime (Peak_incore == LB): dropped by the
+#: bound policies, which sends the forest path down its subset branch
+_NO_IO_REGIME = (((-1,), (5,)), ((-1, 0, 1), (4, 2, 7)))
+
+
+class TestExecuteBatchParity:
+    """``execute_batch`` with ``forest=True`` equals ``forest=False``.
+
+    Covers the paths the benchmark corpus never takes; equality must
+    survive ``json.dumps`` too, so no numpy scalar can leak into the
+    payload.
+    """
+
+    @staticmethod
+    def _assert_parity(request):
+        from repro.api.execution import execute_batch
+
+        on = execute_batch(request)
+        off = execute_batch(dataclasses.replace(request, forest=False))
+        assert on == off
+        assert json.dumps(on) == json.dumps(off)
+        return on
+
+    def test_members_without_an_io_regime(self):
+        pairs = _synth_pairs([40, 60, 25, 80, 33, 50], seed=11)
+        trees = tuple(pairs[:2]) + _NO_IO_REGIME + tuple(pairs[2:])
+        for bound in ("M1", "Mmid", "M2"):
+            payload = self._assert_parity(_batch(trees, bound=bound))
+            assert len(payload["sizes"]) == len(pairs)
+
+    def test_every_member_without_an_io_regime(self):
+        payload = self._assert_parity(_batch(_NO_IO_REGIME * 3))
+        assert payload["sizes"] == []
+
+    def test_explicit_memory(self):
+        from repro.core.tree import TaskTree
+
+        pairs = _synth_pairs([30, 45, 70, 20, 55], seed=23)
+        lb = max(TaskTree(p, w).min_feasible_memory() for p, w in pairs)
+        for memory in (lb, lb + 40):
+            payload = self._assert_parity(_batch(pairs, memory=memory))
+            assert payload["memories"] == [memory] * len(pairs)
+
+    def test_rec_expand_mixed_with_kernel_strategies(self):
+        pairs = _synth_pairs([18, 30, 24, 12, 27], seed=31)
+        self._assert_parity(
+            _batch(
+                tuple(pairs) + _NO_IO_REGIME,
+                algorithms=("RecExpand", "OptMinMem", "FullRecExpand",
+                            "PostOrderMinIO", "PostOrderMinMem"),
+            )
+        )
+
+    def test_below_the_vectorised_tree_count(self):
+        from repro.core.forest_kernels import _VECTOR_MIN_TREES
+
+        pairs = _synth_pairs([50, 90, 35], seed=41)
+        for count in range(1, _VECTOR_MIN_TREES):
+            self._assert_parity(_batch(pairs[:count] + [_NO_IO_REGIME[0]]))
+
+    def test_object_engine(self):
+        pairs = _synth_pairs([40, 64, 28, 52], seed=53)
+        self._assert_parity(_batch(pairs, engine="object"))
+
+    def test_invalid_forest_traversal_is_unsolvable(self, monkeypatch):
+        from repro.api import execution
+        from repro.core.traversal import InvalidTraversal, Traversal, validate
+        from repro.core.tree import TaskTree
+
+        pairs = _synth_pairs([40, 64, 28, 52, 36], seed=61)
+        request = _batch(pairs, algorithms=("PostOrderMinIO",))
+        memories = execution.execute_batch(request)["memories"]
+        real = execution.forest_traversals
+
+        def corrupted(forest, algorithm, mems):
+            out = list(real(forest, algorithm, mems))
+            io = list(out[2].io)
+            io[0] = -1
+            out[2] = Traversal(out[2].schedule, tuple(io))
+            return out
+
+        monkeypatch.setattr(execution, "forest_traversals", corrupted)
+        bad = corrupted(
+            execution.ArrayForest.from_pairs(pairs), "PostOrderMinIO", memories
+        )[2]
+        with pytest.raises(InvalidTraversal) as scalar:
+            validate(TaskTree(*pairs[2]), bad, memories[2])
+        envelope = execution.execute_batch_request(request)
+        assert envelope["error"] == {
+            "code": "unsolvable",
+            "message": f"InvalidTraversal: {scalar.value}",
+        }
+
+
+def _batch(trees, **fields):
+    from repro.api import BatchRequest
+
+    fields.setdefault("algorithms", ("OptMinMem", "PostOrderMinIO"))
+    return BatchRequest(trees=tuple(trees), **fields)

@@ -14,7 +14,10 @@ every constructor, and asserts that
 * the wire form (``pack``/``from_packed``) and the buffer-digest cache
   keys are faithful to the identity columns;
 * invalid forests fail with the same ``TreeError`` vocabulary as the
-  per-tree constructors, naming the offending tree.
+  per-tree constructors, naming the offending tree;
+* ``forest_validate`` raises exactly what scalar ``validate`` raises for
+  the first failing member, under a seeded mutation fuzzer, and Liu's
+  memoised sweep runs once per forest.
 
 Exact equality (never "close") is the contract: the forest path
 replaces per-tree dispatch in the batch engine and the service, so any
@@ -22,6 +25,8 @@ divergence is a bug.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -31,7 +36,8 @@ from repro.core import forest_kernels as fk
 from repro.core.arraytree import ArrayTree
 from repro.core.forest import ArrayForest
 from repro.core.simulator import InfeasibleSchedule
-from repro.core.tree import TreeError
+from repro.core.traversal import InvalidTraversal, Traversal, validate
+from repro.core.tree import TaskTree, TreeError
 from repro.datasets.store import cache_key_buffers
 from repro.experiments.registry import get_algorithm
 
@@ -420,3 +426,241 @@ class TestAdversarialFamilies:
                     forest, schedules, mems, vectorize=True
                 )
             assert str(loop_exc.value) == str(vec_exc.value)
+
+
+#: the violation classes the forest_validate fuzzer seeds, one per
+#: branch of the scalar validate (memory overflow from either side)
+VIOLATIONS = (
+    "schedule-length",
+    "out-of-range-id",
+    "duplicated-id",
+    "child-after-parent",
+    "misaligned-io",
+    "negative-io",
+    "io-above-weight",
+    "lowered-bound",
+    "zeroed-io",
+)
+
+
+def _first_scalar_failure(trees, traversals, mems):
+    """Message of the first member scalar ``validate`` rejects, or None."""
+    for tree, traversal, memory in zip(trees, traversals, mems):
+        try:
+            validate(tree, traversal, memory)
+        except InvalidTraversal as exc:
+            return str(exc)
+    return None
+
+
+def _can_carry(kind, tree, traversal):
+    if kind in ("duplicated-id", "child-after-parent"):
+        return tree.n >= 2
+    if kind == "zeroed-io":
+        return traversal.io_volume > 0
+    return True
+
+
+def _seed_violation(kind, tree, traversal, memory, rng):
+    """``(traversal, memory)`` of one member with a ``kind`` violation."""
+    n = tree.n
+    sched = list(traversal.schedule)
+    io = list(traversal.io)
+    v = int(rng.integers(n))
+    r = int(rng.integers(1, 5))
+    if kind == "schedule-length":
+        sched = sched[:-1] if rng.random() < 0.5 else sched + [sched[0]]
+    elif kind == "out-of-range-id":
+        sched[v] = n - 1 + r if rng.random() < 0.5 else -r
+    elif kind == "duplicated-id":
+        sched[v] = sched[(v + 1 + int(rng.integers(n - 1))) % n]
+    elif kind == "child-after-parent":
+        child = int(rng.choice([u for u in range(n) if tree.parents[u] != -1]))
+        a, b = sched.index(child), sched.index(tree.parents[child])
+        sched[a], sched[b] = sched[b], sched[a]
+    elif kind == "misaligned-io":
+        io = io[:-1] if rng.random() < 0.5 else io + [0]
+    elif kind == "negative-io":
+        io[v] = -r
+    elif kind == "io-above-weight":
+        io[v] = tree.weights[v] + r
+    elif kind == "lowered-bound":
+        memory = tree.min_feasible_memory() - r
+    elif kind == "zeroed-io":
+        io = [0] * n
+    return Traversal(tuple(sched), tuple(io)), memory
+
+
+class TestForestValidate:
+    """The whole-forest validity check against its scalar oracle.
+
+    Every violation class is seeded into a random member of seeded
+    mixed-size forests (single-node members included), sometimes with a
+    second violation in another member; ``forest_validate`` must raise
+    the exact ``InvalidTraversal`` scalar ``validate`` raises for the
+    first failing member, and accept every clean forest.
+    """
+
+    ROUNDS = 6
+
+    @staticmethod
+    def _clean_round(trees, rng):
+        picks = rng.choice(len(trees), size=int(rng.integers(3, 7)), replace=False)
+        members = [trees[int(i)] for i in picks]
+        for _ in range(int(rng.integers(1, 3))):
+            members.insert(
+                int(rng.integers(len(members) + 1)),
+                TaskTree([-1], [int(rng.integers(0, 20))]),
+            )
+        forest = ArrayForest.from_pairs(
+            [(list(t.parents), list(t.weights)) for t in members]
+        )
+        tight = rng.random() < 0.5  # M1 forces I/O wherever it can
+        mems = [
+            lb if tight else max(lb, (lb + peak - 1) // 2)
+            for lb, peak in fk.forest_memory_bounds(forest)
+        ]
+        algorithm = ("OptMinMem", "PostOrderMinIO")[int(rng.integers(2))]
+        traversals = fk.forest_traversals(forest, algorithm, mems)
+        fk.forest_validate(forest, traversals, mems)  # clean: no raise
+        return members, forest, traversals, mems
+
+    @pytest.mark.parametrize("kind", VIOLATIONS)
+    def test_seeded_violation_matches_scalar(self, trees, kind):
+        rng = np.random.default_rng(BASE_SEED + VIOLATIONS.index(kind))
+        seeded_rounds = 0
+        while seeded_rounds < self.ROUNDS:
+            members, forest, traversals, mems = self._clean_round(trees, rng)
+            traversals = list(traversals)
+            eligible = [
+                k
+                for k, (t, tr) in enumerate(zip(members, traversals))
+                if _can_carry(kind, t, tr)
+            ]
+            if not eligible:  # e.g. zeroed-io on a forest without I/O
+                continue
+            seeded_rounds += 1
+            targets = [int(rng.choice(eligible))]
+            if rng.random() < 0.5:  # a second violation elsewhere
+                others = [k for k in range(len(members)) if k != targets[0]]
+                targets.append(int(rng.choice(others)))
+            for k, seeded in zip(targets, (kind, rng.choice(VIOLATIONS))):
+                if not _can_carry(seeded, members[k], traversals[k]):
+                    continue
+                traversals[k], mems[k] = _seed_violation(
+                    seeded, members[k], traversals[k], mems[k], rng
+                )
+            expected = _first_scalar_failure(members, traversals, mems)
+            assert expected is not None
+            with pytest.raises(InvalidTraversal) as exc:
+                fk.forest_validate(forest, traversals, mems)
+            assert str(exc.value) == expected
+
+    def test_duplicate_that_only_the_permutation_check_sees(self):
+        # leaf 1 twice, leaf 2 never: precedence, io and memory all hold
+        members = [TaskTree([-1], [3]), TaskTree([-1, 0, 0], [1, 2, 2])]
+        forest = ArrayForest.from_pairs(
+            [(list(t.parents), list(t.weights)) for t in members]
+        )
+        traversals = [Traversal((0,), (0,)), Traversal((1, 1, 0), (0, 0, 0))]
+        with pytest.raises(InvalidTraversal) as exc:
+            fk.forest_validate(forest, traversals, 100)
+        assert str(exc.value) == _first_scalar_failure(
+            members, traversals, [100, 100]
+        )
+
+    def test_ids_beyond_int64_fall_back_to_the_scalar_oracle(self, trees):
+        members = [trees[3], trees[4]]
+        forest = ArrayForest.from_pairs(
+            [(list(t.parents), list(t.weights)) for t in members]
+        )
+        traversals = fk.forest_traversals(forest, "PostOrderMinMem", None)
+        mems = [10**18, 10**30]  # beyond int64 is a valid (loose) bound
+        fk.forest_validate(forest, traversals, mems)
+        bad = Traversal(
+            (2**70,) + traversals[1].schedule[1:], traversals[1].io
+        )
+        with pytest.raises(InvalidTraversal) as exc:
+            fk.forest_validate(forest, [traversals[0], bad], mems)
+        assert str(exc.value) == _first_scalar_failure(
+            members, [traversals[0], bad], mems
+        )
+
+    def test_traversal_count_mismatch(self, forest):
+        with pytest.raises(ValueError, match="traversals for"):
+            fk.forest_validate(forest, [], 10)
+
+
+class TestLiuMemo:
+    """One Liu sweep per forest, and never a peaks-only answer to a
+    request that needs schedules."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        raw = fk._liu_vector
+
+        def counted(forest, *, schedules=True):
+            calls.append(schedules)
+            return raw(forest, schedules=schedules)
+
+        monkeypatch.setattr(fk, "_liu_vector", counted)
+        return calls
+
+    def test_batch_runs_one_sweep_per_forest(self, trees, monkeypatch):
+        from repro.api import BatchRequest
+        from repro.api.execution import execute_batch
+
+        calls = self._counting(monkeypatch)
+        request = BatchRequest(
+            trees=tuple(
+                (tuple(t.parents), tuple(t.weights)) for t in trees[:24]
+            ),
+            algorithms=("OptMinMem", "PostOrderMinIO"),
+        )
+        payload = execute_batch(request)
+        assert calls == [True]
+        assert payload == execute_batch(
+            dataclasses.replace(request, forest=False)
+        )
+
+    def test_either_call_order_matches_a_fresh_forest(self, trees, monkeypatch):
+        calls = self._counting(monkeypatch)
+        pairs = [(list(t.parents), list(t.weights)) for t in trees[:40]]
+        bounds_first = ArrayForest.from_pairs(pairs)
+        b1 = fk.forest_memory_bounds(bounds_first)
+        o1 = fk.forest_opt_min_mem(bounds_first)
+        opt_first = ArrayForest.from_pairs(pairs)
+        o2 = fk.forest_opt_min_mem(opt_first)
+        b2 = fk.forest_memory_bounds(opt_first)
+        assert b1 == b2 == fk.forest_memory_bounds(ArrayForest.from_pairs(pairs))
+        assert o1 == o2 == fk.forest_opt_min_mem(ArrayForest.from_pairs(pairs))
+        # bounds first leaves a peaks-only entry: the schedule request
+        # re-sweeps; schedules first answers the later peaks from memo
+        assert calls[:3] == [False, True, True]
+
+    def test_peaks_only_entry_never_serves_schedules(self, trees, monkeypatch):
+        calls = self._counting(monkeypatch)
+        pairs = [(list(t.parents), list(t.weights)) for t in trees[:16]]
+        forest = ArrayForest.from_pairs(pairs)
+        peaks = fk.forest_min_peaks(forest)
+        assert forest._liu_cache[1] is None
+        opt = fk.forest_opt_min_mem(forest)
+        assert calls == [False, True]
+        assert [pk for _s, pk in opt] == peaks
+        assert opt == fk.forest_opt_min_mem(forest, vectorize=False)
+        assert fk.forest_min_peaks(forest) == peaks
+        assert calls == [False, True]  # the schedule sweep now serves both
+
+    def test_subset_carries_the_memo(self, trees, monkeypatch):
+        pairs = [(list(t.parents), list(t.weights)) for t in trees[:12]]
+        forest = ArrayForest.from_pairs(pairs)
+        fk.forest_liu_sweep(forest)
+        calls = self._counting(monkeypatch)
+        keep = [0, 3, 4, 9, 11]
+        sub = forest.subset(keep)
+        assert calls == []  # the subset swept nothing
+        fresh = ArrayForest.from_pairs([pairs[k] for k in keep])
+        assert fk.forest_opt_min_mem(sub) == fk.forest_opt_min_mem(fresh)
+        assert calls == [True]  # only the fresh forest swept
+        _assert_same_buffers(sub.tree(2), fresh.tree(2))

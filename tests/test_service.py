@@ -277,6 +277,21 @@ class TestDedupAndCache:
         assert second["result"] == first["result"]
         assert srv.metrics.computed == 1
 
+    def test_unwritable_cache_is_counted_not_fatal(self, tmp_path):
+        # a regular file where the cache directory should be: every put
+        # fails with an OSError, whoever the test runs as
+        root = tmp_path / "cache"
+        root.write_text("not a directory")
+        config = ServerConfig(port=0, workers=0, inline_threads=1)
+        with ServerThread(config, cache=ResultCache(root)) as thread:
+            client = ServiceClient(port=thread.port, timeout=30.0)
+            assert client.wait_ready(15)
+            envelope = client.submit(_request())
+            assert envelope["ok"] is True
+            assert client.metrics()["cache"]["write_errors"] == 1
+            text = thread.server.registry.render_prometheus()
+            assert "cache_write_errors_total 1" in text.splitlines()
+
     def test_identical_concurrent_submissions_compute_once(
         self, server, slow_algorithm
     ):
