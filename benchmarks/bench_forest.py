@@ -42,8 +42,18 @@ A third scenario pins the engine question directly: the same
 merge + FiF event sweep — gated by ``FOREST_LIU_FIF_SPEEDUP_MIN``
 (default 2x) with results asserted identical field-for-field.
 
-Outputs: ``benchmarks/out/forest_speedup.txt`` and
-``benchmarks/out/forest_liu_fif_speedup.txt`` (human-readable) and
+A fourth scenario adds deep members to the same dataset — chains,
+caterpillars and random binary trees 50 to 5 000 deep — and times
+Liu's solver three ways on one forest: the per-tree loop cores
+(``vectorize=False``), the full-depth level sweep (``vectorize=True``)
+and the depth-capped sweep the auto path runs (``vectorize=None``),
+asserting identical schedules and peaks.  It also times the capped
+sweep under neighbouring cost-model constants, which is how the
+constants in ``repro.core.forest_kernels`` are re-measured.
+
+Outputs: ``benchmarks/out/forest_speedup.txt``,
+``benchmarks/out/forest_liu_fif_speedup.txt`` and
+``benchmarks/out/forest_liu_depth_cap.txt`` (human-readable) and
 ``benchmarks/out/BENCH_forest.json`` (machine-readable; latest numbers
 at the top level plus a bounded ``runs`` history per scenario — the CI
 forest-perf job publishes it and gates on the speedups).
@@ -387,4 +397,120 @@ def test_forest_liu_fif_speedup(emit):
         f"vectorized Liu/FiF cores only {speedup:.2f}x over the loop "
         f"cores ({N_TREES / t_vec:,.0f} vs {N_TREES / t_loop:,.0f} "
         f"trees/s); the bar is {MIN_LIU_FIF_SPEEDUP}x"
+    )
+
+
+#: deep members added to the dataset by the depth-cap scenario:
+#: ``(family, nodes, depth)``; random binary trees get their depth from
+#: their size (about 50, 120 and 230 deep).
+DEEP_MEMBERS = (
+    ("chain", 51, 50),
+    ("chain", 501, 500),
+    ("chain", 5001, 5000),
+    ("caterpillar", 400, 200),
+    ("caterpillar", 4000, 2000),
+    ("binary", 300, None),
+    ("binary", 1500, None),
+    ("binary", 5000, None),
+)
+
+#: neighbouring cost-model constants (level µs, tail-node µs) the
+#: scenario also times, to show where the optimum sits
+COST_MODELS = ((65.0, 1.0), (65.0, 0.65), (65.0, 0.5), (65.0, 0.38), (65.0, 0.26))
+
+
+def _deep_dataset():
+    rng = np.random.default_rng(BENCH_SEED + 1)
+    pairs = list(_dataset())
+    for i, (family, n, depth) in enumerate(DEEP_MEMBERS):
+        if family == "chain":
+            weights = rng.integers(1, 100, size=n).tolist()
+            pairs.append((list(range(-1, n - 1)), weights))
+        elif family == "caterpillar":
+            at = huge_instance(family, n, seed=BENCH_SEED + i, depth=depth)
+            pairs.append((at._parents.tolist(), at._weights.tolist()))
+        else:
+            tree = synth_instance(n, seed=BENCH_SEED + i, shape=family)
+            pairs.append((list(tree.parents), list(tree.weights)))
+    return pairs
+
+
+def _opt_min_mem(forest, vectorize):
+    forest._liu_cache = None  # time the sweep, not the memo
+    return fk.forest_opt_min_mem(forest, vectorize=vectorize)
+
+
+def test_liu_depth_cap(emit):
+    """The depth-capped Liu sweep against the full sweep and the loop."""
+    pairs = _deep_dataset()
+    forest = ArrayForest.from_pairs(pairs)
+    counts = np.bincount(forest._depths())
+    cap = fk._liu_cap(counts)
+    n_trees = forest.n_trees
+
+    t_loop, loop_result = _best_of(lambda: _opt_min_mem(forest, False))
+    t_full, full_result = _best_of(lambda: _opt_min_mem(forest, True))
+    t_cap, cap_result = _best_of(lambda: _opt_min_mem(forest, None), repeats=5)
+    assert loop_result == full_result == cap_result, "Liu engines must agree"
+
+    models = []
+    for level_us, node_us in COST_MODELS:
+        c = fk._liu_cap(counts, level_us, node_us)
+        t, _ = _best_of(lambda: fk._liu_vector(forest, schedules=True, cap=c))
+        models.append((level_us, node_us, c, t))
+
+    tail_share = float(counts[cap + 1 :].sum()) / forest.total_nodes
+    lines = [
+        f"{n_trees} trees: the {N_TREES}-tree dataset plus "
+        f"{len(DEEP_MEMBERS)} deep members (chains, caterpillars, random "
+        f"binary trees; max depth {len(counts) - 1})",
+        "workload per pass: forest_opt_min_mem (schedules + peaks), memo "
+        "dropped",
+        "",
+        f"{'engine':<50} {'seconds':>9} {'trees/s':>9}",
+        f"{'per-tree loop cores (vectorize=False)':<50} "
+        f"{t_loop:>8.3f}s {n_trees / t_loop:>9,.0f}",
+        f"{'full-depth level sweep (vectorize=True)':<50} "
+        f"{t_full:>8.3f}s {n_trees / t_full:>9,.0f}",
+        f"{'depth-capped sweep (vectorize=None)':<50} "
+        f"{t_cap:>8.3f}s {n_trees / t_cap:>9,.0f}",
+        "",
+        f"cap {cap}: {cap + 1} level passes instead of {len(counts)}, "
+        f"{tail_share:.1%} of nodes on the scalar tail",
+        f"capped sweep vs full sweep: {t_full / t_cap:.2f}x; "
+        f"vs loop cores: {t_loop / t_cap:.2f}x",
+        "",
+        "capped sweep under neighbouring cost models:",
+        f"{'level us':>9} {'node us':>8} {'nodes/level':>12} {'cap':>5} "
+        f"{'seconds':>9}",
+    ]
+    for level_us, node_us, c, t in models:
+        lines.append(
+            f"{level_us:>9.1f} {node_us:>8.2f} {level_us / node_us:>12.0f} "
+            f"{c:>5} {t:>8.3f}s"
+        )
+    emit("forest_liu_depth_cap", "\n".join(lines))
+
+    _write_bench_json(
+        {
+            "liu_depth_cap": {
+                "n_trees": n_trees,
+                "max_depth": len(counts) - 1,
+                "cap": cap,
+                "tail_share": tail_share,
+                "trees_per_sec": {
+                    "loop_cores": n_trees / t_loop,
+                    "full_sweep": n_trees / t_full,
+                    "capped_sweep": n_trees / t_cap,
+                },
+                "byte_identical": True,
+            }
+        },
+        {
+            "scenario": "liu_depth_cap",
+            "cap": cap,
+            "capped_vs_full": t_full / t_cap,
+            "capped_vs_loop": t_loop / t_cap,
+            "capped_trees_per_sec": n_trees / t_cap,
+        },
     )

@@ -20,7 +20,7 @@ byte-identical per-tree fallback.
 from __future__ import annotations
 
 import random
-from typing import Any
+from typing import Any, Sequence
 
 from ..analysis.bounds import MemoryBounds, memory_bounds
 from ..core.arraytree import ArrayTree
@@ -28,13 +28,14 @@ from ..core.engine import AUTO_THRESHOLD, default_engine, engine_scope
 from ..core.forest import ArrayForest
 from ..core.forest_kernels import (
     FOREST_STRATEGIES,
+    ForestTraversals,
     forest_liu_sweep,
     forest_memory_bounds,
     forest_traversals,
     forest_validate,
 )
 from ..core.simulator import InfeasibleSchedule
-from ..core.traversal import InvalidTraversal, validate
+from ..core.traversal import InvalidTraversal, Traversal, validate
 from ..core.tree import TaskTree, TreeError
 from ..obs.schedtrace import schedule_trace
 from ..obs.trace import span, trace_context
@@ -335,7 +336,9 @@ def _execute_batch_forest(
     Solves on the forest it is given: one Liu sweep serves both the
     bounds and ``OptMinMem``, one :func:`forest_validate` pass checks
     each strategy, and members are materialised only for strategies
-    without a forest kernel.
+    without a forest kernel.  Kernel strategies stay in column form end
+    to end: their I/O volumes are summed from the I/O column
+    :func:`forest_validate` checked.
     """
     from ..experiments.registry import get_algorithm
 
@@ -357,10 +360,14 @@ def _execute_batch_forest(
     memories.extend(mems)
     sizes.extend(forest.sizes().tolist())
     for a in request.algorithms:
+        traversals: Sequence[Traversal]
         if a in FOREST_STRATEGIES:
             traversals = forest_traversals(forest, a, mems)
         else:
             solve = get_algorithm(a)
             traversals = [solve(forest.tree(k), m) for k, m in enumerate(mems)]
         forest_validate(forest, traversals, mems)
-        io[a].extend(t.io_volume for t in traversals)
+        if isinstance(traversals, ForestTraversals):
+            io[a].extend(traversals.io_volumes)  # summed from the checked io
+        else:
+            io[a].extend(t.io_volume for t in traversals)

@@ -456,10 +456,14 @@ class ArrayForest:
         sub = ArrayForest(offsets, self._parents[nodes], self._weights[nodes])
         if self._liu_cache is not None:
             peaks, schedule = self._liu_cache
-            sub._liu_cache = (
+            carried = (
                 peaks[rows],
                 None if schedule is None else schedule[nodes],
             )
+            for col in carried:
+                if col is not None:
+                    col.flags.writeable = False  # shared, like the original
+            sub._liu_cache = carried
         return sub
 
     def _child_start_col(self) -> np.ndarray:
@@ -605,23 +609,68 @@ class ArrayForest:
         self._topo_cache = topo_global - base[topo_global]
         return self._topo_cache
 
-    def _levels(self):
+    def _levels(self, upto: int | None = None):
         """Depth-level decomposition of the internal nodes' child edges.
 
         One list entry per depth level ``d`` (ascending), each a tuple
-        ``(idx, eidx, starts, grp, max_arity)``: the internal nodes at
-        depth ``d`` (ascending ids), the CSR edge positions of their
-        children concatenated in (parent, CSR) order, group boundaries
-        and the edge→group map.  Built with one global stable sort of
-        the edges by parent depth and cached — the vectorised kernels'
-        bottom-up and top-down sweeps both replay it.
+        ``(idx, eidx, starts, grp, counts, max_arity, multi)``: the
+        internal nodes at depth ``d`` (ascending ids), the CSR edge
+        positions of their children concatenated in (parent, CSR) order,
+        group boundaries, the edge→group map, group sizes, the widest
+        group and the edges of multi-child groups.  The entries are
+        slices of whole-forest columns (:meth:`_level_columns`), cut on
+        demand — every level by default, only ``0..upto`` when asked
+        (the depth-capped Liu sweep never touches deeper levels, so a
+        chain-deep member costs it no per-level work).  Both are cached;
+        the list returned may hold more than ``upto + 1`` entries.
         """
         cached = self._levels_cache
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._levels_cache = ([], *self._level_columns())
+        levels, max_depth, cols = cached
+        stop = max_depth if upto is None else min(upto, max_depth)
+        push = levels.append
+        for d in range(len(levels), stop + 1):
+            if d == max_depth:  # the deepest level has no child edges
+                push(None)
+                continue
+            edge_order, lb, gb, gstart, gparent, gcount, grp, maxar = cols
+            lo = lb[d]
+            g0 = gb[d]
+            g1 = gb[d + 1]
+            counts = gcount[g0:g1]
+            grp_d = grp[lo : lb[d + 1]] - g0
+            max_arity = maxar[d]
+            # edges belonging to multi-child groups: the only ones a
+            # child-ordering sort can move (singletons are sorted already)
+            multi = (
+                np.flatnonzero(counts[grp_d] > 1) if max_arity > 2 else None
+            )
+            push(
+                (
+                    gparent[g0:g1],
+                    edge_order[lo : lb[d + 1]],
+                    gstart[g0:g1] - lo,
+                    grp_d,
+                    counts,
+                    max_arity,
+                    multi,
+                )
+            )
+        return levels
+
+    def _level_columns(self):
+        """``(max_depth, columns)`` the level entries are sliced from.
+
+        The child edges sorted stably by their parent's depth (so each
+        level lists its parents' edges in (parent, CSR) order), then the
+        per-parent groups over that whole order — starts, parents,
+        sizes, the edge→group map — with the level and group bounds of
+        every depth and each level's widest group, all in a handful of
+        global numpy passes.
+        """
         if self._total == 0:
-            self._levels_cache = []
-            return self._levels_cache
+            return -1, None
         gcs, _gci, _gpar, _base, _tree_of = self._globals()
         depth = self._depths()
         total = self._total
@@ -629,44 +678,33 @@ class ArrayForest:
         e_par = np.repeat(np.arange(total, dtype=np.int64), cnt_all)
         ed = depth[e_par]
         edge_order = np.argsort(ed, kind="stable")
-        ed_sorted = ed[edge_order]
-        max_depth = int(depth.max()) if total else 0
+        max_depth = int(depth.max())
         lvl_bounds = np.searchsorted(
-            ed_sorted, np.arange(max_depth + 2, dtype=np.int64)
+            ed[edge_order], np.arange(max_depth + 2, dtype=np.int64)
         )
-        levels = []
-        push = levels.append
-        for d in range(max_depth + 1):
-            eidx = edge_order[lvl_bounds[d] : lvl_bounds[d + 1]]
-            if eidx.size == 0:
-                push(None)
-                continue
-            parents_e = e_par[eidx]
-            head = np.empty(len(parents_e), dtype=bool)
-            head[0] = True
-            np.not_equal(parents_e[1:], parents_e[:-1], out=head[1:])
-            starts = np.flatnonzero(head)
-            grp = np.cumsum(head) - 1
-            counts = np.diff(np.append(starts, len(parents_e)))
-            max_arity = int(counts.max())
-            # edges belonging to multi-child groups: the only ones a
-            # child-ordering sort can move (singletons are sorted already)
-            multi = (
-                np.flatnonzero(counts[grp] > 1) if max_arity > 2 else None
-            )
-            push(
-                (
-                    parents_e[starts],
-                    eidx,
-                    starts,
-                    grp,
-                    counts,
-                    max_arity,
-                    multi,
-                )
-            )
-        self._levels_cache = levels
-        return levels
+        pe = e_par[edge_order]
+        n_edges = len(pe)
+        head = np.ones(n_edges, dtype=bool)
+        np.not_equal(pe[1:], pe[:-1], out=head[1:])
+        gstart = np.flatnonzero(head)
+        gcount = np.diff(gstart, append=n_edges)
+        grp = np.cumsum(head) - 1
+        gb = np.searchsorted(gstart, lvl_bounds)  # group bounds per level
+        maxar = (
+            np.maximum.reduceat(gcount, gb[:max_depth]).tolist()
+            if max_depth
+            else []
+        )
+        return max_depth, (
+            edge_order,
+            lvl_bounds.tolist(),
+            gb.tolist(),
+            gstart,
+            pe[gstart],
+            gcount,
+            grp,
+            maxar,
+        )
 
     def _subtree_sizes(self) -> np.ndarray:
         """Node count of every subtree — ordering-independent, so cached.

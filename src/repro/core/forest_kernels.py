@@ -1,42 +1,50 @@
 """Whole-forest sweeps of the hot algorithms over :class:`ArrayForest`.
 
-Each function runs one kernel across every member of a forest in a
-tight loop: the concatenated columns are converted to plain lists once
-(cached on the forest), each tree's slice is cut out with C-level list
-slicing, and the **same list-based cores** that power the per-tree
-array engine (:mod:`repro.core.kernels`) do the actual work.  Per-tree
-results are therefore byte-identical to ``kernels.best_postorder`` /
-``liu_peak`` / ``liu_schedule`` / ``simulate_fif`` on the member trees —
-one implementation, enforced by the forest property test
-(``tests/test_forest.py``) on top of the engine cross-validation
-harness.
+Each kernel runs across every member of a forest at once.  Two kinds of
+implementation back it, and both are byte-identical to the per-tree
+kernels (``kernels.best_postorder`` / ``liu_peak`` / ``liu_schedule`` /
+``simulate_fif``) on the member trees, enforced by the forest property
+tests (``tests/test_forest.py``) on top of the engine cross-validation
+harness:
 
-What the batching buys (vs. dispatching the per-tree engine once per
-tree): no per-tree ``TaskTree``/``ArrayTree`` construction, no per-tree
-numpy fixed costs, no per-call buffer materialisation — only the
-irreducible algorithm loops remain.  And every forest strategy now has
-a loop-free twin: besides the single-reduction passes
-(:func:`forest_lower_bounds`) and the level-synchronous best-postorder
-DP, Liu's hill–valley solver runs as a segmented-array merge over all
-trees at once (:func:`_liu_vector`) and FiF as an event-driven sweep
-(:func:`_simulate_fif_vector`) — each byte-identical to its list core,
-with the exact ``(valley − hill, rank)`` / heap tie-breaks preserved,
-enforced by ``tests/test_forest.py``.  The loop cores stay reachable
-(``vectorize=False``, small batches, degenerate shapes) and are the
-single source of truth.
+* the **list cores** of :mod:`repro.core.kernels`, run over slices of
+  the forest's concatenated columns (converted to lists once, cached on
+  the forest) — the single scalar implementation of every algorithm;
+* a **loop-free twin** per strategy: single reductions for the bounds
+  (:func:`forest_lower_bounds`), the level-synchronous best-postorder
+  DP, Liu's hill–valley solver as a segmented-array merge
+  (:func:`_liu_vector`) and FiF as an event-driven sweep
+  (:func:`_simulate_fif_vector`), with the exact ``(valley − hill,
+  rank)`` / heap tie-breaks preserved.
+
+Liu's twin is **depth-capped**: it pays about the same fixed numpy cost
+per depth level whatever the level's width, so the deep, narrow part of
+a forest runs on the scalar core instead.  A cost model over the
+forest's depth histogram (:func:`_liu_cap`) picks the cap; one
+:func:`~repro.core.kernels.liu_fill` pass over the subtrees below it
+seeds the level sweep, which then runs only the wide levels above.
+Small forests and chain-deep ones get a low cap, so the sweep needs no
+tree-count or depth guard.  ``vectorize=False`` still forces the
+per-tree loop and ``vectorize=True`` the full level sweep, for tests and
+benchmarks.
 
 Liu's sweep is memoised on the forest (:func:`_liu_memo`), so bounds
-and ``OptMinMem`` share one sweep, and :func:`forest_validate` checks
-the paper's validity conditions for every member in one pass, deferring
-to the scalar :func:`~repro.core.traversal.validate` for its messages.
+and ``OptMinMem`` share one sweep.  :func:`forest_traversals` keeps its
+results in flat columns (:class:`ForestTraversals`): the kernels'
+schedule column feeds FiF directly, FiF's eviction array is the dense
+I/O column, and :func:`forest_validate` checks the paper's validity
+conditions on those same columns in one pass, deferring to the scalar
+:func:`~repro.core.traversal.validate` for its messages.
 
 ``memories`` arguments accept ``None`` (unbounded), one int for the
-whole forest, or one value per tree.
+whole forest, or one value per tree; bounds beyond int64 are clamped,
+which no comparison can tell apart.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence as SequenceABC
 from itertools import chain
 from typing import Sequence
 
@@ -48,6 +56,7 @@ from .kernels import (
     fif_overflow_message,
     fif_stuck_message,
     flatten_rope,
+    liu_fill,
     liu_peak_core,
     liu_segments_core,
     simulate_fif_core,
@@ -56,6 +65,7 @@ from .traversal import Traversal, validate
 
 __all__ = [
     "FOREST_STRATEGIES",
+    "ForestTraversals",
     "forest_liu_sweep",
     "forest_lower_bounds",
     "forest_min_peaks",
@@ -72,13 +82,30 @@ __all__ = [
 FOREST_STRATEGIES = ("OptMinMem", "PostOrderMinIO", "PostOrderMinMem")
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _clamp(m):
+    """``m`` clamped into int64 (``None`` stays unbounded).
+
+    Exact for every comparison the kernels make: a need is a sum of the
+    forest's int64 weights, so it exceeds a bound beyond ``int64.max``
+    exactly when it exceeds ``int64.max`` — never.  (A bound below
+    ``int64.min`` is reported at its clamped value.)
+    """
+    if m is None:
+        return None
+    return _INT64.max if m > _INT64.max else _INT64.min if m < _INT64.min else m
+
+
 def _memory_list(memories, n_trees: int) -> list:
+    """One memory bound per tree, clamped into int64 (:func:`_clamp`)."""
     if isinstance(memories, bool):
         raise TypeError(
             f"memory bound must be an int or None, got bool ({memories})"
         )
     if memories is None or isinstance(memories, (int, np.integer)):
-        return [memories] * n_trees
+        return [_clamp(memories)] * n_trees
     memories = list(memories)
     if len(memories) != n_trees:
         raise ValueError(
@@ -90,7 +117,7 @@ def _memory_list(memories, n_trees: int) -> list:
                 f"tree {k}: memory bound must be an int or None, "
                 f"got bool ({m})"
             )
-    return memories
+    return [_clamp(m) for m in memories]
 
 
 def forest_lower_bounds(forest: ArrayForest) -> list[int]:
@@ -101,9 +128,12 @@ def forest_lower_bounds(forest: ArrayForest) -> list[int]:
     return np.maximum.reduceat(forest._wbar, off[:-1]).tolist()
 
 
-#: vectorised-path guards: below this many trees the batch cannot
-#: amortise the fixed numpy costs, and beyond this depth the one-pass-
-#:per-level schedule would degenerate on chain-shaped forests.
+#: best-postorder and FiF vectorised-path guards: below this many trees
+#: the batch cannot amortise the fixed numpy costs, and beyond this depth
+#: the one-pass-per-level best-postorder sweep would degenerate on
+#: chain-shaped forests.  (Liu's sweep needs neither: its depth cap,
+#: :func:`_liu_cap`, leaves small and chain-deep forests on the scalar
+#: tail.)
 _VECTOR_MIN_TREES = 4
 _VECTOR_MAX_DEPTH = 4096
 #: FiF's event sweep still walks overflow candidates in Python, and a
@@ -112,29 +142,23 @@ _VECTOR_MAX_DEPTH = 4096
 _VECTOR_MAX_FIF_STEPS = 4096
 
 
-def _liu_vectorizable(forest: ArrayForest) -> bool:
-    return (
-        forest.n_trees >= _VECTOR_MIN_TREES
-        and forest.max_depth() <= _VECTOR_MAX_DEPTH
-    )
-
-
 def forest_min_peaks(
     forest: ArrayForest, *, vectorize: bool | None = None
 ) -> list[int]:
     """``Peak_incore`` (Liu's optimum) of every tree.
 
-    ``vectorize=None`` auto-selects between the per-tree
-    :func:`~repro.core.kernels.liu_peak_core` loop and the
-    level-synchronous segmented solver (:func:`_liu_vector`); both
-    produce identical peaks.
+    ``vectorize=None`` runs the depth-capped segmented solver
+    (:func:`_liu_vector`), ``True`` its full level sweep and ``False``
+    the per-tree :func:`~repro.core.kernels.liu_peak_core` loop; all
+    three produce identical peaks.
     """
     if forest.n_trees == 0:
         return []
-    if vectorize is None:
-        vectorize = _liu_vectorizable(forest)
-    if vectorize:
-        return _liu_memo(forest, schedules=False)[0].tolist()
+    if vectorize is not False:
+        peaks, _schedule = _liu_memo(
+            forest, schedules=False, full=bool(vectorize)
+        )
+        return peaks.tolist()
     off, _p, w, _wb, topo, cs, ci = forest._as_lists()
     out = []
     push = out.append
@@ -436,16 +460,122 @@ def _seg_suffix_records(vals: np.ndarray, grp: np.ndarray) -> np.ndarray:
     return (rv > excl)[::-1].copy()
 
 
-def _liu_vector(forest: ArrayForest, *, schedules: bool = True):
-    """Liu's segment solver, level-synchronously over the whole forest.
+#: cost model of the depth-capped Liu sweep (:func:`_liu_cap`), in
+#: microseconds: one level pass of the vector sweep pays about
+#: ``_LIU_LEVEL_US`` of fixed numpy calls whatever its width, and a node
+#: solved on the scalar tail costs about ``_LIU_TAIL_NODE_US`` more than
+#: the same node on a vector level.  Their ratio is what matters: a
+#: level is worth vectorising once it holds more than ~130 nodes.  On
+#: the benchmark corpus (``perfbench`` ``batch``) the sweep time is flat
+#: for ratios between ~100 and ~170 and rises on both sides.  Re-measure
+#: with ``benchmarks/bench_forest.py::test_liu_depth_cap``, which times
+#: the capped sweep under neighbouring constants.
+_LIU_LEVEL_US = 65.0
+_LIU_TAIL_NODE_US = 0.5
 
-    One numpy pass per depth level, bottom-up.  The *store* holds the
-    canonical hill–valley segment lists of every node at the current
-    depth as flat rows.  A level transition replays each internal
-    node's merged child deltas exactly like the scalar core — items
-    sorted by ``(valley − hill, CSR rank)`` via one stable ``lexsort``,
-    the running base a segmented cumsum — and then canonicalises the
-    replayed sequence in two closed-form stages instead of a stack:
+
+def _liu_cap(
+    depth_counts: np.ndarray,
+    level_us: float = _LIU_LEVEL_US,
+    node_us: float = _LIU_TAIL_NODE_US,
+) -> int:
+    """The depth cap ``D`` that minimises the sweep's modelled cost.
+
+    ``depth_counts[d]`` is the number of nodes at depth ``d``.  A cap
+    ``D`` runs ``D + 1`` level passes and leaves every node deeper than
+    ``D`` to the scalar tail: ``(D + 1) * level_us + tail * node_us``.
+    ``D = -1`` is all-scalar, ``D = max depth`` the full level sweep;
+    ties go to the lower cap.
+    """
+    total = int(depth_counts.sum())
+    tail = total - np.cumsum(depth_counts)
+    cost = np.arange(1, len(depth_counts) + 1) * level_us + tail * node_us
+    best = int(np.argmin(cost))
+    return -1 if total * node_us <= cost[best] else best
+
+
+def _liu_tail(
+    forest: ArrayForest, tail: np.ndarray, seed_count: int, ropes: bool
+):
+    """Solve the subtrees below the cap with the scalar core, one fill.
+
+    ``tail`` lists every node deeper than the cap, by ascending depth;
+    its first ``seed_count`` entries are the depth-``D+1`` subtree
+    roots.  The tail is renumbered into compact local CSR lists (child
+    order kept, so the core's rank tie-break is unchanged) and solved by
+    one :func:`~repro.core.kernels.liu_fill` pass, deepest node first.
+    Returns the seeds' segments as ``(counts, hills, valleys, sizes,
+    nodes)``: segments per seed, then per segment its hill, valley and
+    rope length, and the ropes flattened in order (global ids) — with
+    ``ropes=False`` the last two are ``None``.
+    """
+    gcs, gci, _gpar, _base, _tree_of = forest._globals()
+    nt = len(tail)
+    loc = np.empty(forest.total_nodes, dtype=np.int64)
+    loc[tail] = np.arange(nt, dtype=np.int64)
+    first = gcs[tail]
+    cnt = gcs[tail + 1] - first
+    lcs = np.zeros(nt + 1, dtype=np.int64)
+    np.cumsum(cnt, out=lcs[1:])
+    n_edges = int(lcs[-1])
+    eidx = np.repeat(first - lcs[:-1], cnt) + np.arange(n_edges, dtype=np.int64)
+    segs: list = [None] * nt
+    liu_fill(
+        forest._weights[tail].tolist(),
+        lcs.tolist(),
+        loc[gci[eidx]].tolist(),
+        range(nt - 1, -1, -1),
+        segs,
+    )
+    counts = []
+    hills = []
+    valleys = []
+    ends = []
+    flat: list[int] = []
+    for x in range(seed_count):
+        node_segs = segs[x]
+        segs[x] = None  # drop each rope once it is flattened
+        counts.append(len(node_segs))
+        for hill, valley, rope in node_segs:
+            hills.append(hill)
+            valleys.append(valley)
+            if ropes:
+                flatten_rope(rope, flat)
+                ends.append(len(flat))
+    del segs
+    sizes = nodes = None
+    if ropes:
+        sizes = np.diff(np.asarray(ends, dtype=np.int64), prepend=0)
+        nodes = tail[np.asarray(flat, dtype=np.int64)]
+    return (
+        np.asarray(counts, dtype=np.int64),
+        np.asarray(hills, dtype=np.int64),
+        np.asarray(valleys, dtype=np.int64),
+        sizes,
+        nodes,
+    )
+
+
+def _liu_vector(
+    forest: ArrayForest, *, schedules: bool = True, cap: int | None = None
+):
+    """Liu's segment solver over the whole forest, depth-capped.
+
+    The subtrees rooted at depth ``cap + 1`` are solved by the scalar
+    core (:func:`_liu_tail`) and seed the store; the depths ``0..cap``
+    then run level-synchronously, one numpy pass per level, bottom-up.
+    ``cap=None`` picks the cap from the forest's depth histogram
+    (:func:`_liu_cap`); the private argument exists for tests and
+    benchmarks — every cap from ``-1`` (all scalar) to the max depth
+    (the full level sweep) gives identical results.
+
+    The *store* holds the canonical hill–valley segment lists of every
+    node at the current depth as flat rows.  A level transition replays
+    each internal node's merged child deltas exactly like the scalar
+    core — items sorted by ``(valley − hill, CSR rank)`` via one stable
+    ``lexsort``, the running base a segmented cumsum — and then
+    canonicalises the replayed sequence in two closed-form stages
+    instead of a stack:
 
     1. a position ends a canonical segment iff its valley is a strict
        suffix-minimum of the merged sequence (the replayed valleys are
@@ -463,27 +593,32 @@ def _liu_vector(forest: ArrayForest, *, schedules: bool = True):
     With ``schedules=True`` every segment also carries its size and
     start offset, and absorption edges record ``(child segment, owner
     segment, delta)``; since canonicalisation never reorders content,
-    a node's final position is its last segment's chain of deltas up
-    to the root — resolved by pointer doubling, like the vectorised
-    best-postorder emission.  Returns ``(peaks, schedule)`` with
-    ``peaks`` int64 per tree and ``schedule`` a flat local-id column
-    (or ``None``).
+    a node's final position is its segment's chain of deltas up to the
+    root plus its offset inside that segment — ``size − 1`` for a node
+    the levels solved (it closes its last segment), its place in the
+    flattened rope for a tail node.  The chains resolve by pointer
+    doubling, like the vectorised best-postorder emission.  Returns
+    ``(peaks, schedule)`` with ``peaks`` int64 per tree and ``schedule``
+    a flat local-id column (or ``None``).
     """
     total = forest.total_nodes
     gcs, gci, _gpar, base, _tree_of = forest._globals()
-    levels = forest._levels()
     depth = forest._depths()
     w = forest._weights
-    n_levels = len(levels)
+    dcount = np.bincount(depth)
+    max_depth = len(dcount) - 1
+    if cap is None:
+        cap = _liu_cap(dcount)
+    cap = min(max(cap, -1), max_depth)
+    levels = forest._levels(cap) if cap >= 0 else []
 
     cnt_all = gcs[1:] - gcs[:total]
-    if n_levels <= 32767:  # int16 keys ride numpy's stable radix sort
+    if max_depth < 32767:  # int16 keys ride numpy's stable radix sort
         dorder = np.argsort(depth.astype(np.int16), kind="stable")
     else:
         dorder = np.argsort(depth, kind="stable")  # ascending ids per depth
-    dbounds = np.searchsorted(
-        depth[dorder], np.arange(n_levels + 1, dtype=np.int64)
-    )
+    dbounds = np.zeros(max_depth + 2, dtype=np.int64)
+    np.cumsum(dcount, out=dbounds[1:])
     ar = np.arange(total + 1, dtype=np.int64)  # sliced, never mutated
     row_of = np.empty(total, dtype=np.int64)  # node -> store row
 
@@ -495,8 +630,28 @@ def _liu_vector(forest: ArrayForest, *, schedules: bool = True):
         seg_sizes: list[np.ndarray] = []  # per level, concatenates by id
         absorbed: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         last_seg = np.full(total, -1, dtype=np.int64)
+        node_off = np.empty(total, dtype=np.int64)  # offset in last_seg
 
-    for d in range(n_levels - 1, -1, -1):
+    if cap < max_depth:
+        # seed the store at depth cap + 1 from the scalar tail
+        lo = int(dbounds[cap + 1])
+        seeds = dorder[lo : dbounds[cap + 2]]
+        scnt, shill, svalley, ssize, flat = _liu_tail(
+            forest, dorder[lo:], len(seeds), schedules
+        )
+        row_of[seeds] = ar[: len(seeds)]
+        soff = np.cumsum(scnt) - scnt
+        if schedules:
+            nseg = len(ssize)
+            sid = ar[:nseg]
+            excl = np.cumsum(ssize) - ssize
+            sstart = excl - np.repeat(excl[soff], scnt)
+            seg_sizes.append(ssize)
+            seg_base = nseg
+            last_seg[flat] = np.repeat(sid, ssize)
+            node_off[flat] = ar[: len(flat)] - np.repeat(excl, ssize)
+
+    for d in range(cap, -1, -1):
         level = levels[d]
         if level is not None:
             idx, eidx, _st, grp_e, _cts, max_arity, _multi = level
@@ -656,9 +811,11 @@ def _liu_vector(forest: ArrayForest, *, schedules: bool = True):
         return peaks, None
 
     # Resolve positions: every segment's start is its chain of deltas
-    # through the owners that absorbed it, anchored at a root-level
-    # segment's offset inside the root schedule.  Pointer doubling sums
-    # the chains; a node sits ``size − 1`` into its last segment.
+    # through the owners that absorbed it (one hop per level), anchored
+    # at a root-level segment's offset inside the root schedule.
+    # Pointer doubling sums the chains; a level-solved node sits
+    # ``size − 1`` into its last segment, a tail node where its rope put
+    # it.
     nseg = seg_base
     par = np.arange(nseg, dtype=np.int64)
     delta = np.zeros(nseg, dtype=np.int64)
@@ -667,27 +824,35 @@ def _liu_vector(forest: ArrayForest, *, schedules: bool = True):
         delta[cid] = dlt
     rootpos = np.zeros(nseg, dtype=np.int64)
     rootpos[sid] = sstart
-    for _ in range(max(1, n_levels).bit_length()):
+    for _ in range(max(1, cap + 2).bit_length()):
         delta = delta + delta[par]
         par = par[par]
-    size_by_id = np.concatenate(seg_sizes)
     ls = last_seg
-    posn = delta[ls] + rootpos[par[ls]] + size_by_id[ls] - 1
+    head = dorder[: dbounds[cap + 1]]
+    node_off[head] = np.concatenate(seg_sizes)[ls[head]] - 1
+    posn = delta[ls] + rootpos[par[ls]] + node_off
     schedule = np.empty(total, dtype=np.int64)
     schedule[base + posn] = ar[:total] - base
     return peaks, schedule
 
 
-def _liu_memo(forest: ArrayForest, *, schedules: bool):
+def _liu_memo(forest: ArrayForest, *, schedules: bool, full: bool = False):
     """:func:`_liu_vector`, memoised on the (immutable) forest.
 
     A cached sweep that emitted schedules also answers a peaks-only
     request; a peaks-only entry never answers one that needs schedules
-    — that request runs the full sweep, which then replaces it.
+    — that request runs the full sweep, which then replaces it.  Every
+    cap gives the same answer, so one entry serves both the capped sweep
+    and ``full`` (the level sweep at every depth).  The cached columns
+    are read-only: callers share them.
     """
     cached = forest._liu_cache
     if cached is None or (schedules and cached[1] is None):
-        cached = _liu_vector(forest, schedules=schedules)
+        cap = forest.max_depth() if full else None
+        cached = _liu_vector(forest, schedules=schedules, cap=cap)
+        for col in cached:
+            if col is not None:
+                col.flags.writeable = False
         forest._liu_cache = cached
     return cached
 
@@ -698,9 +863,9 @@ def forest_liu_sweep(forest: ArrayForest) -> None:
     For callers that need both ``Peak_incore`` (the memory bounds) and
     ``OPTMINMEM`` schedules of the same forest: the bounds then read
     their peaks from this one sweep instead of a peaks-only sweep of
-    their own.  A no-op where the loop cores serve the forest.
+    their own.
     """
-    if _liu_vectorizable(forest):
+    if forest.n_trees:
         _liu_memo(forest, schedules=True)
 
 
@@ -709,17 +874,17 @@ def forest_opt_min_mem(
 ) -> list[tuple[list[int], int]]:
     """``OPTMINMEM`` (schedule, peak) of every tree (Liu's segment solver).
 
-    ``vectorize=None`` auto-selects between the per-tree
-    :func:`~repro.core.kernels.liu_segments_core` loop and the
-    level-synchronous segmented solver (:func:`_liu_vector`); the two
-    paths emit identical schedules and peaks.
+    ``vectorize=None`` runs the depth-capped segmented solver
+    (:func:`_liu_vector`), ``True`` its full level sweep and ``False``
+    the per-tree :func:`~repro.core.kernels.liu_segments_core` loop; all
+    three emit identical schedules and peaks.
     """
     if forest.n_trees == 0:
         return []
-    if vectorize is None:
-        vectorize = _liu_vectorizable(forest)
-    if vectorize:
-        peaks, schedule = _liu_memo(forest, schedules=True)
+    if vectorize is not False:
+        peaks, schedule = _liu_memo(
+            forest, schedules=True, full=bool(vectorize)
+        )
         off_l = forest._offsets.tolist()
         sched_l = schedule.tolist()
         peaks_l = peaks.tolist()
@@ -753,9 +918,15 @@ _FIF_UNBOUNDED = np.int64(2**63 - 1)
 
 
 def _simulate_fif_vector(
-    forest: ArrayForest, schedules, mems
-) -> list[tuple[dict[int, int], int, int]]:
+    forest: ArrayForest, sched_local: np.ndarray, mems, *, peaks: bool = True
+):
     """FiF over all trees at once — event-driven on a static replay.
+
+    ``sched_local`` is the flat local-id schedule column (tree ``k`` at
+    ``offsets[k]:offsets[k+1]``).  Returns ``(evicted, peaks)``:
+    ``evicted`` is the dense I/O column over the same node space — tree
+    ``k``'s I/O function at its node block — and ``peaks`` the per-tree
+    peak memory (``None`` with ``peaks=False``, which skips that pass).
 
     The *uncapped* replay (children consumed at full weight, nothing
     evicted) is one segmented cumsum over the schedule slots, and
@@ -788,9 +959,6 @@ def _simulate_fif_vector(
     wbar = forest._wbar
     sizes = np.diff(off)
 
-    sched_local = np.concatenate(
-        [np.asarray(s, dtype=np.int64) for s in schedules]
-    )
     gsched = sched_local + base  # slot blocks mirror the node blocks
     ids = np.arange(total, dtype=np.int64)
     step_of = np.empty(total, dtype=np.int64)
@@ -841,8 +1009,6 @@ def _simulate_fif_vector(
     dshift = [0] * n_trees  # evicted volume not yet consumed
     chg: list[list[tuple[int, int]]] = [[] for _ in range(n_trees)]
     evicted = np.zeros(total, dtype=np.int64)
-    io_maps: list[dict[int, int]] = [{} for _ in range(n_trees)]
-    io_total = [0] * n_trees
     heappush = heapq.heappush
     heappop = heapq.heappop
     heapify = heapq.heapify
@@ -883,7 +1049,6 @@ def _simulate_fif_vector(
                         heapify(heap)
             fold_mark[k] = t
         gained = 0
-        iok = io_maps[k]
         log = chg[k]
         while excess > 0:
             if not heap:  # unreachable for full-tree schedules
@@ -900,18 +1065,17 @@ def _simulate_fif_vector(
                 continue
             take = ru if ru < excess else excess
             evicted[u] += take
-            lu = u - bk
-            iok[lu] = iok.get(lu, 0) + take
             if take == ru:
                 heappop(heap)
             heappush(ch, (su, take))
             log.append((su, -take))
             gained += take
             excess -= take
-        io_total[k] += gained
         dshift[k] = D + gained
         log.append((t + 1, gained))
 
+    if not peaks:
+        return evicted, None
     # peaks, vectorised: D is piecewise constant between change points,
     # so each interval contributes min(max(static need) - D, M)
     sizes_l = sizes.tolist()
@@ -946,10 +1110,37 @@ def _simulate_fif_vector(
     iv_max = np.maximum.reduceat(s_need, iv_starts)
     clamped = np.minimum(iv_max - iv_d, M[iv_tree])
     tstarts = np.cumsum(n_int_arr) - n_int_arr
-    peak_l = np.maximum.reduceat(clamped, tstarts).tolist()
-    return [
-        (io_maps[k], io_total[k], peak_l[k]) for k in range(n_trees)
-    ]
+    return evicted, np.maximum.reduceat(clamped, tstarts).tolist()
+
+
+def _fif_vectorizable(forest: ArrayForest) -> bool:
+    return (
+        forest.n_trees >= _VECTOR_MIN_TREES
+        and int(forest.sizes().max()) <= _VECTOR_MAX_FIF_STEPS
+    )
+
+
+def _fif_loop(forest: ArrayForest, schedules, mems):
+    """The per-tree :func:`~repro.core.kernels.simulate_fif_core` loop."""
+    off, p, w, wb, _topo, cs, ci = forest._as_lists()
+    out = []
+    push = out.append
+    for k in range(forest.n_trees):
+        a = off[k]
+        b = off[k + 1]
+        push(
+            simulate_fif_core(
+                b - a,
+                w[a:b],
+                p[a:b],
+                cs[a + k : b + k + 1],
+                ci[a - k : b - (k + 1)],
+                wb[a:b],
+                schedules[k],
+                mems[k],
+            )
+        )
+    return out
 
 
 def forest_simulate_fif(
@@ -983,68 +1174,116 @@ def forest_simulate_fif(
     if n_trees == 0:
         return []
     if vectorize is None:
-        vectorize = (
-            n_trees >= _VECTOR_MIN_TREES
-            and max(sizes) <= _VECTOR_MAX_FIF_STEPS
+        vectorize = _fif_vectorizable(forest)
+    if not vectorize:
+        return _fif_loop(forest, schedules, mems)
+    sched = np.fromiter(
+        chain.from_iterable(schedules), np.int64, forest.total_nodes
+    )
+    evicted, peaks = _simulate_fif_vector(forest, sched, mems)
+    off_l = forest._offsets.tolist()
+    tree_of = forest._globals()[4]
+    io_maps: list[dict[int, int]] = [{} for _ in range(n_trees)]
+    hit = np.flatnonzero(evicted)
+    for g, k, amount in zip(
+        hit.tolist(), tree_of[hit].tolist(), evicted[hit].tolist()
+    ):
+        io_maps[k][g - off_l[k]] = amount
+    volumes = np.add.reduceat(evicted, forest._offsets[:-1]).tolist()
+    return list(zip(io_maps, volumes, peaks))
+
+
+class ForestTraversals(SequenceABC):
+    """One traversal per forest member, held as flat columns.
+
+    ``schedule`` and ``io`` are read-only int64 columns over the
+    forest's concatenated node space: tree ``k``'s schedule (local ids)
+    and dense I/O function sit at ``offsets[k]:offsets[k+1]``.
+    ``io_volumes`` are the per-tree sums of that same ``io`` column.
+    Indexing materialises member ``k`` as a
+    :class:`~repro.core.traversal.Traversal`; consumers that only need
+    volumes or a whole-forest check (:func:`forest_validate`) read the
+    columns and never build one.
+    """
+
+    __slots__ = ("offsets", "schedule", "io", "io_volumes")
+
+    def __init__(
+        self, offsets: np.ndarray, schedule: np.ndarray, io: np.ndarray
+    ):
+        for col in (offsets, schedule, io):
+            col.flags.writeable = False
+        self.offsets = offsets
+        self.schedule = schedule
+        self.io = io
+        self.io_volumes: list[int] = (
+            np.add.reduceat(io, offsets[:-1]).tolist() if len(io) else []
         )
-    if vectorize:
-        return _simulate_fif_vector(forest, schedules, mems)
-    off, p, w, wb, _topo, cs, ci = forest._as_lists()
-    out = []
-    push = out.append
-    for k in range(n_trees):
-        a = off[k]
-        b = off[k + 1]
-        push(
-            simulate_fif_core(
-                b - a,
-                w[a:b],
-                p[a:b],
-                cs[a + k : b + k + 1],
-                ci[a - k : b - (k + 1)],
-                wb[a:b],
-                schedules[k],
-                mems[k],
-            )
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, k: int) -> Traversal:
+        n = len(self)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError(f"traversal {k} out of range [0, {n})")
+        a = int(self.offsets[k])
+        b = int(self.offsets[k + 1])
+        return Traversal(
+            tuple(self.schedule[a:b].tolist()), tuple(self.io[a:b].tolist())
         )
-    return out
+
+
+def _fif_io_column(
+    forest: ArrayForest, schedule: np.ndarray, mems
+) -> np.ndarray:
+    """FiF's dense I/O column for a flat schedule column (auto engine)."""
+    if _fif_vectorizable(forest):
+        return _simulate_fif_vector(forest, schedule, mems, peaks=False)[0]
+    off = forest._offsets.tolist()
+    sims = _fif_loop(
+        forest, [schedule[a:b].tolist() for a, b in zip(off, off[1:])], mems
+    )
+    io = np.zeros(forest.total_nodes, dtype=np.int64)
+    for a, (io_map, _volume, _peak) in zip(off, sims):
+        for v, amount in io_map.items():
+            io[a + v] = amount
+    return io
 
 
 def forest_traversals(
     forest: ArrayForest, algorithm: str, memories
-) -> list[Traversal]:
+) -> ForestTraversals:
     """One registry strategy + its FiF I/O function across the forest.
 
     Mirrors :mod:`repro.experiments.registry` exactly for the strategies
     in :data:`FOREST_STRATEGIES`: the named scheduler produces each
     tree's order, FiF under the tree's memory bound derives the I/O
-    function, and the pair is packaged as a dense
-    :class:`~repro.core.traversal.Traversal` — byte-identical to
-    ``get_algorithm(algorithm)(tree, memory)``.
+    function, and member ``k`` of the result equals
+    ``get_algorithm(algorithm)(forest.tree(k), memory)``.  The kernels'
+    schedule column (the Liu memo or the best-postorder sweep) feeds FiF
+    directly, and the result keeps both as columns
+    (:class:`ForestTraversals`).
     """
     mems = _memory_list(memories, forest.n_trees)
-    if algorithm == "OptMinMem":
-        schedules = [s for s, _peak in forest_opt_min_mem(forest)]
-    elif algorithm == "PostOrderMinIO":
-        schedules = [s for s, _st, _v in forest_best_postorders(forest, mems)]
-    elif algorithm == "PostOrderMinMem":
-        schedules = [s for s, _st, _v in forest_best_postorders(forest, None)]
-    else:
+    if algorithm not in FOREST_STRATEGIES:
         raise KeyError(
             f"no forest kernel for {algorithm!r}; available: "
             f"{FOREST_STRATEGIES}"
         )
-    sims = forest_simulate_fif(forest, schedules, mems)
-    traversals = []
-    for schedule, (io, _vol, _peak) in zip(schedules, sims):
-        dense = [0] * len(schedule)  # FiF's I/O maps are sparse
-        for v, amount in io.items():
-            dense[v] = amount
-        traversals.append(Traversal(tuple(schedule), tuple(dense)))
-    return traversals
-
-
-_INT64 = np.iinfo(np.int64)
+    if forest.n_trees == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return ForestTraversals(forest.offsets.copy(), empty, empty.copy())
+    if algorithm == "OptMinMem":
+        schedule = _liu_memo(forest, schedules=True)[1]
+    else:
+        bound = mems if algorithm == "PostOrderMinIO" else None
+        schedule = forest_best_postorders_flat(forest, bound)[0]
+    return ForestTraversals(
+        forest.offsets.copy(), schedule, _fif_io_column(forest, schedule, mems)
+    )
 
 
 def forest_validate(
@@ -1064,6 +1303,11 @@ def forest_validate(
        against the tree's bound, the CSR child sums taken by
        ``np.add.reduceat``.
 
+    A :class:`ForestTraversals` of this forest is checked on its own
+    columns — the ones its ``io_volumes`` are summed from; any other
+    sequence of :class:`~repro.core.traversal.Traversal` is packed into
+    the same columns first and runs the same checks.
+
     Scalar :func:`~repro.core.traversal.validate` stays the oracle: when
     any member fails, it is re-run on the lowest-index failing member,
     so the :class:`~repro.core.traversal.InvalidTraversal` raised is the
@@ -1077,12 +1321,18 @@ def forest_validate(
     mems = _memory_list(memories, n_trees)
     if n_trees == 0:
         return
-    try:
-        first = _first_invalid_member(forest, traversals, mems)
-    except OverflowError:  # ids or amounts beyond int64: the oracle decides
-        for k in range(n_trees):
-            validate(forest.tree(k), traversals[k], mems[k])
-        return
+    if isinstance(traversals, ForestTraversals) and np.array_equal(
+        traversals.offsets, forest.offsets
+    ):
+        sched, io, first = traversals.schedule, traversals.io, n_trees
+    else:
+        try:
+            sched, io, first = _pack_traversals(forest, traversals)
+        except OverflowError:  # ids or amounts beyond int64: the oracle decides
+            for k in range(n_trees):
+                validate(forest.tree(k), traversals[k], mems[k])
+            return
+    first = _first_invalid_member(forest, sched, io, mems, first)
     if first is not None:
         validate(forest.tree(first), traversals[first], mems[first])
         raise RuntimeError(
@@ -1090,25 +1340,35 @@ def forest_validate(
         )
 
 
-def _first_invalid_member(forest, traversals, mems) -> int | None:
-    """Index of the lowest member failing a validity condition, or None."""
+def _pack_traversals(forest: ArrayForest, traversals):
+    """``(schedule, io, first)`` columns of a list of traversals.
+
+    A member whose schedule or io is not node-aligned fails outright:
+    ``first`` is the lowest such index (``n_trees`` if none), and a
+    placeholder keeps the columns node-aligned for the other checks.
+    """
+    n_trees = forest.n_trees
+    scheds = [t.schedule for t in traversals]
+    ios = [t.io for t in traversals]
+    first = n_trees
+    for k, n in enumerate(forest.sizes().tolist()):
+        if len(scheds[k]) != n or len(ios[k]) != n:
+            first = min(first, k)
+            scheds[k] = ios[k] = [0] * n
+    total = forest.total_nodes
+    sched = np.fromiter(chain.from_iterable(scheds), np.int64, total)
+    io = np.fromiter(chain.from_iterable(ios), np.int64, total)
+    return sched, io, first
+
+
+def _first_invalid_member(forest, sched, io, mems, first) -> int | None:
+    """Lowest member index failing a validity condition (or ``first``,
+    if lower), or None when every member is valid."""
     n_trees = forest.n_trees
     total = forest.total_nodes
     gcs, gci, gpar, base, tree_of = forest._globals()
     w = forest._weights
     sizes = forest.sizes()
-
-    # shape faults (schedule or io not node-aligned) fail outright; a
-    # placeholder keeps the concatenated layout node-aligned for the rest
-    scheds = [t.schedule for t in traversals]
-    ios = [t.io for t in traversals]
-    first = n_trees
-    for k, n in enumerate(sizes.tolist()):
-        if len(scheds[k]) != n or len(ios[k]) != n:
-            first = min(first, k)
-            scheds[k] = ios[k] = [0] * n
-    sched = np.fromiter(chain.from_iterable(scheds), np.int64, total)
-    io = np.fromiter(chain.from_iterable(ios), np.int64, total)
 
     # 1. permutation: in-range ids, every node scheduled exactly once;
     # precedence by the scattered positions (slot blocks mirror node
@@ -1139,9 +1399,7 @@ def _first_invalid_member(forest, traversals, mems) -> int | None:
     step = delta[gsched]
     before = np.cumsum(step) - step
     need = forest._wbar[gsched] - child_sum[gsched] + before - before[base]
-    bounds = np.array(
-        [min(max(m, _INT64.min), _INT64.max) for m in mems], dtype=np.int64
-    )
+    bounds = np.array(mems, dtype=np.int64)
     bad |= need > bounds[tree_of]
 
     hits = np.flatnonzero(bad)

@@ -36,7 +36,7 @@ and batched paths can never diverge.
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .arraytree import ArrayTree
 
@@ -47,6 +47,7 @@ __all__ = [
     "fif_stuck_message",
     "flatten_rope",
     "liu_segments",
+    "liu_fill",
     "liu_segments_core",
     "liu_schedule",
     "liu_peak",
@@ -264,8 +265,29 @@ def liu_segments_core(
 ) -> list[tuple[int, int, object]]:
     """List-based engine of :func:`liu_segments` (``topo[0]`` is the root)."""
     segs: list[list[tuple[int, int, object]] | None] = [None] * n
+    liu_fill(weights, start, cindex, reversed(topo), segs)
+    return segs[topo[0]]
 
-    for v in reversed(topo):
+
+def liu_fill(
+    weights: Sequence[int],
+    start: Sequence[int],
+    cindex: Sequence[int],
+    order: Iterable[int],
+    segs: list,
+) -> None:
+    """Solve every node of ``order`` bottom-up into ``segs[v]``.
+
+    ``order`` lists children before their parents; each node's canonical
+    ``(hill, valley, rope)`` segments land in ``segs[v]``, and the
+    children's entries are consumed (reset to ``None``).  Nodes whose
+    parent is not in ``order`` keep their segments — the per-tree core
+    reads the root's, the forest sweep seeds its store from a depth
+    level's.  Ids index the CSR lists directly, so the same loop runs on
+    one tree's local lists or on compact lists of a forest's deep
+    subtrees.
+    """
+    for v in order:
         s = start[v]
         e = start[v + 1]
         w_v = weights[v]
@@ -339,7 +361,6 @@ def liu_segments_core(
             nodes = (top_nodes, nodes)
         out.append((hill, w_v, nodes))
         segs[v] = out
-    return segs[topo[0]]
 
 
 def liu_schedule(at: ArrayTree) -> tuple[list[int], int]:

@@ -283,6 +283,19 @@ class TestExecuteBatchParity:
             payload = self._assert_parity(_batch(pairs, memory=memory))
             assert payload["memories"] == [memory] * len(pairs)
 
+    @pytest.mark.parametrize("memory", [2**63, 10**30])
+    @pytest.mark.parametrize("algorithm", ["OptMinMem", "PostOrderMinIO"])
+    def test_memory_beyond_int64(self, memory, algorithm):
+        from repro.api.execution import execute_batch_request
+
+        pairs = _synth_pairs([30, 45, 70, 20, 55], seed=71)
+        request = _batch(pairs, memory=memory, algorithms=(algorithm,))
+        payload = self._assert_parity(request)
+        # the caller's bound comes back as given, not clamped
+        assert payload["memories"] == [memory] * len(pairs)
+        assert payload["io"] == {algorithm: [0] * len(pairs)}
+        assert execute_batch_request(request)["ok"] is True
+
     def test_rec_expand_mixed_with_kernel_strategies(self):
         pairs = _synth_pairs([18, 30, 24, 12, 27], seed=31)
         self._assert_parity(

@@ -16,8 +16,12 @@ every constructor, and asserts that
 * invalid forests fail with the same ``TreeError`` vocabulary as the
   per-tree constructors, naming the offending tree;
 * ``forest_validate`` raises exactly what scalar ``validate`` raises for
-  the first failing member, under a seeded mutation fuzzer, and Liu's
-  memoised sweep runs once per forest.
+  the first failing member, under a seeded mutation fuzzer, through
+  both the flat-column and the list input, and Liu's memoised sweep
+  runs once per forest;
+* Liu's depth-capped sweep gives the full sweep's peaks and schedules
+  at every cap, and ``forest_traversals``' read-only columns hold the
+  registry's traversals.
 
 Exact equality (never "close") is the contract: the forest path
 replaces per-tree dispatch in the batch engine and the service, so any
@@ -555,6 +559,15 @@ class TestForestValidate:
             with pytest.raises(InvalidTraversal) as exc:
                 fk.forest_validate(forest, traversals, mems)
             assert str(exc.value) == expected
+            if all(
+                len(t.schedule) == len(t.io) == m.n
+                for t, m in zip(traversals, members)
+            ):  # node-aligned: the same check through the column input
+                with pytest.raises(InvalidTraversal) as exc:
+                    fk.forest_validate(
+                        forest, _columns(forest, traversals), mems
+                    )
+                assert str(exc.value) == expected
 
     def test_duplicate_that_only_the_permutation_check_sees(self):
         # leaf 1 twice, leaf 2 never: precedence, io and memory all hold
@@ -600,9 +613,9 @@ class TestLiuMemo:
         calls = []
         raw = fk._liu_vector
 
-        def counted(forest, *, schedules=True):
+        def counted(forest, *, schedules=True, **kw):
             calls.append(schedules)
-            return raw(forest, schedules=schedules)
+            return raw(forest, schedules=schedules, **kw)
 
         monkeypatch.setattr(fk, "_liu_vector", counted)
         return calls
@@ -664,3 +677,174 @@ class TestLiuMemo:
         assert fk.forest_opt_min_mem(sub) == fk.forest_opt_min_mem(fresh)
         assert calls == [True]  # only the fresh forest swept
         _assert_same_buffers(sub.tree(2), fresh.tree(2))
+
+
+def _deep_mixed_pairs(chain_depth):
+    """Shallow members mixed with deep ones, single-node trees included."""
+    from repro.datasets.synth import huge_instance, synth_instance
+
+    rng = np.random.default_rng(BASE_SEED + chain_depth)
+
+    def w(n):
+        return rng.integers(1, 60, size=n).tolist()
+
+    def synth(n, shape, seed):
+        t = synth_instance(n, seed=seed, shape=shape)
+        return (list(t.parents), list(t.weights))
+
+    cat = huge_instance("caterpillar", 300, seed=7, depth=90)
+    return [
+        ([-1], [4]),
+        synth(1000, "binary", 3),  # ~95 deep
+        _star(20, w(20)),
+        synth(500, "plane", 3),  # ~45 deep
+        ([-1], [0]),
+        (cat._parents.tolist(), cat._weights.tolist()),
+        _chain(chain_depth + 1, w(chain_depth + 1)),
+        synth(30, "binary", 5),
+        ([-1], [9]),
+    ]
+
+
+class TestLiuDepthCap:
+    """Every depth cap of the Liu sweep gives the full sweep's answer.
+
+    Caps run from ``-1`` (every subtree on the scalar tail) to the max
+    depth (the full level sweep); peaks and schedules must equal
+    both that sweep and the per-tree ``liu_segments_core``, with and
+    without the schedule bookkeeping.
+    """
+
+    @staticmethod
+    def _reference(forest):
+        peaks, sched = [], []
+        for k in range(forest.n_trees):
+            schedule, peak = kernels.liu_schedule(forest.tree(k))
+            peaks.append(peak)
+            sched.extend(schedule)
+        return np.array(peaks, dtype=np.int64), np.array(sched, dtype=np.int64)
+
+    @staticmethod
+    def _assert_cap(forest, cap, peaks, sched):
+        got_p, got_s = fk._liu_vector(forest, schedules=True, cap=cap)
+        assert np.array_equal(got_p, peaks), cap
+        assert np.array_equal(got_s, sched), cap
+        only_p, none = fk._liu_vector(forest, schedules=False, cap=cap)
+        assert none is None
+        assert np.array_equal(only_p, peaks), cap
+
+    def test_every_cap_matches_the_full_sweep_and_the_core(self):
+        forest = ArrayForest.from_pairs(_deep_mixed_pairs(100))
+        max_depth = forest.max_depth()
+        assert max_depth == 100
+        peaks, sched = self._reference(forest)
+        full = fk._liu_vector(forest, schedules=True, cap=max_depth)
+        assert np.array_equal(full[0], peaks)
+        assert np.array_equal(full[1], sched)
+        for cap in range(-1, max_depth + 1):
+            self._assert_cap(forest, cap, peaks, sched)
+
+    def test_chain_deeper_than_the_old_depth_guard(self):
+        forest = ArrayForest.from_pairs(_deep_mixed_pairs(4200))
+        max_depth = forest.max_depth()
+        assert max_depth == 4200
+        peaks, sched = self._reference(forest)
+        auto = fk._liu_cap(np.bincount(forest._depths()))
+        assert auto < 64  # a chain is worth no level pass of its own
+        for cap in (-1, 0, 1, auto, 90, max_depth // 2, max_depth):
+            self._assert_cap(forest, cap, peaks, sched)
+        # the public entry points run the capped sweep, memoised
+        forest._liu_cache = None
+        assert fk.forest_min_peaks(forest) == peaks.tolist()
+        assert fk.forest_opt_min_mem(forest) == fk.forest_opt_min_mem(
+            forest, vectorize=False
+        )
+
+    def test_the_cost_model_picks_low_caps_for_small_forests(self):
+        single = np.bincount(
+            ArrayForest.from_pairs(_deep_mixed_pairs(100)[1:2])._depths()
+        )
+        assert fk._liu_cap(single) == -1  # one tree: all scalar
+        wide = np.full(40, 5000)  # thousands of nodes on every level
+        assert fk._liu_cap(wide) == 39  # the full sweep
+        narrow_tail = np.concatenate([np.full(10, 5000), np.ones(50, int)])
+        assert fk._liu_cap(narrow_tail) == 9  # levels stop where width ends
+
+
+def _columns(forest, traversals):
+    """A plain traversal list packed into :class:`ForestTraversals`."""
+    total = forest.total_nodes
+    sched = np.fromiter(
+        (v for t in traversals for v in t.schedule), np.int64, total
+    )
+    io = np.fromiter((a for t in traversals for a in t.io), np.int64, total)
+    return fk.ForestTraversals(forest.offsets.copy(), sched, io)
+
+
+class TestFlatColumns:
+    """``forest_traversals`` answers in columns; members equal the registry."""
+
+    @pytest.mark.parametrize("algorithm", fk.FOREST_STRATEGIES)
+    def test_subset_members_match_registry(self, trees, mems, algorithm):
+        keep = list(range(1, len(trees), 3))
+        full = ArrayForest.from_pairs(
+            [(list(t.parents), list(t.weights)) for t in trees]
+        )
+        fk.forest_liu_sweep(full)  # the subset inherits this memo
+        sub = full.subset(keep)
+        sub_mems = [mems[k] for k in keep]
+        strategy = get_algorithm(algorithm)
+        travs = fk.forest_traversals(sub, algorithm, sub_mems)
+        assert isinstance(travs, fk.ForestTraversals)
+        assert len(travs) == len(keep)
+        for j, k in enumerate(keep):
+            expected = strategy(sub.tree(j), sub_mems[j])
+            assert travs[j] == expected
+            assert travs.io_volumes[j] == expected.io_volume
+        assert travs[-1] == travs[len(keep) - 1]
+        with pytest.raises(IndexError):
+            travs[len(keep)]
+
+    @pytest.mark.parametrize("algorithm", fk.FOREST_STRATEGIES)
+    def test_mixed_none_loop_fallback(self, forest, mems, algorithm):
+        mixed = [None if k % 4 == 1 else m for k, m in enumerate(mems)]
+        travs = fk.forest_traversals(forest, algorithm, mixed)
+        for k in range(forest.n_trees):
+            tree = forest.tree(k)
+            if mixed[k] is None and algorithm == "PostOrderMinIO":
+                # unbounded MinIO: the MinMem order, and FiF evicts nothing
+                expected = Traversal(
+                    tuple(kernels.best_postorder(tree, None)[0]),
+                    (0,) * tree.n,
+                )
+            else:
+                expected = get_algorithm(algorithm)(tree, mixed[k])
+            assert travs[k] == expected
+
+    def test_columns_are_read_only(self, trees):
+        pairs = [(list(t.parents), list(t.weights)) for t in trees[:10]]
+        forest = ArrayForest.from_pairs(pairs)
+        travs = fk.forest_traversals(forest, "OptMinMem", None)
+        peaks, schedule = forest._liu_cache
+        for col in (schedule, peaks, travs.schedule, travs.io, travs.offsets):
+            with pytest.raises(ValueError):
+                col[0] = 1
+        assert travs.schedule is schedule  # the memo feeds FiF directly
+        sub = forest.subset([1, 4])
+        with pytest.raises(ValueError):
+            sub._liu_cache[1][0] = 1
+
+    def test_validate_takes_columns_and_lists_alike(self, forest, mems):
+        travs = fk.forest_traversals(forest, "PostOrderMinIO", mems)
+        fk.forest_validate(forest, travs, mems)
+        fk.forest_validate(forest, list(travs), mems)
+        bad = list(travs)
+        io = list(bad[7].io)
+        io[0] = -1
+        bad[7] = Traversal(bad[7].schedule, tuple(io))
+        messages = []
+        for candidate in (bad, _columns(forest, bad)):
+            with pytest.raises(InvalidTraversal) as exc:
+                fk.forest_validate(forest, candidate, mems)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
