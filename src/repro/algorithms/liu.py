@@ -34,18 +34,24 @@ whole sequence is re-canonicalised.
 Segments carry the executed nodes as a *rope* (nested pairs, flattened on
 demand) so that schedule extraction stays linear even on deep chains.
 
-The solver memoises segments per subtree and supports invalidating a
-root-ward path, which makes the RecExpand inner loop (re-solve after a
-single node expansion) cheap.
+The algebra itself lives once, in scalar code:
+:func:`repro.core.kernels.liu_combine` solves one node from its
+children's ``(hill, valley, rope)`` tuples, and
+:func:`~repro.core.kernels.liu_fill` drives it bottom-up over CSR lists.
+:func:`opt_min_mem` and :func:`min_peak_memory` run those cores on the
+tree's cached lists.  :class:`LiuSolver` is the *incremental* wrapper
+around the same combine step: it memoises segments per subtree and
+supports invalidating a root-ward path, which makes the RecExpand inner
+loop (re-solve after a single node expansion) cheap on the mutable
+:class:`~repro.core.expansion.ExpansionTree`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..core import kernels
-from ..core.engine import array_tree_or_none
+from ..core.engine import runs_on_cores
 from ..core.tree import TaskTree
 
 __all__ = ["Segment", "LiuSolver", "opt_min_mem", "min_peak_memory"]
@@ -74,20 +80,23 @@ class Segment:
 
 
 class LiuSolver:
-    """Memoised bottom-up solver for the MinMem problem.
+    """Memoised, incremental bottom-up solver for the MinMem problem.
 
     Works on any object following the tree protocol (``weights``,
     ``children``, ``parents``, ``root``), including the mutable
-    :class:`~repro.core.expansion.ExpansionTree`.
+    :class:`~repro.core.expansion.ExpansionTree`.  Segments are cached
+    per node as ``(hill, valley, rope)`` tuples and combined by
+    :func:`repro.core.kernels.liu_combine`; :class:`Segment` objects
+    exist only in what :meth:`segments` returns.
     """
 
     def __init__(self, tree):
         self.tree = tree
-        self._segs: dict[int, list[Segment]] = {}
+        self._segs: dict[int, list[tuple[int, int, Rope]]] = {}
 
     # ------------------------------------------------------------------
-    def segments(self, v: int | None = None) -> list[Segment]:
-        """Canonical segments of the subtree rooted at ``v`` (default: root)."""
+    def _solve(self, v: int | None) -> list[tuple[int, int, Rope]]:
+        """Segment tuples of ``v`` (default: root), solving what is missing."""
         if v is None:
             v = self.tree.root
         segs = self._segs
@@ -95,29 +104,41 @@ class LiuSolver:
         if cached is not None:
             return cached
         children = self.tree.children
+        weights = self.tree.weights
+        combine = kernels.liu_combine
         stack = [v]
         while stack:
             u = stack[-1]
             if u in segs:
                 stack.pop()
                 continue
-            missing = [c for c in children[u] if c not in segs]
+            kids = children[u]
+            missing = [c for c in kids if c not in segs]
             if missing:
                 stack.extend(missing)
+                continue
+            stack.pop()
+            if len(kids) == 1:
+                # the combine step extends a lone child's list in place;
+                # the child's cached entry must survive invalidations
+                segs[u] = combine(u, weights[u], [segs[kids[0]][:]])
             else:
-                segs[u] = self._combine(u)
-                stack.pop()
+                segs[u] = combine(u, weights[u], [segs[c] for c in kids])
         return segs[v]
+
+    def segments(self, v: int | None = None) -> list[Segment]:
+        """Canonical segments of the subtree rooted at ``v`` (default: root)."""
+        return [Segment(hill, valley, nodes) for hill, valley, nodes in self._solve(v)]
 
     def peak(self, v: int | None = None) -> int:
         """Minimum peak memory to execute the subtree rooted at ``v``."""
-        return self.segments(v)[0].hill
+        return self._solve(v)[0][0]
 
     def schedule(self, v: int | None = None) -> list[int]:
         """An optimal-peak execution order of the subtree rooted at ``v``."""
         out: list[int] = []
-        for seg in self.segments(v):
-            _flatten_rope(seg.nodes, out)
+        for _hill, _valley, nodes in self._solve(v):
+            _flatten_rope(nodes, out)
         return out
 
     def invalidate_from(self, v: int) -> None:
@@ -133,74 +154,21 @@ class LiuSolver:
             segs.pop(u, None)
             u = parents[u]
 
-    # ------------------------------------------------------------------
-    def _combine(self, v: int) -> list[Segment]:
-        tree = self.tree
-        kids = tree.children[v]
-        w_v = tree.weights[v]
-        if not kids:
-            return [Segment(w_v, w_v, v)]
-
-        # Delta segments of all children, merged by decreasing h - t.
-        # (rank, idx) make the sort deterministic: construction order of the
-        # children breaks ties, which is also what the paper's figures use.
-        items: list[tuple[int, int, int, int, int, Rope]] = []
-        segs = self._segs
-        for rank, c in enumerate(kids):
-            prev_valley = 0
-            for idx, seg in enumerate(segs[c]):
-                items.append(
-                    (
-                        -(seg.hill - seg.valley),
-                        rank,
-                        idx,
-                        seg.hill - prev_valley,  # X
-                        seg.valley - prev_valley,  # Y
-                        seg.nodes,
-                    )
-                )
-                prev_valley = seg.valley
-        items.sort(key=lambda it: (it[0], it[1], it[2]))
-
-        # Replay the merged deltas on a running base, then execute v itself.
-        raw: list[tuple[int, int, Rope]] = []
-        base = 0
-        for _, _, _, x, y, nodes in items:
-            hill = base + x
-            base += y
-            raw.append((hill, base, nodes))
-        raw.append((max(base, w_v), w_v, v))  # base == sum of children outputs
-
-        # Canonicalise: hills strictly decreasing, valleys strictly
-        # increasing; a violating segment is merged with its predecessor
-        # (hill = max of both, valley = the later one).
-        out: list[Segment] = []
-        for hill, valley, nodes in raw:
-            while out and (hill >= out[-1].hill or valley <= out[-1].valley):
-                top = out.pop()
-                if top.hill > hill:
-                    hill = top.hill
-                nodes = (top.nodes, nodes)
-            out.append(Segment(hill, valley, nodes))
-        return out
-
 
 def opt_min_mem(tree: TaskTree, *, engine: str | None = None) -> tuple[list[int], int]:
     """``OPTMINMEM``: an optimal-peak schedule and its peak memory.
 
     ``engine`` overrides the kernel engine (see :mod:`repro.core.engine`);
-    the flat kernel reproduces :class:`LiuSolver`'s schedule exactly.
+    the list core reproduces :class:`LiuSolver`'s schedule exactly.
     """
-    at = array_tree_or_none(tree, engine)
-    if at is not None:
-        return kernels.liu_schedule(at)
+    if runs_on_cores(tree, engine):
+        return kernels.liu_schedule(tree)
     solver = LiuSolver(tree)
     return solver.schedule(), solver.peak()
 
 
 def min_peak_memory(tree: TaskTree, *, engine: str | None = None) -> int:
     """The in-core peak memory lower bound ``Peak_incore`` of a tree."""
-    at = array_tree_or_none(tree, engine)
-    if at is not None:
-        return kernels.liu_peak(at)
+    if runs_on_cores(tree, engine):
+        return kernels.liu_peak(tree)
     return LiuSolver(tree).peak()

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import kernels
-from ..core.engine import array_tree_or_none
+from ..core.engine import runs_on_cores
 from ..core.tree import TaskTree
 
 __all__ = [
@@ -126,13 +126,13 @@ def _best_postorder(
     )
 
 
-def _array_result(at, memory: int | None) -> PostorderResult:
-    schedule, storage, vio = kernels.best_postorder(at, memory)
+def _core_result(tree, memory: int | None) -> PostorderResult:
+    schedule, storage, vio = kernels.best_postorder(tree, memory)
     return PostorderResult(
         schedule=tuple(schedule),
         storage=tuple(storage),
-        peak_memory=storage[at.root],
-        predicted_io=vio[at.root],
+        peak_memory=storage[tree.root],
+        predicted_io=vio[tree.root],
     )
 
 
@@ -142,9 +142,8 @@ def postorder_min_mem(tree: TaskTree, *, engine: str | None = None) -> Postorder
     ``engine`` overrides the kernel engine (see :mod:`repro.core.engine`);
     both engines return identical results.
     """
-    at = array_tree_or_none(tree, engine)
-    if at is not None:
-        return _array_result(at, None)
+    if runs_on_cores(tree, engine):
+        return _core_result(tree, None)
     return _best_postorder(tree, None)
 
 
@@ -160,9 +159,8 @@ def postorder_min_io(
     """
     if memory <= 0:
         raise ValueError(f"memory bound must be positive, got {memory}")
-    at = array_tree_or_none(tree, engine)
-    if at is not None:
-        return _array_result(at, memory)
+    if runs_on_cores(tree, engine):
+        return _core_result(tree, memory)
     return _best_postorder(tree, memory)
 
 

@@ -21,6 +21,13 @@ depend on the weights, not just on ``n``).  ``RECEXPAND`` caps the loop at
 **2 iterations per node**; the resulting tree may still need I/O, which is
 simply left to the FiF policy of the final schedule.
 
+Both the while-loop's FiF passes and the two final ones run
+:func:`repro.core.kernels.simulate_fif_core` on the lists the
+:class:`~repro.core.expansion.ExpansionTree` keeps current (subtree
+schedules included), and ``OPTMINMEM`` is the incremental
+:class:`~repro.algorithms.liu.LiuSolver` over the same combine step as
+the list cores.
+
 The reported solution transposes the final ``OPTMINMEM`` schedule of the
 expanded tree back to the original nodes and re-derives the I/O function
 with FiF on the *original* tree.  This never costs more than the sum of
@@ -35,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.expansion import ExpansionTree
-from ..core.simulator import simulate_fif
+from ..core.kernels import simulate_fif_core
 from ..core.traversal import Traversal
 from ..core.tree import TaskTree
 from .liu import LiuSolver
@@ -115,12 +122,27 @@ def _expand_subtree(
         iterations += 1
 
         schedule = solver.schedule(subroot)
-        result = simulate_fif(xt, schedule, memory)
-        pos = {v: t for t, v in enumerate(schedule)}
-        victim = victim_rule(result.io, pos, xt)
-        dirty = xt.expand(victim, result.io[victim])
+        io = _fif(xt, schedule, memory)[0]
+        pos = dict(zip(schedule, range(len(schedule))))
+        victim = victim_rule(io, pos, xt)
+        dirty = xt.expand(victim, io[victim])
         solver.invalidate_from(dirty)
     return iterations
+
+
+def _fif(tree, schedule, memory: int) -> tuple[dict[int, int], int, int]:
+    """FiF on ``tree``'s CSR lists: an expansion tree's, or the original's."""
+    lists = tree if isinstance(tree, ExpansionTree) else tree.core_lists()
+    return simulate_fif_core(
+        len(lists.weights),
+        lists.weights,
+        lists.parents,
+        lists.start,
+        lists.cindex,
+        lists.wbar,
+        schedule,
+        memory,
+    )
 
 
 def full_rec_expand(
@@ -179,13 +201,16 @@ def full_rec_expand(
         )
 
     final_schedule = solver.schedule(xt.root)
-    residual = simulate_fif(xt, final_schedule, memory).io_volume
+    residual = _fif(xt, final_schedule, memory)[1]
     original_schedule = xt.restrict_schedule(final_schedule)
-    final = simulate_fif(tree, original_schedule, memory)
+    io, io_volume, _peak = _fif(tree, original_schedule, memory)
+    dense = [0] * tree.n
+    for v, amount in io.items():
+        dense[v] = amount
 
     return RecExpandResult(
-        traversal=Traversal(tuple(original_schedule), final.io_list(tree.n)),
-        io_volume=final.io_volume,
+        traversal=Traversal(tuple(original_schedule), tuple(dense)),
+        io_volume=io_volume,
         expanded_io=xt.expanded_io,
         residual_io=residual,
         expansions=xt.num_expansions,

@@ -8,7 +8,8 @@ the whole point: identical requests produce byte-identical payloads on
 every surface, so cache entries written by one are served by all.
 
 ``build_tree`` picks the tree representation (object tree vs flat
-:class:`~repro.core.arraytree.ArrayTree`) by size; ``run_solve`` /
+:class:`~repro.core.arraytree.ArrayTree`) by size — the kernel cores run
+on either; ``run_solve`` /
 ``run_paging`` / ``run_exact`` mirror the corresponding CLI commands;
 ``execute_request`` wraps any of them in the uniform envelope with
 content-derived RNG seeding; ``execute_batch`` solves a
@@ -67,16 +68,14 @@ UNSOLVABLE_ERRORS = (InfeasibleSchedule, InvalidTraversal, ValueError, KeyError)
 
 
 def build_tree(parents: Any, weights: Any) -> TaskTree | ArrayTree:
-    """The tree object a request executes on.
+    """The tree object a request executes on, when none was validated yet.
 
     Large requests go straight to :class:`~repro.core.arraytree.ArrayTree`
-    — vectorised construction, no per-node object graph, and the engine
-    dispatch then keeps every kernel on the flat path — instead of
-    paying for a ``TaskTree`` first and converting on each algorithm
-    call.  Small requests keep the object tree (below
-    :data:`~repro.core.engine.AUTO_THRESHOLD` the conversion overhead
-    outweighs the win), as do weights beyond int64.  Accepts Python
-    sequences or numpy columns (the shared-memory path).
+    — vectorised construction, no per-node object graph.  Small requests
+    build a ``TaskTree`` (below :data:`~repro.core.engine.AUTO_THRESHOLD`
+    its per-node loop beats numpy's fixed costs), as do weights beyond
+    int64.  Either way the kernel cores run on the result.  Accepts
+    Python sequences or numpy columns (the shared-memory path).
     """
     import numpy as np
 
@@ -91,6 +90,14 @@ def build_tree(parents: Any, weights: Any) -> TaskTree | ArrayTree:
     return TaskTree(parents, weights)
 
 
+def _request_tree(request: Request) -> TaskTree | ArrayTree:
+    """The tree :func:`~repro.api.requests.parse_request` validated, else a new one."""
+    tree = request.validated_tree()
+    if tree is None:
+        return build_tree(request.parents, request.weights)
+    return tree
+
+
 def run_solve(
     request: SolveRequest, *, tree: TaskTree | ArrayTree | None = None
 ) -> dict[str, Any]:
@@ -98,7 +105,7 @@ def run_solve(
     from ..experiments.registry import get_algorithm
 
     if tree is None:
-        tree = build_tree(request.parents, request.weights)
+        tree = _request_tree(request)
     traversal = get_algorithm(request.algorithm)(tree, request.memory)
     validate(tree, traversal, request.memory)
     result = {
@@ -130,7 +137,7 @@ def run_paging(
     from ..io import HDD, estimate_time, paged_io
 
     if tree is None:
-        tree = build_tree(request.parents, request.weights)
+        tree = _request_tree(request)
     schedule = get_algorithm(request.algorithm)(tree, request.memory).schedule
     rows = []
     for policy in request.policies:
@@ -169,7 +176,7 @@ def run_exact(
     from ..experiments.registry import PAPER_ALGORITHMS, get_algorithm
 
     if tree is None:
-        tree = build_tree(request.parents, request.weights)
+        tree = _request_tree(request)
     result = exact_min_io(
         tree,
         request.memory,

@@ -144,6 +144,21 @@ class CanonicalRequest:
             object.__setattr__(self, "_cached_key", cached)
         return cached
 
+    def validated_tree(self) -> TaskTree | None:
+        """The :class:`TaskTree` :func:`parse_request` validated, if it built one.
+
+        Held beside the dataclass fields — outside the key, equality,
+        payload and pickles — so the executor reuses it instead of
+        building the same tree a second time.
+        """
+        tree: TaskTree | None = self.__dict__.get("_validated_tree")
+        return tree
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_validated_tree", None)  # derived; rebuilt on demand
+        return state
+
 
 def _fail(code: str, message: str) -> ProtocolError:
     return ProtocolError(code, message)
@@ -157,7 +172,7 @@ def _require_int(value: Any, field: str, *, lo: int, hi: int) -> int:
     return value
 
 
-def _parse_tree(obj: Mapping[str, Any]) -> TreeColumns:
+def _parse_tree(obj: Mapping[str, Any]) -> TaskTree:
     tree = obj.get("tree")
     if not isinstance(tree, Mapping):
         raise _fail("bad_field", "'tree' must be an object with 'parents' and 'weights'")
@@ -175,10 +190,9 @@ def _parse_tree(obj: Mapping[str, Any]) -> TreeColumns:
             "use the offline batch engine for bulk workloads",
         )
     try:
-        TaskTree(parents, weights)  # full structural validation
+        return TaskTree(parents, weights)  # full structural validation
     except TreeError as exc:
         raise _fail("invalid_tree", str(exc)) from exc
-    return tuple(parents), tuple(weights)
 
 
 def _parse_algorithm(obj: Mapping[str, Any], *, default: str = "RecExpand") -> str:
@@ -493,18 +507,23 @@ def parse_request(obj: Any, *, trusted_tree: tuple[Any, Any] | None = None) -> R
     kind = obj.get("kind", "solve")
     if kind not in _KINDS:
         raise _fail("unknown_kind", f"unknown kind {kind!r}; expected one of {_KINDS}")
+    tree: TaskTree | None = None
     if trusted_tree is not None:
         parents, weights = trusted_tree
     else:
-        parents, weights = _parse_tree(obj)
+        tree = _parse_tree(obj)
+        # every element is a plain int, so the tree's columns are the
+        # request's own, already as tuples
+        parents, weights = tree.parents, tree.weights
     memory = _require_int(obj.get("memory"), "memory", lo=1, hi=10**15)
     timeout = _parse_timeout(obj)
     engine = _parse_engine(obj)
     trace = _parse_trace(obj)
     trace_schedule = _parse_trace_schedule(obj, kind)
 
+    request: Request
     if kind == "solve":
-        return SolveRequest(
+        request = SolveRequest(
             parents=parents,
             weights=weights,
             memory=memory,
@@ -514,8 +533,7 @@ def parse_request(obj: Any, *, trusted_tree: tuple[Any, Any] | None = None) -> R
             trace_schedule=trace_schedule,
             trace=trace,
         )
-
-    if kind == "paging":
+    elif kind == "paging":
         policies = obj.get("policies", list(DEFAULT_PAGING_POLICIES))
         if (
             not isinstance(policies, (list, tuple))
@@ -529,7 +547,7 @@ def parse_request(obj: Any, *, trusted_tree: tuple[Any, Any] | None = None) -> R
                 "unknown_policy",
                 f"unknown policies {unknown}; available: {sorted(POLICIES)}",
             )
-        return PagingRequest(
+        request = PagingRequest(
             parents=parents,
             weights=weights,
             memory=memory,
@@ -541,16 +559,21 @@ def parse_request(obj: Any, *, trusted_tree: tuple[Any, Any] | None = None) -> R
             engine=engine,
             trace=trace,
         )
-
-    return ExactRequest(
-        parents=parents,
-        weights=weights,
-        memory=memory,
-        max_states=_require_int(
-            obj.get("max_states", 2_000_000), "max_states", lo=1, hi=10**9
-        ),
-        node_limit=_require_int(obj.get("node_limit", 24), "node_limit", lo=1, hi=64),
-        timeout=timeout,
-        engine=engine,
-        trace=trace,
-    )
+    else:
+        request = ExactRequest(
+            parents=parents,
+            weights=weights,
+            memory=memory,
+            max_states=_require_int(
+                obj.get("max_states", 2_000_000), "max_states", lo=1, hi=10**9
+            ),
+            node_limit=_require_int(
+                obj.get("node_limit", 24), "node_limit", lo=1, hi=64
+            ),
+            timeout=timeout,
+            engine=engine,
+            trace=trace,
+        )
+    if tree is not None:
+        object.__setattr__(request, "_validated_tree", tree)
+    return request

@@ -1,9 +1,10 @@
 """Model substrate: trees, traversals, the FiF simulator and node expansion.
 
 Two interchangeable kernel engines back the core computations: the
-object engine (per-node Python structures) and the flat-array engine
-(:class:`ArrayTree` + :mod:`repro.core.kernels`); see
-:mod:`repro.core.engine` for how one is selected.
+list cores of :mod:`repro.core.kernels` (on a :class:`TaskTree`'s
+cached lists or an :class:`ArrayTree`'s columns — the default) and the
+object engine (per-node Python structures, the cross-validation
+reference); see :mod:`repro.core.engine` for how one is selected.
 """
 
 from .arraytree import ArrayTree, as_array_tree

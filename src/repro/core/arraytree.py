@@ -27,9 +27,9 @@ both directions, and invalid descriptions are rejected with the same
 
 One deliberate restriction: all quantities must fit comfortably in
 int64 (node weights *and* their tree-wide sums).  Inputs outside that
-range raise :class:`TreeError` — the engine dispatch in
-:mod:`repro.core.engine` treats that as "fall back to the object
-engine", which supports arbitrary Python integers.
+range raise :class:`TreeError`; such trees stay
+:class:`~repro.core.tree.TaskTree` objects, whose cached lists the
+kernel cores read with arbitrary-precision Python integers.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .tree import TaskTree, TreeError
+from .tree import CoreLists, TaskTree, TreeError
 
 __all__ = ["ArrayTree", "as_array_tree"]
 
@@ -318,6 +318,21 @@ class ArrayTree:
     def wbar(self) -> array:
         return self._wbar
 
+    def core_lists(self) -> CoreLists:
+        """The kernel cores' view: fresh lists per call, never cached.
+
+        Million-node trees would otherwise keep a second, list-of-int
+        copy of every column alive for their whole lifetime.
+        """
+        return CoreLists(
+            self._weights.tolist(),
+            self._parents.tolist(),
+            self._child_start.tolist(),
+            self._child_index.tolist(),
+            self._topo.tolist(),
+            self._wbar.tolist(),
+        )
+
     def parent(self, v: int) -> int:
         return self._parents[v]
 
@@ -422,7 +437,7 @@ def as_array_tree(tree) -> ArrayTree:
 
     ``ArrayTree`` passes through; ``TaskTree`` converts exactly; anything
     else (e.g. a mutable expansion tree) raises ``TypeError`` — mutable
-    trees must stay on the object engine.
+    trees cannot be frozen into flat buffers.
     """
     if isinstance(tree, ArrayTree):
         return tree

@@ -1,23 +1,26 @@
-"""Kernel-engine selection: object trees vs flat-array kernels.
+"""Kernel-engine selection: the list cores vs the object reference.
 
 Two interchangeable engines compute every core quantity of the
 reproduction:
 
-``object``
-    the original implementations over :class:`~repro.core.tree.TaskTree`
-    (and the mutable expansion trees) — per-node Python structures,
-    arbitrary-precision integers;
 ``array``
-    the flat CSR kernels of :mod:`repro.core.kernels` over
-    :class:`~repro.core.arraytree.ArrayTree` — int64 arrays, no
-    recursion, several times faster and leaner on big trees.
+    the iterative list cores of :mod:`repro.core.kernels`, run on a
+    tree's CSR lists (:meth:`TaskTree.core_lists
+    <repro.core.tree.TaskTree.core_lists>`, cached per tree, or an
+    :class:`~repro.core.arraytree.ArrayTree`'s columns) — no recursion,
+    no per-node objects, arbitrary-precision integers;
+``object``
+    the original implementations over the tree protocol — per-node
+    Python structures.  Kept as the cross-validation reference.
 
 Results are **exactly equal** (schedules, ``S_i``/``V_i``, I/O
-functions, peaks) — the randomized cross-validation harness enforces
-this — so engine choice is purely a performance knob.  The default mode
-``auto`` uses the array kernels once a tree is large enough to amortise
-the conversion (:data:`AUTO_THRESHOLD` nodes) and whenever the caller
-already holds an ``ArrayTree``.
+functions, peaks) — the randomized cross-validation harness and the
+golden corpus enforce this — so engine choice is purely a performance
+knob.  The default mode ``auto`` runs the list cores at every tree size
+and on either representation; :data:`AUTO_THRESHOLD` only picks which
+representation a request's tree is built as (see
+:func:`repro.api.execution.build_tree`).  Trees outside the two
+representations (e.g. mutable expansion trees) take the object path.
 
 Selection surface, in precedence order:
 
@@ -38,8 +41,6 @@ import os
 import threading
 from contextlib import contextmanager
 
-from .arraytree import ArrayTree, as_array_tree
-from .tree import TaskTree, TreeError
 
 __all__ = [
     "ENGINES",
@@ -48,14 +49,16 @@ __all__ = [
     "set_default_engine",
     "engine_scope",
     "resolve_engine",
-    "array_tree_or_none",
+    "runs_on_cores",
 ]
 
 #: the accepted engine names.
 ENGINES = ("auto", "object", "array")
 
-#: in ``auto`` mode, trees with at least this many nodes take the array
-#: kernels; below it the conversion overhead outweighs the win.
+#: requests with at least this many nodes are built as an
+#: :class:`~repro.core.arraytree.ArrayTree` (vectorised construction);
+#: smaller ones as a :class:`~repro.core.tree.TaskTree`, whose cached
+#: lists the cores read without a conversion.
 AUTO_THRESHOLD = 512
 
 _local = threading.local()
@@ -124,31 +127,22 @@ def engine_scope(name: str | None):
         _local.engine = previous
 
 
-def resolve_engine(engine: str | None, tree) -> str:
-    """Resolve an optional override + a tree into ``"object"``/``"array"``."""
-    name = _checked(engine) if engine is not None else default_engine()
-    if name != "auto":
-        return name
-    if isinstance(tree, ArrayTree):
-        return "array"
-    return "array" if getattr(tree, "n", 0) >= AUTO_THRESHOLD else "object"
+def resolve_engine(engine: str | None, tree=None) -> str:
+    """Resolve an optional override into ``"object"`` or ``"array"``.
 
-
-def array_tree_or_none(tree, engine: str | None = None) -> ArrayTree | None:
-    """The dispatch helper used by every public API.
-
-    Returns an :class:`ArrayTree` when the resolved engine is ``array``
-    and the input is convertible, else ``None`` (meaning: stay on the
-    object path).  Inputs the flat layout cannot hold — mutable
-    expansion trees, weights beyond int64 — quietly fall back, keeping
-    ``engine="array"`` a performance request rather than a new failure
-    mode.
+    ``auto`` resolves to ``array`` whatever the tree: the list cores run
+    at every size.
     """
-    if not isinstance(tree, (TaskTree, ArrayTree)):
-        return None
-    if resolve_engine(engine, tree) != "array":
-        return None
-    try:
-        return as_array_tree(tree)
-    except TreeError:
-        return None
+    name = _checked(engine) if engine is not None else default_engine()
+    return "object" if name == "object" else "array"
+
+
+def runs_on_cores(tree, engine: str | None = None) -> bool:
+    """The dispatch test used by every public API.
+
+    True when the resolved engine is ``array`` and the tree provides
+    ``core_lists()`` (a :class:`~repro.core.tree.TaskTree` or an
+    :class:`~repro.core.arraytree.ArrayTree`); False means: run the
+    object reference.
+    """
+    return resolve_engine(engine) != "object" and hasattr(tree, "core_lists")

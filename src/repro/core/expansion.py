@@ -52,15 +52,21 @@ class ExpansionTree:
 
     The structure grows monotonically: original nodes keep their ids
     (``0 .. base_n-1``), spliced nodes are appended.  All arrays are plain
-    lists so the FiF simulator and the Liu solver can read them directly.
+    lists so the FiF simulator and the Liu solver can read them directly;
+    besides ``children``, the CSR lists ``start``/``cindex`` and ``wbar``
+    are kept current for :func:`repro.core.kernels.simulate_fif_core`.
     """
 
     def __init__(self, tree: TaskTree):
         self.base = tree
         self.base_n = tree.n
-        self.parents: list[int] = list(tree.parents)
-        self.weights: list[int] = list(tree.weights)
+        lists = tree.core_lists()
+        self.parents: list[int] = list(lists.parents)
+        self.weights: list[int] = list(lists.weights)
         self.children: list[list[int]] = [list(c) for c in tree.children]
+        self.start: list[int] = list(lists.start)
+        self.cindex: list[int] = list(lists.cindex)
+        self.wbar: list[int] = list(lists.wbar)
         self.root: int = tree.root
         self.origin: list[int] = list(range(tree.n))
         self.role: list[Role] = [Role.ORIGINAL] * tree.n
@@ -109,6 +115,17 @@ class ExpansionTree:
         self.weights.append(w)
         self.children.append([v])  # residual's children
         self.children.append([residual])  # readback's children
+        # CSR: each new node owns one slot appended at the end.  Both
+        # execute with w resident (their child weighs w, resp. at most
+        # w), and every wbar already present is unchanged: the old parent
+        # swaps a child of weight w for one of weight w, and a residual's
+        # later weight reductions stay below its child's w.
+        cindex = self.cindex
+        cindex.append(v)
+        self.start.append(len(cindex))
+        cindex.append(residual)
+        self.start.append(len(cindex))
+        self.wbar.extend((w, w))
         self.origin.extend((self.origin[v], self.origin[v]))
         self.role.extend((Role.RESIDUAL, Role.READBACK))
 
@@ -117,18 +134,22 @@ class ExpansionTree:
             self.root = readback
         else:
             kids = self.children[parent]
-            kids[kids.index(v)] = readback
+            slot = kids.index(v)
+            kids[slot] = readback
+            cindex[self.start[parent] + slot] = readback
         return readback
 
     # ------------------------------------------------------------------
     def restrict_schedule(self, schedule: Sequence[int]) -> list[int]:
         """Drop helper nodes, mapping a schedule back to original node ids.
 
-        Exactly one node per original task has role ``ORIGINAL`` (splices
-        always add ``RESIDUAL``/``READBACK`` nodes), so the result is a
-        permutation of the original nodes, in execution order.
+        Exactly one node per original task has role ``ORIGINAL`` — the
+        task's own id, below ``base_n`` (splices always append
+        ``RESIDUAL``/``READBACK`` nodes) — so the result is a permutation
+        of the original nodes, in execution order.
         """
-        return [self.origin[v] for v in schedule if self.role[v] == Role.ORIGINAL]
+        base_n = self.base_n
+        return [v for v in schedule if v < base_n]
 
     def as_task_tree(self) -> TaskTree:
         """Freeze the current expanded structure into an immutable tree."""

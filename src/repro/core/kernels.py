@@ -1,7 +1,9 @@
-"""Iterative, allocation-lean algorithm cores over :class:`ArrayTree`.
+"""Iterative, allocation-lean algorithm cores over CSR lists.
 
-These are the hot paths of the reproduction, rewritten against the flat
-CSR layout of :mod:`repro.core.arraytree`:
+These are the hot paths of the reproduction, written against the flat
+CSR layout of :class:`~repro.core.tree.CoreLists` — which both
+:class:`~repro.core.tree.TaskTree` (cached) and
+:class:`~repro.core.arraytree.ArrayTree` (converted per call) provide:
 
 * :func:`best_postorder` — the shared engine of ``POSTORDERMINMEM`` /
   ``POSTORDERMINIO`` (Liu 1986 / Agullo 2008, Algorithm 1 of the paper);
@@ -21,24 +23,25 @@ or closure allocation, plain-list scratch buffers, and child orderings
 realised by sorting slices of one flat buffer.
 
 The modules under :mod:`repro.algorithms` wrap these cores behind the
-public APIs; use those entry points unless you are holding an
-``ArrayTree`` already.
+public APIs; use those entry points unless you need the raw tuples.
 
 Every algorithm is split into a ``*_core`` function operating on plain
-Python lists (node ids local to one tree) and a thin ``ArrayTree``
-wrapper that materialises the lists.  The cores are the single
-implementation shared with the forest layer
-(:mod:`repro.core.forest_kernels`), which slices the same lists out of
-concatenated many-tree buffers — one implementation, so the per-tree
-and batched paths can never diverge.
+Python lists (node ids local to one tree) and a thin wrapper taking any
+tree with ``core_lists()``.  The cores are the single implementation
+shared with the forest layer (:mod:`repro.core.forest_kernels`), which
+slices the same lists out of concatenated many-tree buffers, and with
+the RecExpand heuristics, which run them on the growing lists of an
+:class:`~repro.core.expansion.ExpansionTree` — one implementation, so
+the per-tree, batched and incremental paths can never diverge.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .arraytree import ArrayTree
+if TYPE_CHECKING:
+    from .arraytree import ArrayTree
 
 __all__ = [
     "best_postorder",
@@ -46,6 +49,7 @@ __all__ = [
     "fif_overflow_message",
     "fif_stuck_message",
     "flatten_rope",
+    "liu_combine",
     "liu_segments",
     "liu_fill",
     "liu_segments_core",
@@ -61,7 +65,7 @@ __all__ = [
 # best postorder (POSTORDERMINMEM / POSTORDERMINIO)
 # ----------------------------------------------------------------------
 def best_postorder(
-    at: ArrayTree, memory: int | None
+    tree, memory: int | None
 ) -> tuple[list[int], list[int], list[int]]:
     """The optimal postorder under Liu's rearrangement lemma (Theorem 3).
 
@@ -71,22 +75,23 @@ def best_postorder(
     ``vio[v] = V_v`` (all zeros in MinMem mode) — the exact quantities
     of the object engine's ``_best_postorder``.
     """
+    lists = tree.core_lists()
     return best_postorder_core(
-        at.n,
-        at._weights.tolist(),
-        at._child_start.tolist(),
-        at._child_index.tolist(),
-        at._topo.tolist(),
+        len(lists.weights),
+        lists.weights,
+        lists.start,
+        list(lists.cindex),
+        lists.topo,
         memory,
     )
 
 
 def best_postorder_core(
     n: int,
-    weights: list[int],
-    start: list[int],
+    weights: Sequence[int],
+    start: Sequence[int],
     ordered: list[int],
-    topo: list[int],
+    topo: Sequence[int],
     memory: int | None,
 ) -> tuple[list[int], list[int], list[int]]:
     """List-based engine of :func:`best_postorder` (local node ids).
@@ -239,29 +244,24 @@ def flatten_rope(rope, out: list[int]) -> None:
             push(x[0])
 
 
-def liu_segments(at: ArrayTree) -> list[tuple[int, int, object]]:
+def liu_segments(tree) -> list[tuple[int, int, object]]:
     """Canonical hill–valley segments ``(hill, valley, rope)`` of the root.
 
-    Same algebra, merge order and canonicalisation as
-    :class:`repro.algorithms.liu.LiuSolver` (see its module docstring),
-    with plain tuples instead of ``Segment`` objects and per-node lists
-    freed as soon as their parent has consumed them.
+    The algebra is described in :mod:`repro.algorithms.liu`; per-node
+    lists are freed as soon as their parent has consumed them.
     """
+    lists = tree.core_lists()
     return liu_segments_core(
-        at.n,
-        at._weights.tolist(),
-        at._child_start.tolist(),
-        at._child_index.tolist(),
-        at._topo.tolist(),
+        len(lists.weights), lists.weights, lists.start, lists.cindex, lists.topo
     )
 
 
 def liu_segments_core(
     n: int,
-    weights: list[int],
-    start: list[int],
-    cindex: list[int],
-    topo: list[int],
+    weights: Sequence[int],
+    start: Sequence[int],
+    cindex: Sequence[int],
+    topo: Sequence[int],
 ) -> list[tuple[int, int, object]]:
     """List-based engine of :func:`liu_segments` (``topo[0]`` is the root)."""
     segs: list[list[tuple[int, int, object]] | None] = [None] * n
@@ -287,6 +287,7 @@ def liu_fill(
     one tree's local lists or on compact lists of a forest's deep
     subtrees.
     """
+    combine = liu_combine
     for v in order:
         s = start[v]
         e = start[v + 1]
@@ -294,11 +295,9 @@ def liu_fill(
         if s == e:
             segs[v] = [(w_v, w_v, v)]
             continue
-
         if e - s == 1:
-            # Single child: its canonical segments replay to themselves,
-            # so reuse the list in place and just fold v's own segment
-            # in (base == the child's final valley == its output size).
+            # liu_combine's single-child case, inlined: a call per link
+            # of a chain costs the forest sweep ~20% on deep trees.
             c = cindex[s]
             out = segs[c]
             segs[c] = None
@@ -313,21 +312,40 @@ def liu_fill(
             out.append((hill, w_v, nodes))
             segs[v] = out
             continue
+        kids = []
+        for c in cindex[s:e]:
+            kids.append(segs[c])
+            segs[c] = None  # parent consumes it exactly once; free early
+        segs[v] = combine(v, w_v, kids)
 
+
+def liu_combine(v: int, w_v: int, kids: list[list]) -> list:
+    """Canonical segments of ``v`` from its children's, in child order.
+
+    The one scalar statement of Liu's rearrangement lemma: every child's
+    segments become deltas, merged by decreasing ``hill - valley``, then
+    ``v`` itself runs.  ``kids`` is consumed: a single child's list is
+    extended in place and returned (pass a copy to keep it).
+    """
+    if not kids:
+        return [(w_v, w_v, v)]
+    if len(kids) == 1:
+        # Single child: its canonical segments replay to themselves, so
+        # just fold v's own segment in (base == the child's final valley
+        # == its output size).
+        out = kids[0]
+        base = out[-1][1]
+    else:
         # Delta segments of all children, merged by decreasing h - t
-        # (stored negated so one ascending sort does it); rank (the
-        # child's CSR position) reproduces the object engine's
-        # deterministic tie-break.  (valley - hill) is strictly
-        # increasing within a child and rank is unique per child, so
-        # the (neg, rank) prefix is unique — a plain tuple sort never
+        # (stored negated so one ascending sort does it); the child's
+        # rank breaks ties, in child order.  (valley - hill) is strictly
+        # increasing within a child and rank is unique per child, so the
+        # (neg, rank) prefix is unique — a plain tuple sort never
         # reaches the rope element.
         items = []
         push_item = items.append
-        for rank in range(s, e):
-            c = cindex[rank]
+        for rank, child_segs in enumerate(kids):
             prev_valley = 0
-            child_segs = segs[c]
-            segs[c] = None  # parent consumes it exactly once; free early
             for hill, valley, nodes in child_segs:
                 push_item(
                     (valley - hill, rank, hill - prev_valley,
@@ -338,8 +356,7 @@ def liu_fill(
 
         # Replay the merged deltas on a running base and canonicalise in
         # the same pass (hills strictly decreasing, valleys strictly
-        # increasing; violators merge into their predecessor) — the
-        # two-pass formulation builds the same output left to right.
+        # increasing; violators merge into their predecessor).
         base = 0
         out = []
         for _neg, _rank, x, y, nodes in items:
@@ -351,44 +368,41 @@ def liu_fill(
                     hill = top_hill
                 nodes = (top_nodes, nodes)
             out.append((hill, base, nodes))
-        # Execute v itself: base == sum of the children outputs.
-        hill = base if base > w_v else w_v
-        nodes = v
-        while out and (hill >= out[-1][0] or w_v <= out[-1][1]):
-            top_hill, _top_valley, top_nodes = out.pop()
-            if top_hill > hill:
-                hill = top_hill
-            nodes = (top_nodes, nodes)
-        out.append((hill, w_v, nodes))
-        segs[v] = out
+    # Execute v itself: base == sum of the children outputs.
+    hill = base if base > w_v else w_v
+    nodes: object = v
+    while out and (hill >= out[-1][0] or w_v <= out[-1][1]):
+        top_hill, _top_valley, top_nodes = out.pop()
+        if top_hill > hill:
+            hill = top_hill
+        nodes = (top_nodes, nodes)
+    out.append((hill, w_v, nodes))
+    return out
 
 
-def liu_schedule(at: ArrayTree) -> tuple[list[int], int]:
+def liu_schedule(tree) -> tuple[list[int], int]:
     """``OPTMINMEM``: an optimal-peak schedule and its peak memory."""
-    segs = liu_segments(at)
+    segs = liu_segments(tree)
     schedule: list[int] = []
     for _hill, _valley, nodes in segs:
         flatten_rope(nodes, schedule)
     return schedule, segs[0][0]
 
 
-def liu_peak(at: ArrayTree) -> int:
+def liu_peak(tree) -> int:
     """Minimum peak memory only — the rope-free fast path of the solver."""
+    lists = tree.core_lists()
     return liu_peak_core(
-        at.n,
-        at._weights.tolist(),
-        at._child_start.tolist(),
-        at._child_index.tolist(),
-        at._topo.tolist(),
+        len(lists.weights), lists.weights, lists.start, lists.cindex, lists.topo
     )
 
 
 def liu_peak_core(
     n: int,
-    weights: list[int],
-    start: list[int],
-    cindex: list[int],
-    topo: list[int],
+    weights: Sequence[int],
+    start: Sequence[int],
+    cindex: Sequence[int],
+    topo: Sequence[int],
 ) -> int:
     """List-based engine of :func:`liu_peak` (``topo[0]`` is the root)."""
     segs: list[list[tuple[int, int]] | None] = [None] * n
@@ -465,28 +479,27 @@ def fif_stuck_message(step: int, v: int, excess: int, memory: int) -> str:
 
 
 def simulate_fif(
-    at: ArrayTree, schedule: Sequence[int], memory: int | None
+    tree, schedule: Sequence[int], memory: int | None
 ) -> tuple[dict[int, int], int, int]:
-    """FiF execution of a full-tree ``schedule`` under bound ``memory``.
+    """FiF execution of ``schedule`` under bound ``memory``.
 
     Returns ``(io, io_volume, peak_memory)`` with ``io`` mapping only the
-    evicted nodes — exactly the object simulator's accounting, including
-    eviction order (the lazily-cleaned max-heap on parent positions is
-    byte-compatible).  Requires a full-tree schedule; subtree schedules
-    go through the object engine.  Raises
+    evicted nodes, in first-eviction order — exactly the object
+    simulator's accounting, including eviction order (the
+    lazily-cleaned max-heap on parent positions is byte-compatible).
+    ``schedule`` may cover a subtree only (see
+    :func:`simulate_fif_core`).  Raises
     :class:`~repro.core.simulator.InfeasibleSchedule` exactly where the
     object simulator would.
     """
-    n = at.n
-    if len(schedule) != n:
-        raise ValueError("flat FiF kernel needs a full-tree schedule")
+    lists = tree.core_lists()
     return simulate_fif_core(
-        n,
-        at._weights.tolist(),
-        at._parents.tolist(),
-        at._child_start.tolist(),
-        at._child_index.tolist(),
-        at._wbar.tolist(),
+        len(lists.weights),
+        lists.weights,
+        lists.parents,
+        lists.start,
+        lists.cindex,
+        lists.wbar,
         schedule,
         memory,
     )
@@ -494,33 +507,40 @@ def simulate_fif(
 
 def simulate_fif_core(
     n: int,
-    weights: list[int],
-    parents: list[int],
-    start: list[int],
-    cindex: list[int],
-    wbar: list[int],
+    weights: Sequence[int],
+    parents: Sequence[int],
+    start: Sequence[int],
+    cindex: Sequence[int],
+    wbar: Sequence[int],
     schedule: Sequence[int],
     memory: int | None,
 ) -> tuple[dict[int, int], int, int]:
-    """List-based engine of :func:`simulate_fif` (local node ids)."""
+    """List-based engine of :func:`simulate_fif` (local node ids).
+
+    ``schedule`` is a full-tree schedule or a subtree's: a node outside
+    it — the subtree root's parent, like the tree root's missing one —
+    sits at the horizon ``len(schedule)``, so its child's output is the
+    furthest in the future of all.
+    """
     from .simulator import InfeasibleSchedule  # circular-safe: lazy
 
-    pos = [0] * n
+    # pos[-1] (the root's "parent") is the extra last slot: the horizon.
+    horizon = len(schedule)
+    pos = [horizon] * (n + 1)
     t = 0
     for v in schedule:
         pos[v] = t
         t += 1
 
     # Eviction priority of a node == minus its parent's position (a
-    # min-heap then pops the furthest-in-the-future output first); the
-    # root's output is never consumed, i.e. "furthest" of all.
+    # min-heap then pops the furthest-in-the-future output first).
     # Computed only when an output actually reaches the heap.
     def _priority(u: int) -> int:
-        p = parents[u]
-        return -pos[p] if p != -1 else -n
+        return -pos[parents[u]]
 
     resident = [0] * n
     io = [0] * n
+    evicted: list[int] = []  # first-eviction order, as the object engine
     # The eviction heap is built lazily: newly active outputs accumulate
     # in ``pending`` and are folded in only when an eviction round
     # actually needs candidates.  Eviction-free execution (the common
@@ -584,6 +604,8 @@ def simulate_fif_core(
                 r_k = resident[k]
                 take = r_k if r_k < excess else excess
                 resident[k] = r_k - take
+                if not io[k]:
+                    evicted.append(k)
                 io[k] += take
                 if r_k == take:
                     heappop(heap)
@@ -598,7 +620,7 @@ def simulate_fif_core(
         resident_total += w_v
         push_pending(v)
 
-    return {v: a for v, a in enumerate(io) if a}, io_total, peak
+    return {k: io[k] for k in evicted}, io_total, peak
 
 
 # ----------------------------------------------------------------------

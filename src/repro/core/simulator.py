@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
 from . import kernels
-from .engine import array_tree_or_none
+from .engine import runs_on_cores
 from .traversal import Traversal
 
 __all__ = [
@@ -106,11 +106,13 @@ def simulate_fif(
     trace:
         record a :class:`StepTrace` per step (costs memory; off by default).
     engine:
-        kernel-engine override (see :mod:`repro.core.engine`).  Full-tree
-        schedules on immutable trees run on the flat-array kernel when it
-        resolves to ``array``; traced runs, subtree schedules and mutable
-        expansion trees always use the object path.  Results are
-        identical either way.
+        kernel-engine override (see :mod:`repro.core.engine`).  Untraced
+        runs on a :class:`~repro.core.tree.TaskTree` or an
+        :class:`~repro.core.arraytree.ArrayTree` — full-tree or subtree
+        schedules — take :func:`repro.core.kernels.simulate_fif_core`
+        unless it resolves to ``object``; traced runs and other tree
+        protocol objects use the object loop.  Results are identical
+        either way.
 
     Returns
     -------
@@ -124,12 +126,16 @@ def simulate_fif(
         if some step needs more than ``memory`` with every other active
         output fully evicted, i.e. ``wbar > M``.
     """
-    if not trace and len(schedule) == len(tree.weights):
-        at = array_tree_or_none(tree, engine)
-        if at is not None:
-            io, io_total, peak = kernels.simulate_fif(at, schedule, memory)
-            return SimulationResult(io=io, io_volume=io_total, peak_memory=peak)
+    if not trace and runs_on_cores(tree, engine):
+        io, io_total, peak = kernels.simulate_fif(tree, schedule, memory)
+        return SimulationResult(io=io, io_volume=io_total, peak_memory=peak)
+    return _simulate_fif_object(tree, schedule, memory, trace)
 
+
+def _simulate_fif_object(
+    tree: TreeLike, schedule: Sequence[int], memory: int | None, trace: bool
+) -> SimulationResult:
+    """The object-engine FiF loop: the reference, and the traced path."""
     weights = tree.weights
     parents = tree.parents
     children = tree.children

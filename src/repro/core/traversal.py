@@ -77,25 +77,30 @@ def validate(tree: TaskTree, traversal: Traversal, memory: int) -> None:
     sched = traversal.schedule
     if len(sched) != n or sorted(sched) != list(range(n)):
         raise InvalidTraversal("schedule is not a permutation of the nodes")
+    # one lookup per column, not one property call per node and use
+    parents = tree.parents
+    weights = tree.weights
+    children = tree.children
+    wbar = tree.wbar
+    io = traversal.io
 
     pos = [0] * n
     for t, v in enumerate(sched):
         pos[v] = t
-    for v in range(n):
-        p = tree.parents[v]
+    for v, p in enumerate(parents):
         if p != -1 and pos[v] >= pos[p]:
             raise InvalidTraversal(
                 f"node {v} scheduled at {pos[v]}, not before its parent "
                 f"{p} at {pos[p]}"
             )
 
-    if len(traversal.io) != n:
+    if len(io) != n:
         raise InvalidTraversal("io function is not index-aligned with the tree")
-    for v, amount in enumerate(traversal.io):
-        if not 0 <= amount <= tree.weights[v]:
+    for v, amount in enumerate(io):
+        if not 0 <= amount <= weights[v]:
             raise InvalidTraversal(
                 f"io amount of node {v} out of range: {amount} not in "
-                f"[0, {tree.weights[v]}]"
+                f"[0, {weights[v]}]"
             )
 
     # Memory condition.  Walk the schedule maintaining the resident total of
@@ -103,16 +108,16 @@ def validate(tree: TaskTree, traversal: Traversal, memory: int) -> None:
     # (their memory is accounted inside wbar).
     resident = 0
     for t, v in enumerate(sched):
-        for c in tree.children[v]:
-            resident -= tree.weights[c] - traversal.io[c]
-        need = tree.wbar[v] + resident
+        for c in children[v]:
+            resident -= weights[c] - io[c]
+        need = wbar[v] + resident
         if need > memory:
             raise InvalidTraversal(
                 f"step {t} (node {v}) needs {need} > M={memory} "
-                f"(wbar={tree.wbar[v]}, resident={resident})"
+                f"(wbar={wbar[v]}, resident={resident})"
             )
-        if tree.parents[v] != -1:
-            resident += tree.weights[v] - traversal.io[v]
+        if parents[v] != -1:
+            resident += weights[v] - io[v]
     # (the root's output simply remains in memory; no condition on it)
 
 

@@ -20,13 +20,37 @@ heuristic (:mod:`repro.core.expansion`) can be substituted transparently.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-__all__ = ["TaskTree", "TreeError", "chain_tree", "star_tree", "balanced_binary_tree"]
+__all__ = [
+    "CoreLists",
+    "TaskTree",
+    "TreeError",
+    "chain_tree",
+    "star_tree",
+    "balanced_binary_tree",
+]
 
 
 class TreeError(ValueError):
     """Raised when a parent/weight description does not define a valid tree."""
+
+
+class CoreLists(NamedTuple):
+    """A tree's columns in the CSR layout the :mod:`repro.core.kernels` cores read.
+
+    ``start[v] : start[v + 1]`` delimits node *v*'s children inside
+    ``cindex`` (construction order); ``topo`` is the canonical root-first
+    order.  Shared and read-only: a core that reorders children in place
+    gets a copy of ``cindex``.
+    """
+
+    weights: Sequence[int]
+    parents: Sequence[int]
+    start: Sequence[int]
+    cindex: Sequence[int]
+    topo: Sequence[int]
+    wbar: Sequence[int]
 
 
 class TaskTree:
@@ -58,6 +82,7 @@ class TaskTree:
         "_wbar",
         "_topo",
         "_subtree_size",
+        "_core_lists",
     )
 
     def __init__(self, parents: Sequence[int], weights: Sequence[int]):
@@ -70,14 +95,22 @@ class TaskTree:
             raise TreeError("a task tree needs at least one node")
 
         parents = [int(p) for p in parents]
-        checked_weights = []
-        for i, w in enumerate(weights):
-            if isinstance(w, bool) or int(w) != w:
-                raise TreeError(f"weight of node {i} is not an integer: {w!r}")
-            w = int(w)
-            if w < 0:
-                raise TreeError(f"weight of node {i} is negative: {w}")
-            checked_weights.append(w)
+        if all(type(w) is int for w in weights):
+            # the common case (plain ints, e.g. a parsed request): only
+            # the sign is left to check
+            checked_weights = list(weights)
+            if min(checked_weights) < 0:
+                i = next(i for i, w in enumerate(checked_weights) if w < 0)
+                raise TreeError(f"weight of node {i} is negative: {checked_weights[i]}")
+        else:
+            checked_weights = []
+            for i, w in enumerate(weights):
+                if isinstance(w, bool) or int(w) != w:
+                    raise TreeError(f"weight of node {i} is not an integer: {w!r}")
+                w = int(w)
+                if w < 0:
+                    raise TreeError(f"weight of node {i} is negative: {w}")
+                checked_weights.append(w)
 
         children: list[list[int]] = [[] for _ in range(n)]
         root = -1
@@ -107,16 +140,24 @@ class TaskTree:
             raise TreeError("graph is not connected / contains a cycle")
         self._topo = tuple(topo)
 
-        wbar = [0] * n
+        weights_t = self._weights
+        kids_of = self._children
+        wbar = list(weights_t)  # a leaf's footprint is its own output
         size = [1] * n
         for v in reversed(topo):  # children before parents
-            inputs = 0
-            for c in self._children[v]:
-                inputs += self._weights[c]
-                size[v] += size[c]
-            wbar[v] = max(self._weights[v], inputs)
+            kids = kids_of[v]
+            if kids:
+                inputs = 0
+                sz = 1
+                for c in kids:
+                    inputs += weights_t[c]
+                    sz += size[c]
+                size[v] = sz
+                if inputs > weights_t[v]:
+                    wbar[v] = inputs
         self._wbar = tuple(wbar)
         self._subtree_size = tuple(size)
+        self._core_lists: CoreLists | None = None
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -195,6 +236,20 @@ class TaskTree:
     def wbar(self) -> tuple[int, ...]:
         """Execution footprints :math:`\\bar w_i = \\max(w_i, \\sum_{j \\to i} w_j)`."""
         return self._wbar
+
+    def core_lists(self) -> CoreLists:
+        """The kernel cores' CSR view of this tree, built on first use."""
+        lists = self._core_lists
+        if lists is None:
+            start = [0]
+            cindex: list[int] = []
+            for kids in self._children:
+                cindex.extend(kids)
+                start.append(len(cindex))
+            lists = self._core_lists = CoreLists(
+                self._weights, self._parents, start, cindex, self._topo, self._wbar
+            )
+        return lists
 
     def parent(self, v: int) -> int:
         return self._parents[v]

@@ -12,7 +12,6 @@ from typing import Callable
 from ..algorithms.liu import opt_min_mem
 from ..algorithms.postorder import postorder_min_io, postorder_min_mem
 from ..algorithms.rec_expand import full_rec_expand, rec_expand
-from ..core.engine import array_tree_or_none
 from ..core.simulator import fif_traversal
 from ..core.traversal import Traversal
 from ..core.tree import TaskTree
@@ -29,33 +28,19 @@ __all__ = [
 Strategy = Callable[[TaskTree, int], Traversal]
 
 
-def _fast_tree(tree: TaskTree):
-    """Convert once per strategy call when the array engine is in play.
-
-    Both the scheduler and the FiF pass below accept either
-    representation, so a single up-front conversion (or none, when the
-    engine resolves to ``object``) serves the whole strategy.
-    """
-    at = array_tree_or_none(tree)
-    return tree if at is None else at
-
-
 def _opt_min_mem(tree: TaskTree, memory: int) -> Traversal:
     """``OPTMINMEM`` as a MinIO strategy (Section 4.4): Liu's schedule + FiF."""
-    t = _fast_tree(tree)
-    return fif_traversal(t, opt_min_mem(t)[0], memory)
+    return fif_traversal(tree, opt_min_mem(tree)[0], memory)
 
 
 def _postorder_min_io(tree: TaskTree, memory: int) -> Traversal:
     """``POSTORDERMINIO`` (Section 4.1): Agullo's best postorder + FiF."""
-    t = _fast_tree(tree)
-    return fif_traversal(t, postorder_min_io(t, memory).schedule, memory)
+    return fif_traversal(tree, postorder_min_io(tree, memory).schedule, memory)
 
 
 def _postorder_min_mem(tree: TaskTree, memory: int) -> Traversal:
     """``POSTORDERMINMEM``: peak-optimal postorder + FiF (extra baseline)."""
-    t = _fast_tree(tree)
-    return fif_traversal(t, postorder_min_mem(t).schedule, memory)
+    return fif_traversal(tree, postorder_min_mem(tree).schedule, memory)
 
 
 def _rec_expand(tree: TaskTree, memory: int) -> Traversal:
@@ -75,10 +60,9 @@ def _portfolio(tree: TaskTree, memory: int) -> Traversal:
     would run all three (they are cheap relative to the factorization)
     and keep the cheapest traversal.  This is that baseline.
     """
-    t = _fast_tree(tree)
     candidates = (
-        _opt_min_mem(t, memory),
-        _postorder_min_io(t, memory),
+        _opt_min_mem(tree, memory),
+        _postorder_min_io(tree, memory),
         _rec_expand(tree, memory),
     )
     return min(candidates, key=lambda c: c.io_volume)

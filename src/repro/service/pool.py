@@ -80,7 +80,21 @@ def execute_payload(
         # ApiError.__str__ is "[code] message"; the envelope carries the
         # code separately, so ship the bare message
         return error_envelope(code, getattr(exc, "message", str(exc)))
-    return execute_request(request, seed_rng=seed_rng)
+    return _execute_guarded(request, seed_rng)
+
+
+def _execute_guarded(request, seed_rng: bool, tree=None) -> dict[str, Any]:
+    """:func:`execute_request`, with a crash confined to this request.
+
+    Solver refusals are already ``unsolvable`` envelopes; anything else
+    (a strategy bug, :class:`ExpansionLimitExceeded`, ...) becomes this
+    request's own ``internal`` envelope instead of failing its whole
+    micro-batch.
+    """
+    try:
+        return execute_request(request, seed_rng=seed_rng, tree=tree)
+    except Exception as exc:
+        return error_envelope("internal", f"{type(exc).__name__}: {exc}")
 
 
 def execute_many(
@@ -219,17 +233,17 @@ def _execute_shm_payload(
             payload,
             trusted_tree=(forest._parents[a:b], forest._weights[a:b]),
         )
+        # Mirror build_tree: the forest already holds every derived
+        # buffer, so a large request's ArrayTree is a plain slice copy.
+        if b - a >= AUTO_THRESHOLD:
+            tree = forest.tree(index)
+        else:
+            tree = forest.task_tree(index)
     except ProtocolError as exc:
         return error_envelope(exc.code, exc.message)
     except Exception as exc:  # defence in depth, like execute_payload
         return error_envelope("internal", str(exc))
-    # Mirror build_tree: the forest already holds every derived buffer,
-    # so a large request's ArrayTree is a plain slice copy.
-    if b - a >= AUTO_THRESHOLD:
-        tree = forest.tree(index)
-    else:
-        tree = forest.task_tree(index)
-    return execute_request(request, seed_rng=seed_rng, tree=tree)
+    return _execute_guarded(request, seed_rng, tree)
 
 
 def execute_many_shm(

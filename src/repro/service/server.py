@@ -30,6 +30,12 @@ Three mechanisms do the heavy lifting:
   latency grow without bound, and per-request deadlines return
   ``504 timeout`` (the computation itself keeps running and still
   populates the cache for the retry).
+* **Write-back off the dispatch slot** — a batch frees its dispatch slot
+  as soon as the pool returns, so the workers start the next batch
+  while this one's entries are written to the cache concurrently; each
+  request is answered once *its own* entry is on disk.  At most
+  ``pool.concurrency`` batches write back at once, so a slow disk
+  still backs up into the admission queue.
 
 Endpoints: ``POST /v1/submit``, ``GET /healthz``, ``GET /metrics``.
 
@@ -415,6 +421,7 @@ class ServiceServer:
         self._dispatcher: asyncio.Task | None = None
         self._batch_tasks: set[asyncio.Task] = set()
         self._batch_slots: asyncio.Semaphore | None = None
+        self._writeback_slots: asyncio.Semaphore | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._memo: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
         # frame bytes -> request key: the frame encoding is canonical,
@@ -436,6 +443,7 @@ class ServiceServer:
         # makes the admission queue meaningful: when every worker is busy
         # the queue fills and overload turns into 429s, not latency.
         self._batch_slots = asyncio.Semaphore(self.pool.concurrency)
+        self._writeback_slots = asyncio.Semaphore(self.pool.concurrency)
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.config.host, port=self.config.port
@@ -510,8 +518,9 @@ class ServiceServer:
         self,
         batch: list[tuple[str, dict[str, Any], float, dict[str, float] | None]],
     ) -> None:
-        assert self._batch_slots is not None
+        assert self._batch_slots is not None and self._writeback_slots is not None
         t_batch = time.perf_counter()
+        holds_batch_slot = True
         try:
             payloads = [payload for _, payload, _, _ in batch]
             try:
@@ -522,31 +531,58 @@ class ServiceServer:
                 ] * len(batch)
             self.metrics.inc_batches()
             self.metrics.inc_computed(len(batch))
-            loop = asyncio.get_running_loop()
-            for (key, _, enqueued_at, timings), envelope in zip(batch, envelopes):
-                if envelope.get("ok") and self.cache is not None:
-                    # timings never reach the cache: stage breakdowns are
-                    # provenance of *this* execution, not of the result
-                    self._memo_put(key, envelope["result"])
-                    try:
-                        # off the loop: a slow disk stalls this batch's
-                        # write-back, not every open connection
-                        await loop.run_in_executor(
-                            None, self.cache.put, key, envelope["result"]
-                        )
-                    except OSError:
-                        # a full disk must not take the service down
-                        self.metrics.inc_cache_write_errors()
-                if timings is not None and envelope.get("ok"):
-                    merged = dict(envelope.get("timings") or {})
-                    merged.update(timings)
-                    merged["queue"] = t_batch - enqueued_at
-                    envelope = dict(envelope, timings=merged)
-                future = self._inflight.pop(key, None)
-                if future is not None and not future.done():
-                    future.set_result(envelope)
-        finally:
+            # Hand the dispatch slot back before the write-back, so the
+            # workers take the next batch while this one's entries go to
+            # disk.  A write-back slot is taken first: at most
+            # pool.concurrency batches write at once, and a slow disk
+            # still turns into queueing and 429s, not a growing backlog.
+            await self._writeback_slots.acquire()
             self._batch_slots.release()
+            holds_batch_slot = False
+            try:
+                await asyncio.gather(*(
+                    self._finish_request(entry, envelope, t_batch)
+                    for entry, envelope in zip(batch, envelopes)
+                ))
+            finally:
+                self._writeback_slots.release()
+        finally:
+            if holds_batch_slot:
+                self._batch_slots.release()
+
+    async def _finish_request(
+        self,
+        entry: tuple[str, dict[str, Any], float, dict[str, float] | None],
+        envelope: dict[str, Any],
+        t_batch: float,
+    ) -> None:
+        """Write one computed entry back, then answer its waiters.
+
+        The reply waits for its own entry only: a 200 still means "on
+        disk", while the batch's other entries are written concurrently.
+        """
+        key, _, enqueued_at, timings = entry
+        if envelope.get("ok") and self.cache is not None:
+            # timings never reach the cache: stage breakdowns are
+            # provenance of *this* execution, not of the result
+            self._memo_put(key, envelope["result"])
+            try:
+                # off the loop: a slow disk stalls this write-back, not
+                # every open connection
+                await asyncio.get_running_loop().run_in_executor(
+                    None, self.cache.put, key, envelope["result"]
+                )
+            except OSError:
+                # a full disk must not take the service down
+                self.metrics.inc_cache_write_errors()
+        if timings is not None and envelope.get("ok"):
+            merged = dict(envelope.get("timings") or {})
+            merged.update(timings)
+            merged["queue"] = t_batch - enqueued_at
+            envelope = dict(envelope, timings=merged)
+        future = self._inflight.pop(key, None)
+        if future is not None and not future.done():
+            future.set_result(envelope)
 
     # ------------------------------------------------------------------ #
     # request handling

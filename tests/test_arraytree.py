@@ -144,17 +144,19 @@ class TestValidation:
         assert list(at.weights) == [1, 2]
 
     def test_huge_weight_falls_back_to_object_engine(self):
-        # Beyond int64 the flat layout refuses, but the object engine
-        # (arbitrary precision) still runs — the dispatch must not fail.
+        # Beyond int64 the flat layout refuses, but the list cores run on
+        # the TaskTree's own lists (arbitrary precision), exactly like the
+        # object engine — the dispatch must not fail.
         from repro.algorithms.postorder import postorder_min_mem
-        from repro.core.engine import array_tree_or_none
+        from repro.core.engine import runs_on_cores
 
         tree = TaskTree([-1, 0], [2**70, 1])
         with pytest.raises(TreeError):
             ArrayTree.from_task_tree(tree)
-        assert array_tree_or_none(tree, "array") is None
-        result = postorder_min_mem(tree, engine="array")  # silently object
+        assert runs_on_cores(tree, "array")
+        result = postorder_min_mem(tree, engine="array")
         assert result.peak_memory == 2**70
+        assert result == postorder_min_mem(tree, engine="object")
 
 
 class TestEngineSelection:
@@ -168,7 +170,8 @@ class TestEngineSelection:
         assert resolve_engine(None, small) in ("object", "array")
         previous = set_default_engine("auto")
         try:
-            assert resolve_engine(None, small) == "object"
+            # auto runs the list cores at every size, on either representation
+            assert resolve_engine(None, small) == "array"
             assert resolve_engine(None, big) == "array"
             assert resolve_engine(None, as_array_tree(small)) == "array"
         finally:

@@ -649,3 +649,176 @@ class TestShmBudgetFallback:
                 pool.shutdown()
 
         asyncio.run(drive())
+
+
+# --------------------------------------------------------------------- #
+# one failing request fails only itself
+# --------------------------------------------------------------------- #
+
+
+def _boom_strategy(tree, memory):
+    raise RuntimeError("boom in the strategy")
+
+
+@pytest.fixture
+def boom_algorithm():
+    name = "TestBoomService"
+    if name not in ALGORITHMS:
+        register_algorithm(name, _boom_strategy)
+    yield name
+    ALGORITHMS.pop(name, None)
+
+
+class TestPerRequestGuard:
+    def _assert_good_and_bad(self, envelopes):
+        good, bad = envelopes
+        assert good["ok"] is True
+        assert good["result"]["io_volume"] == get_algorithm("RecExpand")(TREE, 6).io_volume
+        assert bad["ok"] is False
+        assert bad["error"]["code"] == "internal"
+        assert "RuntimeError: boom in the strategy" in bad["error"]["message"]
+
+    def test_execute_many(self, boom_algorithm):
+        from repro.service.pool import execute_many
+
+        envelopes = execute_many([_request(), _request(algorithm=boom_algorithm)])
+        self._assert_good_and_bad(envelopes)
+
+    def test_execute_many_shm(self, boom_algorithm):
+        from repro.service.pool import _pack_batch, _release_shm, execute_many_shm
+
+        packed = _pack_batch([_request(), _request(algorithm=boom_algorithm)])
+        assert packed is not None
+        shm, stripped = packed
+        try:
+            envelopes = execute_many_shm(shm.name, stripped, True)
+        finally:
+            _release_shm(shm)
+        self._assert_good_and_bad(envelopes)
+
+    def test_batch_mates_of_a_failing_request_get_200(self, tmp_path, boom_algorithm):
+        config = ServerConfig(
+            port=0, workers=0, inline_threads=1, batch_window_ms=500.0
+        )
+        with ServerThread(config, cache=ResultCache(tmp_path / "cache")) as thread:
+            client = ServiceClient(port=thread.port, timeout=30.0)
+            assert client.wait_ready(15)
+            outcomes = {}
+
+            def send(name, payload):
+                try:
+                    outcomes[name] = ("ok", client.submit(payload))
+                except ServiceError as exc:
+                    outcomes[name] = ("error", exc)
+
+            threads = [
+                threading.Thread(target=send, args=("good", _request())),
+                threading.Thread(
+                    target=send, args=("bad", _request(algorithm=boom_algorithm))
+                ),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert thread.server.metrics.batches == 1  # one micro-batch
+        kind, good = outcomes["good"]
+        assert kind == "ok" and good["ok"] is True
+        kind, bad = outcomes["bad"]
+        assert kind == "error"
+        assert bad.status == 500 and bad.code == "internal"
+
+
+# --------------------------------------------------------------------- #
+# cache write-back runs off the dispatch slot
+# --------------------------------------------------------------------- #
+
+
+class _SlowCache(ResultCache):
+    """Records every write; each one sleeps before it reaches the disk."""
+
+    def __init__(self, root, events, delay):
+        super().__init__(root)
+        self.events = events
+        self.delay = delay
+
+    def put(self, key, value):
+        time.sleep(self.delay)
+        super().put(key, value)
+        self.events.append(("written", key, time.perf_counter()))
+
+
+class TestWriteBackOffDispatchSlot:
+    def test_next_batch_reaches_the_pool_during_write_back(self, tmp_path):
+        events = []
+        cache = _SlowCache(tmp_path / "cache", events, delay=0.4)
+        config = ServerConfig(
+            port=0, workers=0, inline_threads=1, max_batch=1, batch_window_ms=1.0
+        )
+        payloads = [_request(memory=6), _request(memory=7)]
+        keys = [parse_request(p).key() for p in payloads]
+        with ServerThread(config, cache=cache) as thread:
+            pool = thread.server.pool
+            run_batch = pool.run_batch
+
+            async def recording_run_batch(batch):
+                events.append(("dispatched", parse_request(batch[0]).key(),
+                               time.perf_counter()))
+                return await run_batch(batch)
+
+            pool.run_batch = recording_run_batch
+            client = ServiceClient(port=thread.port, timeout=30.0)
+            assert client.wait_ready(15)
+            on_disk_at_reply = {}
+
+            def send(payload, key):
+                client.submit(payload)
+                on_disk_at_reply[key] = ResultCache(tmp_path / "cache").get(key)
+
+            threads = [
+                threading.Thread(target=send, args=(p, k))
+                for p, k in zip(payloads, keys)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        # every reply found its own entry already on disk
+        assert all(on_disk_at_reply[k] is not None for k in keys)
+        when = {(kind, key): t for kind, key, t in events}
+        first, second = sorted(keys, key=lambda k: when[("dispatched", k)])
+        # with one worker, the second batch was dispatched while the
+        # first batch's entry was still being written
+        assert when[("dispatched", second)] < when[("written", first)]
+
+    def test_write_backs_stay_bounded_by_pool_concurrency(self, tmp_path):
+        events = []
+        cache = _SlowCache(tmp_path / "cache", events, delay=0.3)
+        config = ServerConfig(
+            port=0, workers=0, inline_threads=1, max_batch=1, batch_window_ms=1.0
+        )
+        payloads = [_request(memory=m) for m in (6, 7, 8)]
+        with ServerThread(config, cache=cache) as thread:
+            pool = thread.server.pool
+            run_batch = pool.run_batch
+
+            async def recording_run_batch(batch):
+                events.append(("dispatched", parse_request(batch[0]).key(),
+                               time.perf_counter()))
+                return await run_batch(batch)
+
+            pool.run_batch = recording_run_batch
+            client = ServiceClient(port=thread.port, timeout=30.0)
+            assert client.wait_ready(15)
+            threads = [
+                threading.Thread(target=client.submit, args=(p,)) for p in payloads
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        dispatched = sorted(t for kind, _, t in events if kind == "dispatched")
+        written = sorted(t for kind, _, t in events if kind == "written")
+        assert len(dispatched) == len(written) == 3
+        # one write-back slot: the third batch waits for the first write
+        assert dispatched[2] > written[0]
