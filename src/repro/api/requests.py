@@ -147,17 +147,12 @@ class CanonicalRequest:
     def validated_tree(self) -> TaskTree | None:
         """The :class:`TaskTree` :func:`parse_request` validated, if it built one.
 
-        Held beside the dataclass fields — outside the key, equality,
-        payload and pickles — so the executor reuses it instead of
-        building the same tree a second time.
+        Held beside the dataclass fields — outside the key, equality and
+        payload — so the executor reuses it instead of building the same
+        tree a second time.
         """
         tree: TaskTree | None = self.__dict__.get("_validated_tree")
         return tree
-
-    def __getstate__(self) -> dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_validated_tree", None)  # derived; rebuilt on demand
-        return state
 
 
 def _fail(code: str, message: str) -> ProtocolError:

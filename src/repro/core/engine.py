@@ -131,7 +131,7 @@ def resolve_engine(engine: str | None, tree=None) -> str:
     """Resolve an optional override into ``"object"`` or ``"array"``.
 
     ``auto`` resolves to ``array`` whatever the tree: the list cores run
-    at every size.
+    at every size.  ``tree`` is accepted for compatibility and ignored.
     """
     name = _checked(engine) if engine is not None else default_engine()
     return "object" if name == "object" else "array"

@@ -12,7 +12,7 @@ Request lifecycle::
                                                      cache.put ◄─────┘
                                                      resolve futures
 
-Three mechanisms do the heavy lifting:
+Four mechanisms do the heavy lifting:
 
 * **Micro-batching** — the dispatcher drains the admission queue for a
   short window (``batch_window_ms``) and ships the whole batch to a
