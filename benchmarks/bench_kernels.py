@@ -9,6 +9,12 @@ What must hold (the kernel layer's acceptance bar):
 * a 10^6-node chain (depth 10^6) solves end-to-end on the array engine
   without recursion tricks, in seconds.
 
+The object engine is the cross-validation reference: per-node
+structures throughout, except that its incremental ``LiuSolver``
+combines children through the same scalar step as the list core
+(:func:`repro.core.kernels.liu_combine`), so the ``liu_opt_min_mem``
+row compares the wrappers around one combine step.
+
 Writes ``benchmarks/out/kernel_speedup.txt`` with the per-kernel
 trajectory so EXPERIMENTS.md can quote it.
 """

@@ -318,19 +318,21 @@ class ArrayTree:
     def wbar(self) -> array:
         return self._wbar
 
-    def core_lists(self) -> CoreLists:
-        """The kernel cores' view: fresh lists per call, never cached.
+    def core_lists(self) -> "_ArrayCoreLists":
+        """The kernel cores' view: a fresh view per call, never cached.
 
+        Each column is converted to a list only when a core first reads
+        it, so a call pays for the columns it uses and no more.
         Million-node trees would otherwise keep a second, list-of-int
         copy of every column alive for their whole lifetime.
         """
-        return CoreLists(
-            self._weights.tolist(),
-            self._parents.tolist(),
-            self._child_start.tolist(),
-            self._child_index.tolist(),
-            self._topo.tolist(),
-            self._wbar.tolist(),
+        return _ArrayCoreLists(
+            self._weights,
+            self._parents,
+            self._child_start,
+            self._child_index,
+            self._topo,
+            self._wbar,
         )
 
     def parent(self, v: int) -> int:
@@ -430,6 +432,28 @@ class ArrayTree:
             f"ArrayTree(n={self._n}, root={self._root}, "
             f"total_weight={self._total_weight})"
         )
+
+
+class _ArrayCoreLists:
+    """:class:`~repro.core.tree.CoreLists` fields over numpy columns.
+
+    Same field names; each field is the column's ``tolist()``, made on
+    first access and kept for the life of this view.
+    """
+
+    __slots__ = ("_columns",) + CoreLists._fields
+
+    def __init__(self, *columns: np.ndarray):
+        self._columns = dict(zip(CoreLists._fields, columns))
+
+    def __getattr__(self, name: str):
+        try:
+            column = self._columns[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        value = column.tolist()
+        setattr(self, name, value)
+        return value
 
 
 def as_array_tree(tree) -> ArrayTree:

@@ -17,10 +17,17 @@ Results are **exactly equal** (schedules, ``S_i``/``V_i``, I/O
 functions, peaks) — the randomized cross-validation harness and the
 golden corpus enforce this — so engine choice is purely a performance
 knob.  The default mode ``auto`` runs the list cores at every tree size
-and on either representation; :data:`AUTO_THRESHOLD` only picks which
-representation a request's tree is built as (see
-:func:`repro.api.execution.build_tree`).  Trees outside the two
-representations (e.g. mutable expansion trees) take the object path.
+and on either representation, so ``array`` is now an alias of ``auto``
+(both names stay accepted).  Trees outside the two representations
+(e.g. mutable expansion trees) take the object path.
+
+:data:`AUTO_THRESHOLD` no longer selects an engine.  It only picks the
+representation a tree is *built* as where the code builds one from raw
+columns: :func:`repro.api.execution.build_tree` (requests constructed
+directly, e.g. by the CLI's ``solve``) and the shared-memory transport's
+per-request slice.  Requests that came through
+:func:`repro.api.requests.parse_request` run on the ``TaskTree`` built
+for their validation, whatever their size.
 
 Selection surface, in precedence order:
 
@@ -55,10 +62,11 @@ __all__ = [
 #: the accepted engine names.
 ENGINES = ("auto", "object", "array")
 
-#: requests with at least this many nodes are built as an
+#: where a tree is built from raw columns (``build_tree``, the
+#: shared-memory slice), at least this many nodes make an
 #: :class:`~repro.core.arraytree.ArrayTree` (vectorised construction);
-#: smaller ones as a :class:`~repro.core.tree.TaskTree`, whose cached
-#: lists the cores read without a conversion.
+#: fewer make a :class:`~repro.core.tree.TaskTree`, whose cached lists
+#: the cores read without a conversion.  Not an engine switch.
 AUTO_THRESHOLD = 512
 
 _local = threading.local()
@@ -127,11 +135,11 @@ def engine_scope(name: str | None):
         _local.engine = previous
 
 
-def resolve_engine(engine: str | None, tree=None) -> str:
+def resolve_engine(engine: str | None) -> str:
     """Resolve an optional override into ``"object"`` or ``"array"``.
 
     ``auto`` resolves to ``array`` whatever the tree: the list cores run
-    at every size.  ``tree`` is accepted for compatibility and ignored.
+    at every size.
     """
     name = _checked(engine) if engine is not None else default_engine()
     return "object" if name == "object" else "array"

@@ -194,7 +194,7 @@ def forest_best_postorders(
     Two exactly-equivalent implementations back this: the per-tree list
     cores, and a **level-synchronous vectorised engine** that runs
     Liu's DP over all trees at once — one numpy pass per depth level,
-    child orderings realised by a single ``lexsort`` whose
+    child orderings realised by a single stable sort whose
     ``(-key, id)`` keys reproduce the scalar tie-break bit for bit.
     ``vectorize=None`` picks automatically (vectorised for batches of
     shallow-enough trees); forcing either value is for tests and
@@ -289,6 +289,22 @@ def forest_best_postorders_flat(
     return (schedule if schedules else None), storage, vio
 
 
+def _group_sort(keys: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Stable order by ``(groups, keys)`` — ``np.lexsort((keys, groups))``.
+
+    ``groups`` must be non-negative and non-decreasing (contiguous
+    groups) and ``keys`` non-empty.  Whenever it cannot overflow, one
+    composite int64 key ``group * span + (key - lo)`` goes through a
+    single stable ``argsort``, several times faster than the two-key
+    ``lexsort`` that remains the fallback for key ranges too wide.
+    """
+    lo = int(keys.min())
+    span = int(keys.max()) - lo + 1
+    if (int(groups[-1]) + 1) * span <= _INT64.max:
+        return np.argsort(groups * span + (keys - lo), kind="stable")
+    return np.lexsort((keys, groups))
+
+
 def _order_level(ch, key, starts, grp, counts, max_arity, multi):
     """Sort a level's child groups by ``(-key, id)``, exactly.
 
@@ -296,7 +312,7 @@ def _order_level(ch, key, starts, grp, counts, max_arity, multi):
     vectorised conditional swap (the scalar core's two-child rule, which
     equals the full sort); anything wider sorts only the edges of
     multi-child groups (``multi``, precomputed on the level cache —
-    singleton groups are already ordered) with one stable ``lexsort``.
+    singleton groups are already ordered) with one stable sort.
     The ascending-id tie-break costs nothing: ``ch`` arrives in CSR
     order (ascending ids within each group) and the stable sort keeps
     that order on equal keys — bit for bit the scalar core's
@@ -313,7 +329,7 @@ def _order_level(ch, key, starts, grp, counts, max_arity, multi):
             ch[swap], ch[swap + 1] = ch[swap + 1], ch[swap]
         return ch
     sub = ch[multi]
-    order = np.lexsort((-key[sub], grp[multi]))
+    order = _group_sort(-key[sub], grp[multi])
     ch = ch.copy()
     ch[multi] = sub[order]
     return ch
@@ -326,31 +342,28 @@ def _best_postorders_vector(forest: ArrayForest, mems, *, schedules=True):
     children are ordered by :func:`_order_level` and the ``S_i``/``A_i``
     prefix recursions become segmented cumulative sums plus ``reduceat``
     maxima — integer-exact, same tie-breaking as the scalar core.  The
-    schedule then falls out of one *global* pass: a node's block start
-    is the path-sum of its earlier-siblings' subtree sizes, accumulated
-    root-to-node by pointer doubling — the same contiguous-block
-    emission rule the scalar core applies one node at a time.
+    schedule then falls out of one top-down pass over the same levels: a
+    node's block start is its parent's plus its earlier siblings'
+    subtree sizes — the same contiguous-block emission rule the scalar
+    core applies one node at a time.
     """
-    off = forest._offsets
     total = forest.total_nodes
-    gcs, gci, gpar, base, tree_of = forest._globals()
+    _gcs, gci, _gpar, base, tree_of = forest._globals()
     levels = forest._levels()
     w = forest._weights
     minmem = mems is None
     if not minmem:
         M = np.asarray(mems, dtype=np.int64)[tree_of]
 
-    storage = np.zeros(total, dtype=np.int64)
-    key = np.zeros(total, dtype=np.int64)
+    # Leaf values for every node: each internal node is overwritten at
+    # its own level before any parent reads it, so no leaf mask is needed.
+    storage = w.copy()
+    if minmem:
+        key = np.zeros(total, dtype=np.int64)
+    else:
+        key = np.minimum(w, M) - w
     vio = np.zeros(total, dtype=np.int64)
-    if schedules:
-        ordered = np.array(gci)  # reordered level by level, like the core
-
-    cnt_all = gcs[1:] - gcs[:total]
-    leaves = cnt_all == 0
-    storage[leaves] = w[leaves]
-    if not minmem:
-        key[leaves] = np.minimum(w[leaves], M[leaves]) - w[leaves]
+    level_chs = []  # each level's sorted children, for the emission
 
     for level in reversed(levels):
         if level is None:
@@ -358,7 +371,7 @@ def _best_postorders_vector(forest: ArrayForest, mems, *, schedules=True):
         idx, eidx, starts, grp, counts, max_arity, multi = level
         chs = _order_level(gci[eidx], key, starts, grp, counts, max_arity, multi)
         if schedules:
-            ordered[eidx] = chs
+            level_chs.append(chs)
 
         sc = storage[chs]
         if max_arity == 1:
@@ -371,19 +384,26 @@ def _best_postorders_vector(forest: ArrayForest, mems, *, schedules=True):
                 vio[idx] = vio[chs]  # min(M, S_c) <= M: no new I/O at idx
                 key[idx] = np.minimum(peak, m_idx) - w[idx]
             continue
+        # A child's in-group prefix is excl - excl[group start]; the
+        # group's constant is taken out of the max instead of repeated
+        # per edge.  excl + sc sums disjoint nodes: it stays within the
+        # forest-wide weight budget.
         wc = w[chs]
         excl = np.cumsum(wc) - wc
-        prefix = excl - np.repeat(excl[starts], counts)
+        first = excl[starts]
         peak = np.maximum(
-            w[idx], np.maximum.reduceat(sc + prefix, starts)
+            w[idx], np.maximum.reduceat(sc + excl, starts) - first
         )
         storage[idx] = peak
         if minmem:
             key[idx] = peak - w[idx]
         else:
             m_idx = M[idx]
-            worst = np.maximum.reduceat(
-                np.minimum(sc, np.repeat(m_idx, counts)) + prefix, starts
+            worst = (
+                np.maximum.reduceat(
+                    np.minimum(sc, np.repeat(m_idx, counts)) + excl, starts
+                )
+                - first
             )
             over = np.maximum(worst - m_idx, 0)
             vio[idx] = over + np.add.reduceat(vio[chs], starts)
@@ -392,25 +412,20 @@ def _best_postorders_vector(forest: ArrayForest, mems, *, schedules=True):
     if not schedules:
         return None, storage, vio
 
-    # Emission, globally: with subtree blocks contiguous and every node
-    # closing its own block, a node's block *start* is the sum of its
-    # earlier (sorted) siblings' sizes accumulated along the root path.
-    # Per-edge sibling prefixes are one segmented cumsum over the sorted
-    # CSR; the root-path accumulation is pointer doubling — log₂ rounds,
-    # no per-level work at all.
+    # Emission: with subtree blocks contiguous and every node closing its
+    # own block, a node's block *start* is its parent's block start plus
+    # the sizes of its earlier (sorted) siblings — one segmented cumsum
+    # per level, top-down, over the children the sweep above sorted.
     size = forest._subtree_sizes()
-    internal = np.flatnonzero(~leaves)
-    szs = size[ordered]
-    excl = np.cumsum(szs) - szs
-    contrib = np.zeros(total, dtype=np.int64)
-    contrib[ordered] = excl - np.repeat(excl[gcs[internal]], cnt_all[internal])
-    ids = np.arange(total, dtype=np.int64)
-    jump = np.where(gpar < 0, ids, gpar)
-    block_start = contrib
-    for _ in range(max(1, len(levels) - 1).bit_length()):
-        block_start = block_start + block_start[jump]
-        jump = jump[jump]
+    block_start = np.zeros(total, dtype=np.int64)
+    level_chs.reverse()
+    for level, chs in zip((lv for lv in levels if lv is not None), level_chs):
+        idx, _eidx, starts, _grp, counts, _max_arity, _multi = level
+        szs = size[chs]
+        excl = np.cumsum(szs) - szs
+        block_start[chs] = np.repeat(block_start[idx] - excl[starts], counts) + excl
 
+    ids = np.arange(total, dtype=np.int64)
     schedule = np.empty(total, dtype=np.int64)
     schedule[base + block_start + size - 1] = ids - base
     return schedule, storage, vio
@@ -573,7 +588,7 @@ def _liu_vector(
     node at the current depth as flat rows.  A level transition replays
     each internal node's merged child deltas exactly like the scalar
     core — items sorted by ``(valley − hill, CSR rank)`` via one stable
-    ``lexsort``, the running base a segmented cumsum — and then
+    sort (:func:`_group_sort`), the running base a segmented cumsum — and then
     canonicalises the replayed sequence in two closed-form stages
     instead of a stack:
 
@@ -679,10 +694,10 @@ def _liu_vector(
                     iid = sid[flat]
                     isz = ssize[flat]
             else:
-                # lexsort is stable and ``flat`` is already in CSR-rank
-                # (igrp) order, so (valley − hill, parent) alone gives
+                # the sort is stable and ``flat`` is already in CSR-rank
+                # (igrp) order, so (parent, valley − hill) alone gives
                 # the exact ``(valley − hill, rank)`` tie-break
-                order = np.lexsort((sv - sh, pg))
+                order = _group_sort(sv - sh, pg)
                 x = (sh - pv)[order]
                 y = (sv - pv)[order]
                 pg = pg[order]

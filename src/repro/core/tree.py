@@ -41,8 +41,9 @@ class CoreLists(NamedTuple):
 
     ``start[v] : start[v + 1]`` delimits node *v*'s children inside
     ``cindex`` (construction order); ``topo`` is the canonical root-first
-    order.  Shared and read-only: a core that reorders children in place
-    gets a copy of ``cindex``.
+    order.  A :class:`TaskTree` caches one instance and hands it to every
+    caller, so its columns are tuples: a core that reorders children in
+    place works on a list copy of ``cindex``.
     """
 
     weights: Sequence[int]
@@ -247,7 +248,12 @@ class TaskTree:
                 cindex.extend(kids)
                 start.append(len(cindex))
             lists = self._core_lists = CoreLists(
-                self._weights, self._parents, start, cindex, self._topo, self._wbar
+                self._weights,
+                self._parents,
+                tuple(start),
+                tuple(cindex),
+                self._topo,
+                self._wbar,
             )
         return lists
 

@@ -165,15 +165,21 @@ class TestEngineSelection:
         big = TaskTree(
             [-1] + list(range(AUTO_THRESHOLD)), [1] * (AUTO_THRESHOLD + 1)
         )
-        assert resolve_engine("object", big) == "object"
-        assert resolve_engine("array", small) == "array"
-        assert resolve_engine(None, small) in ("object", "array")
+        from repro.core.engine import runs_on_cores
+        from repro.core.expansion import ExpansionTree
+
+        assert resolve_engine("object") == "object"
+        assert resolve_engine("array") == "array"
+        assert resolve_engine(None) in ("object", "array")
         previous = set_default_engine("auto")
         try:
-            # auto runs the list cores at every size, on either representation
-            assert resolve_engine(None, small) == "array"
-            assert resolve_engine(None, big) == "array"
-            assert resolve_engine(None, as_array_tree(small)) == "array"
+            # auto is array's alias: the list cores at every size, on
+            # either representation; only mutable trees stay on objects
+            assert resolve_engine(None) == "array"
+            for tree in (small, big, as_array_tree(small)):
+                assert runs_on_cores(tree)
+                assert not runs_on_cores(tree, "object")
+            assert not runs_on_cores(ExpansionTree(small))
         finally:
             set_default_engine(previous)
 
@@ -181,17 +187,14 @@ class TestEngineSelection:
         # "auto" means "no preference": a request that does not pin an
         # engine must inherit a server-wide default (serve --engine /
         # REPRO_ENGINE), not silently re-enable auto dispatch.
-        big = TaskTree(
-            [-1] + list(range(AUTO_THRESHOLD)), [1] * (AUTO_THRESHOLD + 1)
-        )
         previous = set_default_engine("object")
         try:
             with engine_scope("auto"):
-                assert resolve_engine(None, big) == "object"
+                assert resolve_engine(None) == "object"
             with engine_scope(None):
-                assert resolve_engine(None, big) == "object"
+                assert resolve_engine(None) == "object"
             with engine_scope("array"):
-                assert resolve_engine(None, big) == "array"
+                assert resolve_engine(None) == "array"
         finally:
             set_default_engine(previous)
 

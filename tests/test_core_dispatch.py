@@ -195,3 +195,32 @@ class TestAutoStaysOnCores:
         tree = _small_tree()
         with engine_scope("object"), pytest.raises(_ObjectPathEntered):
             postorder_min_mem(tree)
+
+
+class TestCoreListsAreShared:
+    def test_task_tree_lists_survive_every_solver(self):
+        from repro.algorithms.rec_expand import full_rec_expand, rec_expand
+
+        tree = _random_tree(random.Random(11), 60)
+        lists = tree.core_lists()
+        snapshot = tuple(tuple(col) for col in lists)
+        assert all(isinstance(col, tuple) for col in lists)
+
+        _schedule, peak = opt_min_mem(tree)
+        memory = max(tree.min_feasible_memory(), peak - 3)
+        result = postorder_min_io(tree, memory)
+        simulate_fif(tree, result.schedule, memory)
+        postorder_min_mem(tree)
+        rec_expand(tree, memory)
+        full_rec_expand(tree, memory)
+
+        assert tree.core_lists() is lists
+        assert tuple(tuple(col) for col in lists) == snapshot
+
+    def test_array_tree_view_matches_task_tree(self):
+        tree = _random_tree(random.Random(12), 50)
+        view = ArrayTree.from_task_tree(tree).core_lists()
+        for name, col in zip(tree.core_lists()._fields, tree.core_lists()):
+            assert list(getattr(view, name)) == list(col), name
+        with pytest.raises(AttributeError):
+            view.children

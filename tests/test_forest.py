@@ -308,6 +308,33 @@ class TestKernelEquivalence:
             fk.forest_best_postorders(forest, [1, 2, 3])
 
 
+class TestSortHelpers:
+    """The fast sorts behind the level sweeps equal numpy's stable sorts."""
+
+    def test_group_sort_matches_lexsort(self):
+        rng = np.random.default_rng(5)
+        for lo, hi in ((0, 3), (-50, 50), (-(2**61), 2**61)):
+            for _ in range(20):
+                n = int(rng.integers(1, 400))
+                groups = np.sort(rng.integers(0, max(1, n // 3), n))
+                keys = rng.integers(lo, hi, n, dtype=np.int64)
+                assert np.array_equal(
+                    fk._group_sort(keys, groups), np.lexsort((keys, groups))
+                )
+
+    def test_stable_argsort_ids_matches_argsort(self):
+        from repro.core.forest import _stable_argsort_ids
+
+        rng = np.random.default_rng(6)
+        for hi in (2, 70_000, 2**40):
+            values = rng.integers(0, hi, 5_000, dtype=np.int64)
+            assert np.array_equal(
+                _stable_argsort_ids(values), np.argsort(values, kind="stable")
+            )
+        empty = np.zeros(0, dtype=np.int64)
+        assert len(_stable_argsort_ids(empty)) == 0
+
+
 class TestDeepForest:
     """Chains past the vectorised budgets stay exact via the fallbacks."""
 
