@@ -136,6 +136,14 @@ def forest_lower_bounds(forest: ArrayForest) -> list[int]:
 #: tail.)
 _VECTOR_MIN_TREES = 4
 _VECTOR_MAX_DEPTH = 4096
+
+#: the best-postorder sweep emits its schedule top-down, one segmented
+#: cumsum per level, when the levels average at least this many nodes;
+#: narrower forests pay a few fixed numpy calls per level that way and
+#: take the pointer-doubling pass (log₂ rounds over all nodes) instead.
+#: Measured crossover on ``perfbench`` ``batch`` units and the
+#: ``bench_forest`` corpus: 400–1 000 nodes a level.
+_EMIT_LEVEL_MIN_WIDTH = 512
 #: FiF's event sweep still walks overflow candidates in Python, and a
 #: single huge tight-memory member can contribute a candidate per step,
 #: so the auto path keeps very large members on the per-tree core.
@@ -342,13 +350,14 @@ def _best_postorders_vector(forest: ArrayForest, mems, *, schedules=True):
     children are ordered by :func:`_order_level` and the ``S_i``/``A_i``
     prefix recursions become segmented cumulative sums plus ``reduceat``
     maxima — integer-exact, same tie-breaking as the scalar core.  The
-    schedule then falls out of one top-down pass over the same levels: a
-    node's block start is its parent's plus its earlier siblings'
-    subtree sizes — the same contiguous-block emission rule the scalar
-    core applies one node at a time.
+    schedule then falls out of the block-start rule the scalar core
+    applies one node at a time: a node's block start is the path-sum of
+    its earlier siblings' subtree sizes, accumulated root-to-node —
+    top-down over wide levels, by pointer doubling otherwise
+    (:data:`_EMIT_LEVEL_MIN_WIDTH`).
     """
     total = forest.total_nodes
-    _gcs, gci, _gpar, base, tree_of = forest._globals()
+    gcs, gci, gpar, base, tree_of = forest._globals()
     levels = forest._levels()
     w = forest._weights
     minmem = mems is None
@@ -363,15 +372,21 @@ def _best_postorders_vector(forest: ArrayForest, mems, *, schedules=True):
     else:
         key = np.minimum(w, M) - w
     vio = np.zeros(total, dtype=np.int64)
-    level_chs = []  # each level's sorted children, for the emission
+    by_level = schedules and total >= _EMIT_LEVEL_MIN_WIDTH * len(levels)
+    if by_level:
+        level_chs = []  # each level's sorted children, deepest first
+    elif schedules:
+        ordered = np.array(gci)  # reordered level by level, like the core
 
     for level in reversed(levels):
         if level is None:
             continue
         idx, eidx, starts, grp, counts, max_arity, multi = level
         chs = _order_level(gci[eidx], key, starts, grp, counts, max_arity, multi)
-        if schedules:
+        if by_level:
             level_chs.append(chs)
+        elif schedules:
+            ordered[eidx] = chs
 
         sc = storage[chs]
         if max_arity == 1:
@@ -413,19 +428,39 @@ def _best_postorders_vector(forest: ArrayForest, mems, *, schedules=True):
         return None, storage, vio
 
     # Emission: with subtree blocks contiguous and every node closing its
-    # own block, a node's block *start* is its parent's block start plus
-    # the sizes of its earlier (sorted) siblings — one segmented cumsum
-    # per level, top-down, over the children the sweep above sorted.
+    # own block, a node's block *start* is its parent's plus the sizes of
+    # its earlier (sorted) siblings.  Wide levels resolve that top-down,
+    # one segmented cumsum per level; otherwise per-edge sibling
+    # prefixes are one segmented cumsum over the sorted CSR and the
+    # root-path accumulation is pointer doubling — log₂ rounds, no
+    # per-level work at all.
     size = forest._subtree_sizes()
-    block_start = np.zeros(total, dtype=np.int64)
-    level_chs.reverse()
-    for level, chs in zip((lv for lv in levels if lv is not None), level_chs):
-        idx, _eidx, starts, _grp, counts, _max_arity, _multi = level
-        szs = size[chs]
-        excl = np.cumsum(szs) - szs
-        block_start[chs] = np.repeat(block_start[idx] - excl[starts], counts) + excl
-
     ids = np.arange(total, dtype=np.int64)
+    if by_level:
+        block_start = np.zeros(total, dtype=np.int64)
+        top_down = (level for level in levels if level is not None)
+        for level, chs in zip(top_down, reversed(level_chs)):
+            idx, _eidx, starts, _grp, counts, _max_arity, _multi = level
+            szs = size[chs]
+            excl = np.cumsum(szs) - szs
+            block_start[chs] = (
+                np.repeat(block_start[idx] - excl[starts], counts) + excl
+            )
+    else:
+        cnt_all = gcs[1:] - gcs[:total]
+        internal = np.flatnonzero(cnt_all)
+        szs = size[ordered]
+        excl = np.cumsum(szs) - szs
+        contrib = np.zeros(total, dtype=np.int64)
+        contrib[ordered] = excl - np.repeat(
+            excl[gcs[internal]], cnt_all[internal]
+        )
+        jump = np.where(gpar < 0, ids, gpar)
+        block_start = contrib
+        for _ in range(max(1, len(levels) - 1).bit_length()):
+            block_start = block_start + block_start[jump]
+            jump = jump[jump]
+
     schedule = np.empty(total, dtype=np.int64)
     schedule[base + block_start + size - 1] = ids - base
     return schedule, storage, vio

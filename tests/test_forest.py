@@ -322,6 +322,18 @@ class TestSortHelpers:
                     fk._group_sort(keys, groups), np.lexsort((keys, groups))
                 )
 
+    @pytest.mark.parametrize("width", [0, 10**9])
+    def test_both_emission_passes_match_the_cores(
+        self, ats, forest, mems, width, monkeypatch
+    ):
+        # width 0 forces the top-down level pass, 10**9 pointer doubling
+        monkeypatch.setattr(fk, "_EMIT_LEVEL_MIN_WIDTH", width)
+        for memories in (None, mems):
+            got = fk.forest_best_postorders(forest, memories, vectorize=True)
+            bounds = [None] * len(ats) if memories is None else memories
+            for at, m, row in zip(ats, bounds, got):
+                assert tuple(row) == tuple(kernels.best_postorder(at, m))
+
     def test_stable_argsort_ids_matches_argsort(self):
         from repro.core.forest import _stable_argsort_ids
 
