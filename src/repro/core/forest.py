@@ -59,6 +59,7 @@ from .tree import TaskTree, TreeError
 
 __all__ = ["ArrayForest"]
 
+
 def _stable_argsort_ids(values: np.ndarray) -> np.ndarray:
     """``np.argsort(values, kind="stable")`` for non-negative ids.
 

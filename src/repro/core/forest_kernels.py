@@ -144,6 +144,7 @@ _VECTOR_MAX_DEPTH = 4096
 #: Measured crossover on ``perfbench`` ``batch`` units and the
 #: ``bench_forest`` corpus: 400–1 000 nodes a level.
 _EMIT_LEVEL_MIN_WIDTH = 512
+
 #: FiF's event sweep still walks overflow candidates in Python, and a
 #: single huge tight-memory member can contribute a candidate per step,
 #: so the auto path keeps very large members on the per-tree core.
@@ -623,8 +624,8 @@ def _liu_vector(
     node at the current depth as flat rows.  A level transition replays
     each internal node's merged child deltas exactly like the scalar
     core — items sorted by ``(valley − hill, CSR rank)`` via one stable
-    sort (:func:`_group_sort`), the running base a segmented cumsum — and then
-    canonicalises the replayed sequence in two closed-form stages
+    sort (:func:`_group_sort`), the running base a segmented cumsum —
+    and then canonicalises the replayed sequence in two closed-form stages
     instead of a stack:
 
     1. a position ends a canonical segment iff its valley is a strict
