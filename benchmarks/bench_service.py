@@ -216,7 +216,6 @@ def test_large_batch_burst_over_shared_memory(batch_jobs, emit):
             workers=batch_jobs,
             queue_limit=max(64, 4 * BURST_CLIENTS),
             max_batch=64,
-            batch_window_ms=2.0,
             shm_transport=(transport == "shm"),
             shm_min_nodes=0,  # every batch rides the segment in shm mode
         )
@@ -322,7 +321,6 @@ def test_binary_async_burst_vs_json(tmp_path, batch_jobs, emit):
         workers=batch_jobs,
         queue_limit=max(64, 4 * BURST_CLIENTS),
         max_batch=64,
-        batch_window_ms=2.0,
         shm_min_nodes=0,
     )
     lines = [
@@ -454,7 +452,6 @@ def test_observability_overhead_is_negligible(tmp_path, batch_jobs, emit):
             workers=batch_jobs,
             queue_limit=max(64, 4 * BURST_CLIENTS),
             max_batch=64,
-            batch_window_ms=2.0,
             shm_min_nodes=0,
             observability=observability,
         )

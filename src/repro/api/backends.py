@@ -35,10 +35,12 @@ wraps:
   timeout`` envelopes, while :class:`LocalBackend` and
   :class:`PoolBackend` run every request to completion, exactly like
   the service's own worker pool does beneath its dispatcher;
-* :class:`PoolBackend` and :class:`RemoteBackend` ship requests through
-  the service's wire schema, so they inherit its admission caps
+* :class:`RemoteBackend` ships requests through the service's wire
+  schema, so it inherits the server's admission caps
   (:data:`~repro.api.requests.MAX_NODES`, the ``10^15`` memory
-  ceiling).  :class:`LocalBackend` is the offline path without them —
+  ceiling), which :func:`~repro.api.requests.parse_request` enforces
+  for every surface that parses wire payloads.  :class:`LocalBackend`
+  and :class:`PoolBackend` execute the request objects they are given —
   million-node trees and beyond-int64 bounds run there (and through
   the batch engine), as the CLI's offline commands always have.
 """
@@ -262,11 +264,12 @@ class PoolBackend(_CachingBackend):
     threads (the deterministic test mode).  Pass an existing pool to
     share it; the backend then does not own (or close) it.
 
-    Requests ride the service's wire schema (workers re-validate on
-    arrival, same defence-in-depth as behind the server), so the wire
-    admission caps apply — trees beyond
-    :data:`~repro.api.requests.MAX_NODES` belong on
-    :class:`LocalBackend` or the batch engine.
+    The typed requests themselves ride to the workers, exactly as
+    behind the server: validated once by whoever built them
+    (:func:`~repro.api.requests.parse_request` or the dataclass
+    constructor), never re-parsed, with their cached keys.  Each worker
+    builds a ``TaskTree`` per request, whose constructor is the
+    structural guard.
     """
 
     name = "pool"
@@ -293,9 +296,8 @@ class PoolBackend(_CachingBackend):
         self.pool = pool
 
     def _execute(self, requests: Sequence[Any]) -> list[Outcome]:
-        payloads = [request.to_payload() for request in requests]
         t0 = time.perf_counter()
-        envelopes = _run_sync(self.pool.run_batch(payloads))
+        envelopes = _run_sync(self.pool.run_batch(requests))
         elapsed = time.perf_counter() - t0
         return [
             Outcome.from_envelope(

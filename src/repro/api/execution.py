@@ -68,7 +68,7 @@ UNSOLVABLE_ERRORS = (InfeasibleSchedule, InvalidTraversal, ValueError, KeyError)
 
 
 def build_tree(parents: Any, weights: Any) -> TaskTree | ArrayTree:
-    """The tree object a request executes on, when none was validated yet.
+    """The tree object a request executes on, when the caller passes none.
 
     Large requests go straight to :class:`~repro.core.arraytree.ArrayTree`
     — vectorised construction, no per-node object graph.  Small requests
@@ -90,14 +90,6 @@ def build_tree(parents: Any, weights: Any) -> TaskTree | ArrayTree:
     return TaskTree(parents, weights)
 
 
-def _request_tree(request: Request) -> TaskTree | ArrayTree:
-    """The tree :func:`~repro.api.requests.parse_request` validated, else a new one."""
-    tree = request.validated_tree()
-    if tree is None:
-        return build_tree(request.parents, request.weights)
-    return tree
-
-
 def run_solve(
     request: SolveRequest, *, tree: TaskTree | ArrayTree | None = None
 ) -> dict[str, Any]:
@@ -105,7 +97,7 @@ def run_solve(
     from ..experiments.registry import get_algorithm
 
     if tree is None:
-        tree = _request_tree(request)
+        tree = build_tree(request.parents, request.weights)
     traversal = get_algorithm(request.algorithm)(tree, request.memory)
     validate(tree, traversal, request.memory)
     result = {
@@ -137,7 +129,7 @@ def run_paging(
     from ..io import HDD, estimate_time, paged_io
 
     if tree is None:
-        tree = _request_tree(request)
+        tree = build_tree(request.parents, request.weights)
     schedule = get_algorithm(request.algorithm)(tree, request.memory).schedule
     rows = []
     for policy in request.policies:
@@ -176,7 +168,7 @@ def run_exact(
     from ..experiments.registry import PAPER_ALGORITHMS, get_algorithm
 
     if tree is None:
-        tree = _request_tree(request)
+        tree = build_tree(request.parents, request.weights)
     result = exact_min_io(
         tree,
         request.memory,
@@ -221,8 +213,8 @@ def execute_request(
     in inline (thread) mode, where concurrent batches share one
     interpreter: seeding there would interleave across threads (no
     determinism gained) and clobber the embedding process's RNG state.
-    ``tree`` is the pre-built tree object, when the transport already
-    materialised one (the shared-memory path).
+    ``tree`` is the pre-built tree object, when the caller already
+    materialised one (the service's workers build a ``TaskTree``).
     """
     key = request.key()
     if seed_rng:

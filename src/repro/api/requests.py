@@ -19,11 +19,13 @@ them:
     work, solved through the forest kernels when possible.
 
 Validation happens in :func:`parse_request`, before anything touches a
-queue, a worker or a socket: it either returns a frozen request object
-or raises :class:`~repro.api.errors.ProtocolError` with a stable
-machine-readable code.  Each request canonicalises itself into
-``to_payload()`` (the dict shipped to worker processes and over the
-wire) and derives its content address with :meth:`key` — a buffer
+queue, a worker or a socket, and only there: it either returns a frozen
+request object or raises :class:`~repro.api.errors.ProtocolError` with a
+stable machine-readable code.  The frozen object is what travels on —
+through the service's admission queue and into its worker processes —
+so nothing downstream parses it again.  Each request canonicalises
+itself into ``to_payload()`` (the dict sent over the wire) and derives
+its content address with :meth:`key` — a buffer
 digest via :func:`repro.datasets.store.cache_key_buffers` over the
 canonical int64 tree columns, salted with :data:`ENGINE_VERSION`.  The
 digest is identical whether the columns are Python tuples or numpy
@@ -39,6 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+import numpy as np
+
+from ..core.arraytree import validate_columns
 from ..core.engine import ENGINES
 from ..core.tree import TaskTree, TreeError
 from ..datasets.store import cache_key_buffers
@@ -57,6 +62,7 @@ __all__ = [
     "Request",
     "SolveRequest",
     "TreeColumns",
+    "check_tree_columns",
     "parse_request",
     "unit_seed",
 ]
@@ -144,16 +150,6 @@ class CanonicalRequest:
             object.__setattr__(self, "_cached_key", cached)
         return cached
 
-    def validated_tree(self) -> TaskTree | None:
-        """The :class:`TaskTree` :func:`parse_request` validated, if it built one.
-
-        Held beside the dataclass fields — outside the key, equality and
-        payload — so the executor reuses it instead of building the same
-        tree a second time.
-        """
-        tree: TaskTree | None = self.__dict__.get("_validated_tree")
-        return tree
-
 
 def _fail(code: str, message: str) -> ProtocolError:
     return ProtocolError(code, message)
@@ -167,27 +163,53 @@ def _require_int(value: Any, field: str, *, lo: int, hi: int) -> int:
     return value
 
 
-def _parse_tree(obj: Mapping[str, Any]) -> TaskTree:
-    tree = obj.get("tree")
-    if not isinstance(tree, Mapping):
-        raise _fail("bad_field", "'tree' must be an object with 'parents' and 'weights'")
-    parents = tree.get("parents")
-    weights = tree.get("weights")
-    for name, seq in (("parents", parents), ("weights", weights)):
-        if not isinstance(seq, (list, tuple)) or any(
-            type(x) is not int for x in seq
-        ):
-            raise _fail("bad_field", f"'tree.{name}' must be a list of integers")
+#: the one element type a JSON tree column may hold (``bool`` is not it).
+_INT_ONLY = frozenset({int})
+
+
+def check_tree_columns(parents: Any, weights: Any) -> TreeColumns:
+    """Validate one tree's columns for the service; return them as tuples.
+
+    Shared by both encodings: the JSON path hands in lists of plain
+    ints, the binary path int64 views of its frame.  The O(n) numpy
+    :func:`~repro.core.arraytree.validate_columns` accepts every valid
+    tree within the flat engine's budget; a tree it refuses goes to
+    :class:`~repro.core.tree.TaskTree`, whose verdict and message are
+    the reference — so both encodings refuse the same trees with the
+    same ``invalid_tree`` text, and still accept weights beyond int64.
+    """
     if len(parents) > MAX_NODES:
         raise _fail(
             "payload_too_large",
             f"tree has {len(parents)} nodes > service limit {MAX_NODES}; "
             "use the offline batch engine for bulk workloads",
         )
+    if isinstance(parents, np.ndarray):
+        parents_seq, weights_seq = parents.tolist(), weights.tolist()
+    else:
+        parents_seq, weights_seq = parents, weights
     try:
-        return TaskTree(parents, weights)  # full structural validation
-    except TreeError as exc:
-        raise _fail("invalid_tree", str(exc)) from exc
+        validate_columns(parents, weights)
+    except TreeError:
+        try:
+            TaskTree(parents_seq, weights_seq)  # full structural validation
+        except TreeError as exc:
+            raise _fail("invalid_tree", str(exc)) from exc
+    return tuple(parents_seq), tuple(weights_seq)
+
+
+def _parse_tree(obj: Mapping[str, Any]) -> TreeColumns:
+    tree = obj.get("tree")
+    if not isinstance(tree, Mapping):
+        raise _fail("bad_field", "'tree' must be an object with 'parents' and 'weights'")
+    parents = tree.get("parents")
+    weights = tree.get("weights")
+    for name, seq in (("parents", parents), ("weights", weights)):
+        if not isinstance(seq, (list, tuple)) or not _INT_ONLY.issuperset(
+            map(type, seq)
+        ):
+            raise _fail("bad_field", f"'tree.{name}' must be a list of integers")
+    return check_tree_columns(parents, weights)
 
 
 def _parse_algorithm(obj: Mapping[str, Any], *, default: str = "RecExpand") -> str:
@@ -482,12 +504,15 @@ _KINDS = ("solve", "paging", "exact")
 def parse_request(obj: Any, *, trusted_tree: tuple[Any, Any] | None = None) -> Request:
     """Validate a decoded JSON body into a frozen request object.
 
-    ``trusted_tree`` — a pre-validated ``(parents, weights)`` column
-    pair — skips the tree re-validation and is how the shared-memory
-    transport hands workers their buffer views: the server already ran
-    the tree validation on the original body, so re-marshalling the
-    columns into JSON lists just to check them again would defeat the
-    zero-copy hand-off.  All scalar fields are still validated.
+    The tree is checked by :func:`check_tree_columns` — one vectorised
+    pass, with :class:`~repro.core.tree.TaskTree` consulted only for a
+    tree that pass refuses — and no tree object is kept: the worker
+    that executes the request builds the one it solves on.
+
+    ``trusted_tree`` — a ``(parents, weights)`` tuple pair that already
+    passed :func:`check_tree_columns` — skips the tree check; it is how
+    the binary frame path, which validates its int64 views directly,
+    hands over its columns.  All scalar fields are still validated.
 
     Raises
     ------
@@ -502,14 +527,10 @@ def parse_request(obj: Any, *, trusted_tree: tuple[Any, Any] | None = None) -> R
     kind = obj.get("kind", "solve")
     if kind not in _KINDS:
         raise _fail("unknown_kind", f"unknown kind {kind!r}; expected one of {_KINDS}")
-    tree: TaskTree | None = None
     if trusted_tree is not None:
         parents, weights = trusted_tree
     else:
-        tree = _parse_tree(obj)
-        # every element is a plain int, so the tree's columns are the
-        # request's own, already as tuples
-        parents, weights = tree.parents, tree.weights
+        parents, weights = _parse_tree(obj)
     memory = _require_int(obj.get("memory"), "memory", lo=1, hi=10**15)
     timeout = _parse_timeout(obj)
     engine = _parse_engine(obj)
@@ -569,6 +590,4 @@ def parse_request(obj: Any, *, trusted_tree: tuple[Any, Any] | None = None) -> R
             engine=engine,
             trace=trace,
         )
-    if tree is not None:
-        object.__setattr__(request, "_validated_tree", tree)
     return request

@@ -310,7 +310,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         queue_limit=args.queue_limit,
-        batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         request_timeout=args.timeout,
         cache_dir=cache_dir,
@@ -324,7 +323,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"serving on http://{config.host}:{config.port} "
         f"(workers={config.workers or f'inline:{config.inline_threads}'}, "
-        f"queue={config.queue_limit}, window={config.batch_window_ms}ms, "
+        f"queue={config.queue_limit}, "
         f"cache={cache_dir or 'off'})",
         flush=True,
     )
@@ -656,12 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission-queue capacity before 429 rejections (default: 64)",
     )
     p.add_argument(
-        "--batch-window-ms", type=float, default=5.0,
-        help="micro-batching window in milliseconds (default: 5)",
-    )
-    p.add_argument(
         "--max-batch", type=int, default=16,
-        help="maximum requests per micro-batch (default: 16)",
+        help="maximum requests per micro-batch; a free worker gets the "
+        "requests already queued, up to this many (default: 16)",
     )
     p.add_argument(
         "--timeout", type=float, default=60.0,

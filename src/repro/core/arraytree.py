@@ -42,11 +42,60 @@ import numpy as np
 
 from .tree import CoreLists, TaskTree, TreeError
 
-__all__ = ["ArrayTree", "as_array_tree"]
+__all__ = ["ArrayTree", "as_array_tree", "validate_columns"]
 
 #: refuse weight totals above this (int64 headroom for sums of sums).
 _MAX_TOTAL_WEIGHT = 2**62
 
+
+
+def validate_columns(parents: Sequence[int], weights: Sequence[int]) -> None:
+    """Accept exactly the trees :class:`ArrayTree` accepts, in a fraction
+    of the time; raise :class:`~repro.core.tree.TreeError` otherwise.
+
+    The one O(n) numpy check behind both service encodings (JSON lists
+    and binary-frame int64 views).  Its messages are terse: callers that
+    must report *why* a tree is invalid build a :class:`TaskTree` from a
+    refused input, whose verdict and wording are the reference (it also
+    accepts what this check refuses for size alone: weights beyond int64
+    or beyond :data:`_MAX_TOTAL_WEIGHT`).
+
+    What is checked is the structural contract — equal column lengths,
+    non-negative weights, total within the flat engine's int64 budget,
+    exactly one root, parents in range, acyclic (which, with every chain
+    ending at the single root, is connectivity too).  Acyclicity is
+    checked by pointer doubling: ``anc`` holds each node's ``2^k``-step
+    ancestor, so after ``ceil(log2 n)`` rounds every acyclic chain has
+    run off the root into the sentinel and only cycle members still
+    point at a node.
+    """
+    try:
+        p = np.asarray(parents, dtype=np.int64)
+        w = np.asarray(weights, dtype=np.int64)
+    except OverflowError:
+        raise TreeError("a column does not fit int64") from None
+    n = len(p)
+    if n == 0:
+        raise TreeError("a task tree needs at least one node")
+    if len(w) != n:
+        raise TreeError("parents and weights disagree on size")
+    if bool(np.any(w < 0)):
+        raise TreeError("negative weight")
+    if float(np.sum(w, dtype=np.float64)) > _MAX_TOTAL_WEIGHT:
+        raise TreeError("total weight exceeds the array engine's budget")
+    if int(np.count_nonzero(p == -1)) != 1:
+        raise TreeError("need exactly one root (parent -1)")
+    if bool(np.any((p < -1) | (p >= n))):
+        raise TreeError("out-of-range parent")
+    anc = np.empty(n + 1, dtype=np.int64)
+    np.copyto(anc[:n], np.where(p >= 0, p, n))  # -1 → the sentinel slot
+    anc[n] = n  # the sentinel absorbs finished chains
+    step = 1
+    while step < n:
+        anc = anc[anc]
+        step *= 2
+    if bool(np.any(anc[:n] != n)):
+        raise TreeError("parent links contain a cycle")
 
 class _CSRChildren:
     """Indexable view of the children lists backed by the CSR arrays.

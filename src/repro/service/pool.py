@@ -22,27 +22,39 @@ micro-batch (a single pickle round-trip instead of one per request);
 each request inside the batch is individually guarded, so one failing
 request yields one error envelope without poisoning its batch-mates.
 
-With process workers the trees themselves do not ride in that pickle at
-all: the pool packs every request's ``parents``/``weights`` columns into
-one :class:`~repro.core.forest.ArrayForest` wire buffer inside a
-``multiprocessing.shared_memory`` segment and ships only tiny
-``{"shm": index}`` markers.  Workers attach the segment, rebuild the
-forest (one vectorised validation for the whole batch) and slice each
-request's tree back out — zero pickling of element lists in either
-direction.  Inline thread mode (``jobs=0``) and environments without
-shared memory fall back to the plain pickle path transparently.
+What crosses the process boundary is the typed request objects
+themselves, validated once by the server, with their tuple columns and
+their cached content address: the worker never parses a request and
+never recomputes a key.  It builds each request's
+:class:`~repro.core.tree.TaskTree` exactly once — the constructor's
+structural checks are the worker-side guard — and solves on it.  With
+shared memory, the trees do not ride in the pickle at all: the pool
+packs the batch's ``parents``/``weights`` columns into one
+``multiprocessing.shared_memory`` segment (the
+:meth:`~repro.core.forest.ArrayForest.pack` layout) and ships the
+requests without their columns; the worker reads request ``i``'s tree
+back out of slot ``i``.  Inline thread mode (``jobs=0``), small batches
+and environments without shared memory use the plain pickle path.
+
+A worker process that dies (OOM killer, a segfaulting extension, a
+stray SIGKILL) breaks a ``ProcessPoolExecutor`` for good; the pool then
+builds a new executor — once, however many batches saw the break — and
+runs the lost batch again.  Requests are content-addressed and results
+deterministic, so the retry is idempotent.  A batch that breaks the new
+executor too is reported as a failure, not retried forever.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import copy
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Mapping
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..api.errors import ProtocolError
 from ..api.execution import (
     build_tree,
     execute_request,
@@ -51,18 +63,14 @@ from ..api.execution import (
     run_solve,
 )
 from ..api.outcome import error_envelope
-from ..api.requests import parse_request
-from ..core.arraytree import _MAX_TOTAL_WEIGHT
-from ..core.engine import AUTO_THRESHOLD
-from ..core.forest import ArrayForest
-from ..core.tree import TreeError
+from ..api.requests import Request, parse_request
+from ..core.tree import TaskTree, TreeError
 
 __all__ = [
     "WorkerPool",
     "build_tree",
     "execute_payload",
     "execute_many",
-    "execute_many_shm",
     "run_solve",
     "run_paging",
     "run_exact",
@@ -72,10 +80,15 @@ __all__ = [
 def execute_payload(
     payload: Mapping[str, Any], *, seed_rng: bool = True
 ) -> dict[str, Any]:
-    """Worker entry point for one request payload (re-validates on arrival)."""
+    """Parse one wire payload and execute it; one envelope either way.
+
+    The public parse-then-execute helper for callers holding a decoded
+    JSON body.  The pool itself never calls it: its batches carry
+    requests the server already parsed.
+    """
     try:
         request = parse_request(payload)
-    except Exception as exc:  # defence in depth; the server validated already
+    except Exception as exc:
         code = getattr(exc, "code", "internal")
         # ApiError.__str__ is "[code] message"; the envelope carries the
         # code separately, so ship the bare message
@@ -83,14 +96,20 @@ def execute_payload(
     return _execute_guarded(request, seed_rng)
 
 
-def _execute_guarded(request, seed_rng: bool, tree=None) -> dict[str, Any]:
-    """:func:`execute_request`, with a crash confined to this request.
+def _execute_guarded(request: Request, seed_rng: bool) -> dict[str, Any]:
+    """:func:`execute_request` on a fresh ``TaskTree``, crash confined.
 
-    Solver refusals are already ``unsolvable`` envelopes; anything else
-    (a strategy bug, :class:`ExpansionLimitExceeded`, ...) becomes this
-    request's own ``internal`` envelope instead of failing its whole
-    micro-batch.
+    A tree the constructor refuses (only possible for a request built
+    without :func:`~repro.api.requests.parse_request`) is this request's
+    ``invalid_tree`` envelope.  Solver refusals are already
+    ``unsolvable`` envelopes; anything else (a strategy bug,
+    :class:`ExpansionLimitExceeded`, ...) becomes this request's own
+    ``internal`` envelope instead of failing its whole micro-batch.
     """
+    try:
+        tree = TaskTree(request.parents, request.weights)
+    except TreeError as exc:
+        return error_envelope("invalid_tree", str(exc))
     try:
         return execute_request(request, seed_rng=seed_rng, tree=tree)
     except Exception as exc:
@@ -98,77 +117,79 @@ def _execute_guarded(request, seed_rng: bool, tree=None) -> dict[str, Any]:
 
 
 def execute_many(
-    payloads: list[Mapping[str, Any]], seed_rng: bool = True
+    requests: Sequence[Request],
+    seed_rng: bool = True,
+    shm_name: str | None = None,
 ) -> list[dict[str, Any]]:
-    """Worker entry point for one micro-batch; one envelope per payload."""
-    return [execute_payload(p, seed_rng=seed_rng) for p in payloads]
+    """Worker entry point for one micro-batch; one envelope per request.
+
+    With ``shm_name`` the requests arrive without their tree columns
+    (see :func:`_pack_batch`): the worker attaches the segment, copies
+    the batch blob out, detaches immediately — no lifetime coupling with
+    the server's unlink — and gives request ``i`` the columns of slot
+    ``i``.
+    """
+    if shm_name is not None:
+        try:
+            requests = _unpack_batch(shm_name, requests)
+        except (OSError, ValueError) as exc:
+            return [
+                error_envelope("internal", f"shared-memory batch lost: {exc}")
+            ] * len(requests)
+    return [_execute_guarded(request, seed_rng) for request in requests]
+
+
+def _with_columns(request: Request, parents: Any, weights: Any) -> Request:
+    """A copy of ``request`` carrying other column objects for the same tree.
+
+    The content address is computed (if it was not already) and travels
+    with the copy, so a request stripped for transport and restored in
+    the worker keeps the key the server derived.
+    """
+    request.key()
+    clone = copy.copy(request)
+    object.__setattr__(clone, "parents", parents)
+    object.__setattr__(clone, "weights", weights)
+    return clone
 
 
 # --------------------------------------------------------------------- #
-# shared-memory transport: one ArrayForest buffer per micro-batch
+# shared-memory transport: one column buffer per micro-batch
 # --------------------------------------------------------------------- #
 
 #: default floor (total nodes per micro-batch) below which the batch is
-#: pickled instead: a shared-memory segment costs two syscalls and a
-#: worker-side forest rebuild per batch, which tiny batches cannot
-#: amortise (measured crossover is a few thousand nodes; the win grows
-#: with tree size — ~1.5-1.8x pool throughput at 2k-8k-node trees).
+#: pickled instead: a shared-memory segment costs two syscalls per
+#: batch, which tiny batches cannot amortise.
 SHM_MIN_BATCH_NODES = 8_192
 
 
-def _pack_batch(payloads: list[Mapping[str, Any]], min_nodes: int = 0):
-    """Pack a micro-batch's trees into one shared-memory forest buffer.
+def _pack_batch(requests: Sequence[Request], min_nodes: int = 0):
+    """Pack a micro-batch's trees into one shared-memory segment.
 
-    Returns ``(shm, stripped_payloads)`` — the payloads carry
-    ``{"shm": index}`` markers instead of their tree columns — or
-    ``None`` when there is nothing to pack, the batch is smaller than
-    ``min_nodes`` total, or shared memory is unavailable (the caller
-    falls back to the pickle path, where any malformed payload still
-    earns its proper error envelope).
+    Returns ``(shm, stripped)`` — ``stripped`` are the requests with
+    empty columns, request ``i``'s tree in slot ``i`` of the segment —
+    or ``None`` when the batch is smaller than ``min_nodes`` total, a
+    column does not fit int64 (the object tree's arbitrary-precision
+    weights), or shared memory is unavailable; the caller then pickles
+    the requests whole.
     """
     from multiprocessing import shared_memory
 
-    trees: list[tuple[Any, Any]] = []
-    stripped: list[dict[str, Any]] = []
-    for payload in payloads:
-        tree = payload.get("tree") if isinstance(payload, Mapping) else None
-        if (
-            isinstance(tree, Mapping)
-            and isinstance(tree.get("parents"), (list, tuple))
-            and isinstance(tree.get("weights"), (list, tuple))
-            and len(tree["parents"]) == len(tree["weights"])
-            and len(tree["parents"]) > 0
-        ):
-            replaced = dict(payload)
-            replaced["tree"] = {"shm": len(trees)}
-            trees.append((tree["parents"], tree["weights"]))
-            stripped.append(replaced)
-        else:
-            stripped.append(dict(payload))
-    if not trees or sum(len(p) for p, _ in trees) < min_nodes:
+    if not requests or sum(len(r.parents) for r in requests) < min_nodes:
         return None
     try:
-        offsets = np.zeros(len(trees) + 1, dtype=np.int64)
-        parents = [np.asarray(p, dtype=np.int64) for p, _ in trees]
-        weights = [np.asarray(w, dtype=np.int64) for _, w in trees]
-        # Trees the worker-side forest rebuild would reject must not ride
-        # the segment: TaskTree accepts arbitrary-precision weights, the
-        # forest only int64 budgets — the pickle path handles those, and
-        # a rejected forest would poison the whole batch with errors.
-        if (
-            sum(float(np.sum(c, dtype=np.float64)) for c in weights)
-            > _MAX_TOTAL_WEIGHT
-        ):
-            return None
+        parents = [np.asarray(r.parents, dtype=np.int64) for r in requests]
+        weights = [np.asarray(r.weights, dtype=np.int64) for r in requests]
+        offsets = np.zeros(len(requests) + 1, dtype=np.int64)
         np.cumsum([len(c) for c in parents], out=offsets[1:])
         total = int(offsets[-1])
         words = 2 + len(offsets) + 2 * total
         shm = shared_memory.SharedMemory(create=True, size=words * 8)
     except (OSError, ValueError, OverflowError):
-        return None  # no /dev/shm, out-of-range values, ... — pickle instead
+        return None  # no /dev/shm, beyond-int64 weights, ... — pickle instead
     try:
         buf = np.ndarray((words,), dtype=np.int64, buffer=shm.buf)
-        buf[0] = len(trees)
+        buf[0] = len(requests)
         buf[1] = total
         head = 2 + len(offsets)
         buf[2:head] = offsets
@@ -178,7 +199,34 @@ def _pack_batch(payloads: list[Mapping[str, Any]], min_nodes: int = 0):
     except BaseException:
         _release_shm(shm)
         raise
-    return shm, stripped
+    return shm, [_with_columns(r, (), ()) for r in requests]
+
+
+def _unpack_batch(shm_name: str, stripped: Sequence[Request]) -> list[Request]:
+    """The worker side of :func:`_pack_batch`: requests with their columns."""
+    shm = _attach_shm_untracked(shm_name)
+    try:
+        words = np.frombuffer(bytes(shm.buf), dtype=np.int64)
+    finally:
+        shm.close()
+    n_trees = len(stripped)
+    if len(words) < 2 or int(words[0]) != n_trees:
+        raise ValueError("segment does not hold this batch")
+    total = int(words[1])
+    head = 2 + n_trees + 1
+    if len(words) != head + 2 * total:
+        raise ValueError(f"segment of {len(words)} words does not match its head")
+    offsets = words[2:head].tolist()
+    parents = words[head : head + total]
+    weights = words[head + total :]
+    return [
+        _with_columns(
+            request,
+            tuple(parents[a:b].tolist()),
+            tuple(weights[a:b].tolist()),
+        )
+        for request, a, b in zip(stripped, offsets, offsets[1:])
+    ]
 
 
 def _release_shm(shm) -> None:
@@ -220,71 +268,6 @@ def _attach_shm_untracked(name: str):
         resource_tracker.register = original
 
 
-def _execute_shm_payload(
-    payload: Mapping[str, Any], forest: ArrayForest, index: int, seed_rng: bool
-) -> dict[str, Any]:
-    """Run one request whose tree lives in the batch forest."""
-    if not 0 <= index < forest.n_trees:
-        return error_envelope("internal", f"no tree {index} in batch forest")
-    a = int(forest.offsets[index])
-    b = int(forest.offsets[index + 1])
-    try:
-        request = parse_request(
-            payload,
-            trusted_tree=(forest._parents[a:b], forest._weights[a:b]),
-        )
-        # Mirror build_tree: the forest already holds every derived
-        # buffer, so a large request's ArrayTree is a plain slice copy.
-        if b - a >= AUTO_THRESHOLD:
-            tree = forest.tree(index)
-        else:
-            tree = forest.task_tree(index)
-    except ProtocolError as exc:
-        return error_envelope(exc.code, exc.message)
-    except Exception as exc:  # defence in depth, like execute_payload
-        return error_envelope("internal", str(exc))
-    return _execute_guarded(request, seed_rng, tree)
-
-
-def execute_many_shm(
-    shm_name: str, payloads: list[Mapping[str, Any]], seed_rng: bool = True
-) -> list[dict[str, Any]]:
-    """Worker entry point for a micro-batch shipped as a forest buffer.
-
-    Attaches the segment, copies the (small) batch blob out and detaches
-    immediately — no lifetime coupling with the server's unlink — then
-    rebuilds the :class:`~repro.core.forest.ArrayForest` and executes
-    every payload against its tree slice.  Payloads without a marker
-    (no tree to pack) run exactly like :func:`execute_many`.
-    """
-    try:
-        shm = _attach_shm_untracked(shm_name)
-    except (OSError, ValueError) as exc:
-        return [
-            error_envelope("internal", f"shared-memory batch lost: {exc}")
-        ] * len(payloads)
-    try:
-        blob = bytes(shm.buf)
-    finally:
-        shm.close()
-    try:
-        forest = ArrayForest.from_packed(blob)
-    except TreeError as exc:
-        return [
-            error_envelope("internal", f"bad shared-memory batch: {exc}")
-        ] * len(payloads)
-    out = []
-    for payload in payloads:
-        marker = payload.get("tree") if isinstance(payload, Mapping) else None
-        if isinstance(marker, Mapping) and "shm" in marker:
-            out.append(
-                _execute_shm_payload(payload, forest, marker["shm"], seed_rng)
-            )
-        else:
-            out.append(execute_payload(payload, seed_rng=seed_rng))
-    return out
-
-
 def _warmup() -> bool:
     """A no-op unit of work used to pre-fork and import-warm the workers."""
     return True
@@ -313,8 +296,9 @@ class WorkerPool:
         used even with the transport on (see
         :data:`SHM_MIN_BATCH_NODES`); 0 packs every batch.
     registry:
-        a :class:`repro.obs.MetricsRegistry` to count batches into
-        (``pool_batches_total{transport=shm|pickle}``); defaults to the
+        a :class:`repro.obs.MetricsRegistry` to count batches
+        (``pool_batches_total{transport=shm|pickle}``) and executor
+        rebuilds (``pool_restarts_total``) into; defaults to the
         process-wide registry.
     """
 
@@ -339,11 +323,16 @@ class WorkerPool:
         )
         self._shm_batch_counter = batches.labels(transport="shm")
         self._pickle_batch_counter = batches.labels(transport="pickle")
+        self._restart_counter = registry.counter(
+            "pool_restarts_total", "process executors rebuilt after a worker died"
+        )
         self.jobs = jobs
         self.shm_transport = bool(shm_transport) and jobs >= 1
         self.shm_min_nodes = shm_min_nodes
         #: batches actually shipped via shared memory (observability)
         self.shm_batches = 0
+        #: executors rebuilt after a worker process died (observability)
+        self.restarts = 0
         if jobs >= 1:
             self.concurrency = jobs
             self._executor: Executor = ProcessPoolExecutor(max_workers=jobs)
@@ -363,17 +352,43 @@ class WorkerPool:
         for future in futures:
             future.result()
 
-    async def run_batch(
-        self, payloads: list[Mapping[str, Any]]
+    async def run_batch(self, requests: Sequence[Request]) -> list[dict[str, Any]]:
+        """Execute one micro-batch without blocking the event loop.
+
+        A batch lost to a dead worker process runs once more on a
+        rebuilt executor; a second break in a row propagates.
+        """
+        requests = list(requests)
+        executor = self._executor
+        try:
+            return await self._run_on(executor, requests)
+        except BrokenProcessPool:
+            self._replace_broken(executor)
+            return await self._run_on(self._executor, requests)
+
+    def _replace_broken(self, broken: Executor) -> None:
+        """Swap a broken process executor for a new one, once.
+
+        Every batch in flight on the broken executor fails with it; the
+        first to get here rebuilds, the others find the new executor
+        already in place and just retry on it.
+        """
+        if self._executor is not broken:
+            return
+        self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+        broken.shutdown(wait=False, cancel_futures=True)
+        self.restarts += 1
+        self._restart_counter.inc()
+
+    async def _run_on(
+        self, executor: Executor, requests: list[Request]
     ) -> list[dict[str, Any]]:
-        """Execute one micro-batch without blocking the event loop."""
         loop = asyncio.get_running_loop()
-        payloads = list(payloads)
         if self.shm_transport:
             # pack on the default thread executor: column conversion and
             # the shm_open syscall must not stall the server's event loop
             pack_future = loop.run_in_executor(
-                None, _pack_batch, payloads, self.shm_min_nodes
+                None, _pack_batch, requests, self.shm_min_nodes
             )
             try:
                 packed = await pack_future
@@ -388,7 +403,7 @@ class WorkerPool:
                 shm, stripped = packed
                 try:
                     return await loop.run_in_executor(
-                        self._executor, execute_many_shm, shm.name, stripped, True
+                        executor, execute_many, stripped, True, shm.name
                     )
                 finally:
                     # The worker copied the blob out before returning, so
@@ -399,7 +414,7 @@ class WorkerPool:
         # inline threads share one interpreter, where seeding is a race.
         self._pickle_batch_counter.inc()
         return await loop.run_in_executor(
-            self._executor, execute_many, payloads, self.jobs >= 1
+            executor, execute_many, requests, self.jobs >= 1
         )
 
     def shutdown(self) -> None:

@@ -4,8 +4,8 @@ Request lifecycle::
 
     POST /v1/submit ── validate ── dedup ──► admission queue ──► dispatcher
                           │          │                               │
-                       400 + code    │ identical in-flight?          │ micro-batch
-                                     │   await its future            ▼ (window, max size)
+                       400 + code    │ identical in-flight?          │ ready set
+                                     │   await its future            ▼ (≤ max size)
                                      │ result cache hit?          WorkerPool
                                      │   answer immediately      (processes)
                                      └ queue full? 429               │
@@ -14,11 +14,12 @@ Request lifecycle::
 
 Four mechanisms do the heavy lifting:
 
-* **Micro-batching** — the dispatcher drains the admission queue for a
-  short window (``batch_window_ms``) and ships the whole batch to a
-  worker in one executor call, amortising pickle/IPC overhead exactly
-  when load is high (an idle service dispatches singletons with no
-  added latency beyond the window).
+* **Micro-batching** — the moment a worker is free, the dispatcher
+  ships it everything already waiting in the admission queue (up to
+  ``max_batch``) in one executor call; it never waits for more to
+  arrive.  While every worker is busy, requests queue up, so batches
+  grow exactly when load is high and pickle/IPC overhead needs
+  amortising — and an idle service dispatches a lone request at once.
 * **Cache-backed dedup** — every request is content-addressed (see
   :mod:`repro.service.protocol`); an identical *in-flight* request
   coalesces onto the same future, and an identical *completed* request
@@ -47,9 +48,10 @@ execution too.
 
 Two content types share ``/v1/submit`` (see :mod:`repro.service.wire`):
 JSON, and the length-framed binary protocol negotiated per request via
-``Content-Type`` / ``Accept``.  Binary submissions decode straight into
-trusted prebuilt tree columns — no JSON parse, no per-element
-re-validation — which is where the burst-throughput headroom lives.
+``Content-Type`` / ``Accept``.  Either way a request is validated
+once, here — binary submissions straight off their int64 columns, with
+no JSON parse — and the typed request object is what the queue and the
+workers carry on.
 Connections are HTTP/1.1 keep-alive with request pipelining: responses
 are written strictly in request order by a per-connection writer, while
 up to ``max_pipeline`` requests from the same connection are in flight
@@ -67,7 +69,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from ..api.requests import ENGINE_VERSION
+from ..api.requests import ENGINE_VERSION, Request
 from ..datasets.store import ResultCache
 from ..obs.metrics import Histogram, MetricsRegistry
 from .pool import WorkerPool
@@ -97,6 +99,9 @@ __all__ = [
     "running_server",
 ]
 
+#: an admission-queue entry: (request, enqueue perf_counter, timings|None)
+_Entry = tuple[Request, float, dict[str, float] | None]
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -120,7 +125,6 @@ class ServerConfig:
     workers: int = 2  # worker processes; 0 = in-process threads (tests)
     inline_threads: int = 1  # concurrency when workers == 0
     queue_limit: int = 64  # admission-queue capacity (backpressure bound)
-    batch_window_ms: float = 5.0  # how long the dispatcher waits to fill a batch
     max_batch: int = 16  # requests per micro-batch
     request_timeout: float = 60.0  # default per-request deadline (seconds)
     max_body_bytes: int = 16 * 1024 * 1024
@@ -385,6 +389,11 @@ class ServiceServer:
         self.cache = cache if cache is not None else (
             ResultCache(config.cache_dir) if config.cache_dir else None
         )
+        # Every server owns its registry: scrapes and tests see exactly
+        # this instance's traffic, never another server's in the same
+        # process (the library surfaces share the module-global one).
+        # A pool the server builds counts its batches and restarts here.
+        self.registry = MetricsRegistry()
         if pool is None:
             kwargs = {}
             if config.shm_min_nodes >= 0:
@@ -393,13 +402,10 @@ class ServiceServer:
                 config.workers,
                 inline_threads=config.inline_threads,
                 shm_transport=config.shm_transport,
+                registry=self.registry,
                 **kwargs,
             )
         self.pool = pool
-        # Every server owns its registry: scrapes and tests see exactly
-        # this instance's traffic, never another server's in the same
-        # process (the library surfaces share the module-global one).
-        self.registry = MetricsRegistry()
         self.metrics = ServiceMetrics(
             self.registry, enabled=config.observability
         )
@@ -412,10 +418,7 @@ class ServiceServer:
             lambda: len(self._inflight)
         )
         self.port: int | None = None  # bound port, set by start()
-        # queue items: (key, payload, enqueue perf_counter, timings|None)
-        self._queue: asyncio.Queue[
-            tuple[str, dict[str, Any], float, dict[str, float] | None]
-        ] | None = None
+        self._queue: asyncio.Queue[_Entry] | None = None
         self._inflight: dict[str, asyncio.Future] = {}
         self._server: asyncio.AbstractServer | None = None
         self._dispatcher: asyncio.Task | None = None
@@ -488,43 +491,39 @@ class ServiceServer:
     # ------------------------------------------------------------------ #
 
     async def _dispatch_loop(self) -> None:
+        """Give each free worker slot the ready set, without waiting.
+
+        The loop blocks on a slot first, then on the first request; the
+        batch is that request plus whatever else is queued at that
+        moment.  While every slot is busy, arrivals wait in the queue —
+        that is where batches form.
+        """
         assert self._queue is not None and self._batch_slots is not None
-        loop = asyncio.get_running_loop()
-        window = self.config.batch_window_ms / 1000.0
         while True:
             await self._batch_slots.acquire()
             try:
-                first = await self._queue.get()
+                batch = [await self._queue.get()]
             except asyncio.CancelledError:
                 self._batch_slots.release()
                 raise
-            batch = [first]
-            deadline = loop.time() + window
             while len(batch) < self.config.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
                 try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
+                    batch.append(self._queue.get_nowait())
+                except asyncio.QueueEmpty:
                     break
             task = asyncio.create_task(self._run_batch(batch))
             self._batch_tasks.add(task)
             task.add_done_callback(self._batch_tasks.discard)
 
-    async def _run_batch(
-        self,
-        batch: list[tuple[str, dict[str, Any], float, dict[str, float] | None]],
-    ) -> None:
+    async def _run_batch(self, batch: list[_Entry]) -> None:
         assert self._batch_slots is not None and self._writeback_slots is not None
         t_batch = time.perf_counter()
         holds_batch_slot = True
         try:
-            payloads = [payload for _, payload, _, _ in batch]
             try:
-                envelopes = await self.pool.run_batch(payloads)
+                envelopes = await self.pool.run_batch(
+                    [request for request, _, _ in batch]
+                )
             except Exception as exc:  # pool death is an internal error
                 envelopes = [
                     error_envelope("internal", f"worker pool failure: {exc}")
@@ -551,38 +550,42 @@ class ServiceServer:
                 self._batch_slots.release()
 
     async def _finish_request(
-        self,
-        entry: tuple[str, dict[str, Any], float, dict[str, float] | None],
-        envelope: dict[str, Any],
-        t_batch: float,
+        self, entry: _Entry, envelope: dict[str, Any], t_batch: float
     ) -> None:
         """Write one computed entry back, then answer its waiters.
 
         The reply waits for its own entry only: a 200 still means "on
         disk", while the batch's other entries are written concurrently.
+        Whatever the write-back does, the future is resolved and the key
+        leaves the in-flight table — a stranded future would hold its
+        request (and every identical one after it) until the deadline.
         """
-        key, _, enqueued_at, timings = entry
-        if envelope.get("ok") and self.cache is not None:
-            # timings never reach the cache: stage breakdowns are
-            # provenance of *this* execution, not of the result
-            self._memo_put(key, envelope["result"])
-            try:
-                # off the loop: a slow disk stalls this write-back, not
-                # every open connection
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self.cache.put, key, envelope["result"]
-                )
-            except OSError:
-                # a full disk must not take the service down
-                self.metrics.inc_cache_write_errors()
-        if timings is not None and envelope.get("ok"):
-            merged = dict(envelope.get("timings") or {})
-            merged.update(timings)
-            merged["queue"] = t_batch - enqueued_at
-            envelope = dict(envelope, timings=merged)
-        future = self._inflight.pop(key, None)
-        if future is not None and not future.done():
-            future.set_result(envelope)
+        request, enqueued_at, timings = entry
+        key = request.key()
+        try:
+            if envelope.get("ok") and self.cache is not None:
+                # timings never reach the cache: stage breakdowns are
+                # provenance of *this* execution, not of the result
+                self._memo_put(key, envelope["result"])
+                try:
+                    # off the loop: a slow disk stalls this write-back,
+                    # not every open connection
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, self.cache.put, key, envelope["result"]
+                    )
+                except Exception:
+                    # a full disk (or a broken cache) must not take the
+                    # service down; the answer is still correct
+                    self.metrics.inc_cache_write_errors()
+            if timings is not None and envelope.get("ok"):
+                merged = dict(envelope.get("timings") or {})
+                merged.update(timings)
+                merged["queue"] = t_batch - enqueued_at
+                envelope = dict(envelope, timings=merged)
+        finally:
+            future = self._inflight.pop(key, None)
+            if future is not None and not future.done():
+                future.set_result(envelope)
 
     # ------------------------------------------------------------------ #
     # request handling
@@ -776,9 +779,7 @@ class ServiceServer:
         # 3) admit into the bounded queue (or reject: backpressure)
         assert self._queue is not None
         try:
-            self._queue.put_nowait(
-                (key, request.to_payload(), time.perf_counter(), timings)
-            )
+            self._queue.put_nowait((request, time.perf_counter(), timings))
         except asyncio.QueueFull:
             self.metrics.inc_rejected()
             # resolves the future too: coalesced waiters share the 429

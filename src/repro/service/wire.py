@@ -68,9 +68,12 @@ import numpy as np
 
 from ..api.errors import ProtocolError
 from ..api.outcome import PROTOCOL_VERSION
-from ..api.requests import ENGINE_VERSION, MAX_NODES, Request, parse_request
-from ..core.arraytree import _MAX_TOTAL_WEIGHT
-from ..core.tree import TaskTree, TreeError
+from ..api.requests import (
+    ENGINE_VERSION,
+    Request,
+    check_tree_columns,
+    parse_request,
+)
 
 __all__ = [
     "FRAME_REQUEST",
@@ -428,71 +431,19 @@ def decode_request_frame(data) -> tuple[dict[str, Any], np.ndarray, np.ndarray]:
     return fields, parents, weights
 
 
-def _validate_columns(p: np.ndarray, w: np.ndarray) -> None:
-    """Accept exactly the trees :class:`~repro.core.arraytree.ArrayTree`
-    accepts, in a fraction of the time.
-
-    The columns arrive as int64 buffer views straight off the frame, so
-    the element-type conversion ArrayTree would re-run is already done;
-    what remains is the structural contract — non-negative weights,
-    total within the flat engine's int64 budget, exactly one root,
-    parents in range, acyclic (which, with every chain ending at the
-    single root, is connectivity too).  Acyclicity is checked by
-    pointer doubling: ``anc`` holds each node's ``2^k``-step ancestor,
-    so after ``ceil(log2 n)`` rounds every acyclic chain has run off
-    the root into ``-1`` and only cycle members still point at a node.
-    """
-    n = len(p)
-    if n == 0:
-        raise TreeError("a task tree needs at least one node")
-    if bool(np.any(w < 0)):
-        raise TreeError("negative weight")
-    if float(np.sum(w, dtype=np.float64)) > _MAX_TOTAL_WEIGHT:
-        raise TreeError("total weight exceeds the array engine's budget")
-    if int(np.count_nonzero(p == -1)) != 1:
-        raise TreeError("need exactly one root (parent -1)")
-    if bool(np.any((p < -1) | (p >= n))):
-        raise TreeError("out-of-range parent")
-    anc = np.empty(n + 1, dtype=np.int64)
-    np.copyto(anc[:n], np.where(p >= 0, p, n))  # -1 → the sentinel slot
-    anc[n] = n  # the sentinel absorbs finished chains
-    step = 1
-    while step < n:
-        anc = anc[anc]
-        step *= 2
-    if bool(np.any(anc[:n] != n)):
-        raise TreeError("parent links contain a cycle")
-
-
 def request_from_frame(data) -> Request:
     """Decode **and validate** a request frame into a typed request.
 
-    This is the server's binary fast path: the tree is validated once,
-    vectorised, by :func:`_validate_columns` (falling back to the object
-    tree's validator for the rare inputs the flat engine refuses, e.g.
-    weight totals beyond int64 headroom, so the two encodings accept
-    exactly the same trees) and then handed to
-    :func:`~repro.api.requests.parse_request` as a *trusted* column
-    pair — no JSON, no per-element type checks, no second validation.
+    This is the server's binary fast path: the tree's int64 views are
+    validated once, vectorised, by
+    :func:`~repro.api.requests.check_tree_columns` — the same check, and
+    the same ``invalid_tree`` messages, as the JSON path — and then
+    handed to :func:`~repro.api.requests.parse_request` as a *trusted*
+    column pair: no JSON, no per-element type checks, no second
+    validation.
     """
     fields, parents, weights = decode_request_frame(data)
-    if len(parents) > MAX_NODES:
-        raise ProtocolError(
-            "payload_too_large",
-            f"tree has {len(parents)} nodes > service limit {MAX_NODES}; "
-            "use the offline batch engine for bulk workloads",
-        )
-    try:
-        _validate_columns(parents, weights)
-    except TreeError:
-        try:
-            TaskTree(parents.tolist(), weights.tolist())
-        except TreeError as exc:
-            raise ProtocolError("invalid_tree", str(exc)) from exc
-    return parse_request(
-        fields,
-        trusted_tree=(tuple(parents.tolist()), tuple(weights.tolist())),
-    )
+    return parse_request(fields, trusted_tree=check_tree_columns(parents, weights))
 
 
 def encode_response_frame(envelope: Mapping[str, Any]) -> bytes:

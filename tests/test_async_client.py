@@ -230,8 +230,7 @@ class TestConnectionLifecycles:
 class TestErrorTaxonomy:
     def test_queue_full_surfaces_as_429(self, tmp_path, slow_algorithm):
         config = ServerConfig(
-            port=0, workers=0, inline_threads=1, queue_limit=1,
-            max_batch=1, batch_window_ms=0.5,
+            port=0, workers=0, inline_threads=1, queue_limit=1, max_batch=1,
         )
         with ServerThread(config) as thread:
             async def run():

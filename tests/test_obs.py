@@ -468,16 +468,17 @@ class TestWorkerPoolCounters:
     def test_pool_batches_count_into_registry(self):
         import asyncio as _asyncio
 
+        from repro.api import parse_request
         from repro.service.pool import WorkerPool
 
         registry = MetricsRegistry()
         pool = WorkerPool(0, registry=registry)
         try:
-            payload = {
+            request = parse_request({
                 "kind": "solve", "tree": TREE_DICT, "memory": 6,
                 "algorithm": "PostOrderMinIO",
-            }
-            envelopes = _asyncio.run(pool.run_batch([payload]))
+            })
+            envelopes = _asyncio.run(pool.run_batch([request]))
             assert envelopes[0]["ok"] is True
         finally:
             pool.shutdown()

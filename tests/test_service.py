@@ -9,6 +9,8 @@ visible to the workers and backpressure can be provoked deterministically.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import threading
 import time
 
@@ -135,6 +137,46 @@ def slow_algorithm():
         register_algorithm(name, _slow_strategy)
     yield name
     ALGORITHMS.pop(name, None)
+
+
+_GATE = threading.Event()
+
+
+def _gated_strategy(tree, memory):
+    assert _GATE.wait(30), "test gate never opened"
+    return get_algorithm("OptMinMem")(tree, memory)
+
+
+@pytest.fixture
+def gated_algorithm():
+    """A strategy that holds its worker until the test opens the gate."""
+    name = "TestGatedService"
+    _GATE.clear()
+    if name not in ALGORITHMS:
+        register_algorithm(name, _gated_strategy)
+    yield name, _GATE
+    _GATE.set()  # never leave a worker thread blocked
+    ALGORITHMS.pop(name, None)
+
+
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def _record_batch_sizes(pool):
+    """Wrap ``pool.run_batch``; returns the list of batch sizes it saw."""
+    sizes = []
+    run_batch = pool.run_batch
+
+    async def recording_run_batch(batch):
+        sizes.append(len(batch))
+        return await run_batch(batch)
+
+    pool.run_batch = recording_run_batch
+    return sizes
 
 
 @pytest.fixture
@@ -352,7 +394,6 @@ class TestBackpressureAndTimeouts:
             inline_threads=1,  # one busy worker ...
             queue_limit=1,  # ... and a single queue slot
             max_batch=1,
-            batch_window_ms=0.5,
         )
         with ServerThread(config, cache=ResultCache(tmp_path / "cache")) as thread:
             client = ServiceClient(port=thread.port, timeout=30.0)
@@ -440,47 +481,62 @@ class TestSharedMemoryTransport:
         assert trusted.key() is trusted.key()
 
     def test_pack_and_execute_in_process(self):
+        import pickle
+
         from repro.service.pool import (
             _pack_batch,
             _release_shm,
-            execute_many_shm,
+            execute_many,
             execute_payload,
         )
 
         payloads = self._payloads()
-        packed = _pack_batch(payloads)
+        requests = [parse_request(p) for p in payloads]
+        packed = _pack_batch(requests)
         assert packed is not None
         shm, stripped = packed
         try:
-            assert [p["tree"] for p in stripped] == [
-                {"shm": 0},
-                {"shm": 1},
-                {"shm": 2},
+            # the columns ride the segment; the requests travel without
+            # them, carrying the key the server derived
+            assert all(r.parents == () and r.weights == () for r in stripped)
+            shipped = pickle.loads(pickle.dumps(stripped))
+            assert [r.__dict__["_cached_key"] for r in shipped] == [
+                r.key() for r in requests
             ]
-            got = execute_many_shm(shm.name, stripped, True)
+            got = execute_many(shipped, True, shm.name)
         finally:
             _release_shm(shm)
         assert got == [execute_payload(p, seed_rng=True) for p in payloads]
         assert all(envelope["ok"] for envelope in got)
 
     def test_invalid_scalars_still_rejected_on_shm_path(self):
-        from repro.service.pool import _pack_batch, _release_shm, execute_many_shm
+        import dataclasses
 
-        bad = _request(algorithm="NoSuchAlgorithm")
+        from repro.service.pool import _pack_batch, _release_shm, execute_many
+
+        # scalars are validated once, before anything is packed ...
+        with pytest.raises(ProtocolError) as err:
+            parse_request(_request(algorithm="NoSuchAlgorithm"))
+        assert err.value.code == "unknown_algorithm"
+        # ... and a request built around that check still fails alone
+        bad = dataclasses.replace(
+            parse_request(_request()), algorithm="NoSuchAlgorithm"
+        )
         packed = _pack_batch([bad])
         assert packed is not None
         shm, stripped = packed
         try:
-            (envelope,) = execute_many_shm(shm.name, stripped, True)
+            (envelope,) = execute_many(stripped, True, shm.name)
         finally:
             _release_shm(shm)
         assert envelope["ok"] is False
-        assert envelope["error"]["code"] == "unknown_algorithm"
+        assert "NoSuchAlgorithm" in envelope["error"]["message"]
 
     def test_lost_segment_degrades_to_error_envelopes(self):
-        from repro.service.pool import execute_many_shm
+        from repro.service.pool import execute_many
 
-        out = execute_many_shm("psm_repro_gone_missing", [{"tree": {"shm": 0}}] * 2)
+        stripped = [parse_request(_request())] * 2
+        out = execute_many(stripped, True, "psm_repro_gone_missing")
         assert [e["error"]["code"] for e in out] == ["internal", "internal"]
 
     def test_worker_pool_round_trip_and_fallback(self):
@@ -490,16 +546,17 @@ class TestSharedMemoryTransport:
 
         payloads = self._payloads()
         expected = [execute_payload(p, seed_rng=True) for p in payloads]
+        requests = [parse_request(p) for p in payloads]
 
         async def drive():
             pool = WorkerPool(jobs=1, shm_min_nodes=0)
             assert pool.shm_transport
             try:
                 pool.warm_up()
-                assert await pool.run_batch(payloads) == expected
+                assert await pool.run_batch(requests) == expected
                 assert pool.shm_batches == 1
                 pool.shm_transport = False  # pickle fallback, same envelopes
-                assert await pool.run_batch(payloads) == expected
+                assert await pool.run_batch(requests) == expected
                 assert pool.shm_batches == 1
             finally:
                 pool.shutdown()
@@ -510,9 +567,9 @@ class TestSharedMemoryTransport:
         """Below the node floor a segment cannot pay for itself."""
         from repro.service.pool import _pack_batch, _release_shm
 
-        payloads = self._payloads()  # ~800 nodes total
-        assert _pack_batch(payloads, min_nodes=100_000) is None
-        packed = _pack_batch(payloads, min_nodes=0)
+        requests = [parse_request(p) for p in self._payloads()]  # ~800 nodes
+        assert _pack_batch(requests, min_nodes=100_000) is None
+        packed = _pack_batch(requests, min_nodes=0)
         assert packed is not None
         _release_shm(packed[0])
 
@@ -601,50 +658,49 @@ class TestLargeRequestTreePath:
 
 
 class TestShmBudgetFallback:
-    def test_over_budget_batches_take_the_pickle_path(self):
-        """Trees the forest rebuild would reject must not be packed."""
-        from repro.service.pool import _pack_batch
+    def test_beyond_int64_batches_take_the_pickle_path(self):
+        """Only int64 columns fit the segment; the object tree takes the rest."""
+        from repro.service.pool import _pack_batch, _release_shm
 
-        big = 2**61
-        payload = {
-            "kind": "solve",
-            "tree": {"parents": [-1, 0, 0], "weights": [big, big, big]},
-            "memory": 1,
-            "algorithm": "PostOrderMinIO",
-        }
-        assert _pack_batch([payload], min_nodes=0) is None
-        huge = {
+        big = 2**61  # int64, though the three sum past the flat budget
+        over_budget = SolveRequest(
+            parents=(-1, 0, 0), weights=(big, big, big), memory=1,
+            algorithm="PostOrderMinIO",
+        )
+        packed = _pack_batch([over_budget], min_nodes=0)
+        assert packed is not None  # the worker builds a TaskTree: no budget
+        _release_shm(packed[0])
+        huge = parse_request({
             "kind": "solve",
             "tree": {"parents": [-1, 0], "weights": [2**70, 2**70]},
             "memory": 1,
             "algorithm": "PostOrderMinIO",
-        }
+        })
         assert _pack_batch([huge], min_nodes=0) is None  # beyond int64
 
     def test_over_budget_request_still_served(self):
-        """End to end: the fallback must answer, not poison the batch."""
+        """End to end: the over-budget tree is answered, not poisoned."""
         import asyncio
 
-        from repro.service.pool import WorkerPool, execute_payload
+        from repro.service.pool import WorkerPool, execute_many
 
         big = 2**61
-        payloads = [
-            {
-                "kind": "solve",
-                "tree": {"parents": [-1, 0, 0], "weights": [big, big, big]},
-                "memory": 3 * big,
-                "algorithm": "PostOrderMinIO",
-            },
-            _request(),
+        requests = [
+            SolveRequest(
+                parents=(-1, 0, 0), weights=(big, big, big), memory=3 * big,
+                algorithm="PostOrderMinIO",
+            ),
+            parse_request(_request()),
         ]
-        expected = [execute_payload(p, seed_rng=True) for p in payloads]
+        expected = execute_many(requests, True)
+        assert all(envelope["ok"] for envelope in expected)
 
         async def drive():
             pool = WorkerPool(jobs=1, shm_min_nodes=0)
             try:
                 pool.warm_up()
-                assert await pool.run_batch(payloads) == expected
-                assert pool.shm_batches == 0  # budget guard said pickle
+                assert await pool.run_batch(requests) == expected
+                assert pool.shm_batches == 1
             finally:
                 pool.shutdown()
 
@@ -681,26 +737,33 @@ class TestPerRequestGuard:
     def test_execute_many(self, boom_algorithm):
         from repro.service.pool import execute_many
 
-        envelopes = execute_many([_request(), _request(algorithm=boom_algorithm)])
+        envelopes = execute_many([
+            parse_request(_request()),
+            parse_request(_request(algorithm=boom_algorithm)),
+        ])
         self._assert_good_and_bad(envelopes)
 
     def test_execute_many_shm(self, boom_algorithm):
-        from repro.service.pool import _pack_batch, _release_shm, execute_many_shm
+        from repro.service.pool import _pack_batch, _release_shm, execute_many
 
-        packed = _pack_batch([_request(), _request(algorithm=boom_algorithm)])
+        packed = _pack_batch([
+            parse_request(_request()),
+            parse_request(_request(algorithm=boom_algorithm)),
+        ])
         assert packed is not None
         shm, stripped = packed
         try:
-            envelopes = execute_many_shm(shm.name, stripped, True)
+            envelopes = execute_many(stripped, True, shm.name)
         finally:
             _release_shm(shm)
         self._assert_good_and_bad(envelopes)
 
-    def test_batch_mates_of_a_failing_request_get_200(self, tmp_path, boom_algorithm):
-        config = ServerConfig(
-            port=0, workers=0, inline_threads=1, batch_window_ms=500.0
-        )
+    def test_batch_mates_of_a_failing_request_get_200(
+        self, tmp_path, boom_algorithm, gated_algorithm
+    ):
+        config = ServerConfig(port=0, workers=0, inline_threads=1)
         with ServerThread(config, cache=ResultCache(tmp_path / "cache")) as thread:
+            sizes = _record_batch_sizes(thread.server.pool)
             client = ServiceClient(port=thread.port, timeout=30.0)
             assert client.wait_ready(15)
             outcomes = {}
@@ -711,6 +774,13 @@ class TestPerRequestGuard:
                 except ServiceError as exc:
                     outcomes[name] = ("error", exc)
 
+            # the single worker is busy, so the pair queues up together
+            name, gate = gated_algorithm
+            busy = threading.Thread(
+                target=send, args=("busy", _request(algorithm=name))
+            )
+            busy.start()
+            _wait_for(lambda: sizes == [1])
             threads = [
                 threading.Thread(target=send, args=("good", _request())),
                 threading.Thread(
@@ -719,9 +789,12 @@ class TestPerRequestGuard:
             ]
             for t in threads:
                 t.start()
-            for t in threads:
+            _wait_for(lambda: thread.server._queue.qsize() == 2)
+            gate.set()
+            for t in [busy, *threads]:
                 t.join(30)
-            assert thread.server.metrics.batches == 1  # one micro-batch
+            assert sizes == [1, 2]
+            assert thread.server.metrics.batches == 2  # the pair shared one
         kind, good = outcomes["good"]
         assert kind == "ok" and good["ok"] is True
         kind, bad = outcomes["bad"]
@@ -752,9 +825,7 @@ class TestWriteBackOffDispatchSlot:
     def test_next_batch_reaches_the_pool_during_write_back(self, tmp_path):
         events = []
         cache = _SlowCache(tmp_path / "cache", events, delay=0.4)
-        config = ServerConfig(
-            port=0, workers=0, inline_threads=1, max_batch=1, batch_window_ms=1.0
-        )
+        config = ServerConfig(port=0, workers=0, inline_threads=1, max_batch=1)
         payloads = [_request(memory=6), _request(memory=7)]
         keys = [parse_request(p).key() for p in payloads]
         with ServerThread(config, cache=cache) as thread:
@@ -762,8 +833,7 @@ class TestWriteBackOffDispatchSlot:
             run_batch = pool.run_batch
 
             async def recording_run_batch(batch):
-                events.append(("dispatched", parse_request(batch[0]).key(),
-                               time.perf_counter()))
+                events.append(("dispatched", batch[0].key(), time.perf_counter()))
                 return await run_batch(batch)
 
             pool.run_batch = recording_run_batch
@@ -794,17 +864,14 @@ class TestWriteBackOffDispatchSlot:
     def test_write_backs_stay_bounded_by_pool_concurrency(self, tmp_path):
         events = []
         cache = _SlowCache(tmp_path / "cache", events, delay=0.3)
-        config = ServerConfig(
-            port=0, workers=0, inline_threads=1, max_batch=1, batch_window_ms=1.0
-        )
+        config = ServerConfig(port=0, workers=0, inline_threads=1, max_batch=1)
         payloads = [_request(memory=m) for m in (6, 7, 8)]
         with ServerThread(config, cache=cache) as thread:
             pool = thread.server.pool
             run_batch = pool.run_batch
 
             async def recording_run_batch(batch):
-                events.append(("dispatched", parse_request(batch[0]).key(),
-                               time.perf_counter()))
+                events.append(("dispatched", batch[0].key(), time.perf_counter()))
                 return await run_batch(batch)
 
             pool.run_batch = recording_run_batch
@@ -822,3 +889,223 @@ class TestWriteBackOffDispatchSlot:
         assert len(dispatched) == len(written) == 3
         # one write-back slot: the third batch waits for the first write
         assert dispatched[2] > written[0]
+
+
+# --------------------------------------------------------------------- #
+# work-conserving dispatch: a free worker gets the ready set at once
+# --------------------------------------------------------------------- #
+
+
+class TestWorkConservingDispatch:
+    def test_lone_request_dispatches_without_a_timed_wait(self, monkeypatch):
+        import asyncio
+
+        timed_queue_waits = []
+        wait_for = asyncio.wait_for
+
+        def guarded_wait_for(awaitable, timeout):
+            if getattr(awaitable, "cr_code", None) is asyncio.Queue.get.__code__:
+                timed_queue_waits.append(timeout)
+                awaitable.close()
+                raise AssertionError("the dispatcher waited for more requests")
+            return wait_for(awaitable, timeout)
+
+        monkeypatch.setattr(asyncio, "wait_for", guarded_wait_for)
+        config = ServerConfig(port=0, workers=0, inline_threads=1)
+        with ServerThread(config) as thread:
+            sizes = _record_batch_sizes(thread.server.pool)
+            client = ServiceClient(port=thread.port, timeout=30.0)
+            assert client.wait_ready(15)
+            envelope = client.submit(_request(timeout=5))
+        assert envelope["ok"] is True
+        assert sizes == [1]
+        assert timed_queue_waits == []
+
+    def test_requests_queued_behind_a_busy_worker_leave_as_one_batch(
+        self, gated_algorithm
+    ):
+        name, gate = gated_algorithm
+        config = ServerConfig(port=0, workers=0, inline_threads=1)
+        with ServerThread(config) as thread:
+            sizes = _record_batch_sizes(thread.server.pool)
+            client = ServiceClient(port=thread.port, timeout=30.0)
+            assert client.wait_ready(15)
+            busy = threading.Thread(
+                target=client.submit, args=(_request(algorithm=name),)
+            )
+            busy.start()
+            _wait_for(lambda: sizes == [1])
+            queued = [
+                threading.Thread(target=client.submit, args=(_request(memory=m),))
+                for m in (7, 8, 9)
+            ]
+            for t in queued:
+                t.start()
+            _wait_for(lambda: thread.server._queue.qsize() == 3)
+            gate.set()
+            for t in [busy, *queued]:
+                t.join(30)
+            assert sizes == [1, 3]
+            assert thread.server.metrics.computed == 4
+
+    def test_pool_path_neither_parses_nor_rekeys(self, monkeypatch):
+        import asyncio
+
+        import repro.api.requests as requests_module
+        import repro.service.pool as pool_module
+        from repro.service.pool import WorkerPool
+
+        requests = [parse_request(_request(memory=m)) for m in (6, 7)]
+        keys = [r.key() for r in requests]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pool path must not parse or re-key")
+
+        monkeypatch.setattr(pool_module, "parse_request", refuse)
+        monkeypatch.setattr(requests_module, "parse_request", refuse)
+        monkeypatch.setattr(requests_module, "cache_key_buffers", refuse)
+        pool = WorkerPool(0)
+        try:
+            envelopes = asyncio.run(pool.run_batch(requests))
+        finally:
+            pool.shutdown()
+        assert [e["ok"] for e in envelopes] == [True, True]
+        assert [e["key"] for e in envelopes] == keys
+
+
+# --------------------------------------------------------------------- #
+# validation happens once, vectorised, with TaskTree's messages
+# --------------------------------------------------------------------- #
+
+
+class TestValidateOnce:
+    #: the messages both encodings gave before the vectorised check
+    #: (TaskTree's), pinned byte for byte
+    MALFORMED = [
+        ([-1, -1, 0], [1, 1, 1], "two roots: 0 and 1"),
+        ([-1, 2, 1], [1, 1, 1], "graph is not connected / contains a cycle"),
+        ([-1, 5], [1, 1], "node 1 has out-of-range parent 5"),
+        ([-1, 0], [1, -2], "weight of node 1 is negative: -2"),
+    ]
+
+    @pytest.mark.parametrize("parents, weights, message", MALFORMED)
+    def test_invalid_tree_messages_match_on_both_encodings(
+        self, parents, weights, message
+    ):
+        from repro.service.wire import encode_request_frame, request_from_frame
+
+        payload = _request(tree={"parents": parents, "weights": weights})
+        for decode in (
+            parse_request,
+            lambda p: request_from_frame(encode_request_frame(p)),
+        ):
+            with pytest.raises(ProtocolError) as err:
+                decode(payload)
+            assert err.value.code == "invalid_tree"
+            assert err.value.message == message
+
+    def test_weights_beyond_int64_are_accepted(self):
+        request = parse_request(
+            _request(tree={"parents": [-1, 0], "weights": [2**70, 1]})
+        )
+        assert request.weights == (2**70, 1)
+
+    def test_trees_beyond_the_flat_budget_are_solved(self):
+        """A chain whose weights sum past int64 passes both encodings."""
+        from repro.api import LocalBackend
+        from repro.service.wire import encode_request_frame, request_from_frame
+
+        n = 10_000
+        weight = 10**15  # each fits int64; their sum does not
+        payload = _request(
+            tree={"parents": [-1] + list(range(n - 1)), "weights": [weight] * n},
+            memory=weight,
+            algorithm="PostOrderMinIO",
+        )
+        json_request = parse_request(payload)
+        frame_request = request_from_frame(encode_request_frame(payload))
+        assert json_request == frame_request
+        outcome = LocalBackend().submit(json_request)
+        assert outcome.ok and outcome.result["io_volume"] == 0
+
+    def test_no_tree_object_is_kept_on_the_request(self):
+        request = parse_request(_request())
+        assert not hasattr(request, "validated_tree")
+        assert "_validated_tree" not in request.__dict__
+
+
+# --------------------------------------------------------------------- #
+# write-back failures and dead workers: answered, never stranded
+# --------------------------------------------------------------------- #
+
+
+class _BrokenCache(ResultCache):
+    """A cache whose writes fail with something other than OSError."""
+
+    def put(self, key, value):
+        raise ValueError("cache backend is broken")
+
+
+class TestFailureRecovery:
+    @pytest.mark.parametrize("memo_entries", [0, 4096])
+    def test_failed_write_back_still_answers(self, tmp_path, memo_entries):
+        config = ServerConfig(
+            port=0, workers=0, inline_threads=1, memo_entries=memo_entries
+        )
+        with ServerThread(config, cache=_BrokenCache(tmp_path / "cache")) as thread:
+            client = ServiceClient(port=thread.port, timeout=30.0)
+            assert client.wait_ready(15)
+            t0 = time.monotonic()
+            first = client.submit(_request(timeout=2))
+            again = client.submit(_request(timeout=2))
+            elapsed = time.monotonic() - t0
+            server = thread.server
+            assert first["ok"] is True and again["ok"] is True
+            assert elapsed < 2.0  # answered, not timed out
+            assert len(server._inflight) == 0
+            # with the memo on, the repeat is a memo hit and writes nothing
+            writes = 2 if memo_entries == 0 else 1
+            assert server._metrics_body()["cache"]["write_errors"] == writes
+
+    def test_killed_worker_process_is_replaced(self):
+        config = ServerConfig(port=0, workers=1)
+        with ServerThread(config) as thread:
+            client = ServiceClient(port=thread.port, timeout=60.0)
+            assert client.wait_ready(30)
+            assert client.submit(_request())["ok"] is True
+            pool = thread.server.pool
+            for pid in list(pool._executor._processes):
+                os.kill(pid, signal.SIGKILL)
+            envelope = client.submit(_request(memory=7))
+            assert envelope["ok"] is True
+            assert pool.restarts == 1
+            restarts = thread.server.registry.counter("pool_restarts_total")
+            assert restarts.value == 1
+            assert client.health()["ok"] is True
+
+    def test_a_second_break_in_a_row_answers_internal(self, worker_killer):
+        config = ServerConfig(port=0, workers=1)
+        with ServerThread(config) as thread:
+            client = ServiceClient(port=thread.port, timeout=60.0)
+            assert client.wait_ready(30)
+            with pytest.raises(ServiceError) as err:
+                client.submit(_request(algorithm=worker_killer))
+            assert err.value.status == 500 and err.value.code == "internal"
+            assert thread.server.pool.restarts == 1  # one retry, not a loop
+            # the next batch gets a fresh executor and its answer
+            assert client.submit(_request())["ok"] is True
+            assert thread.server.pool.restarts == 2
+
+
+def _kill_own_worker(tree, memory):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.fixture
+def worker_killer():
+    """A strategy that kills the worker process running it (fork start)."""
+    name = "TestWorkerKiller"
+    if name not in ALGORITHMS:
+        register_algorithm(name, _kill_own_worker)
+    yield name
+    ALGORITHMS.pop(name, None)
