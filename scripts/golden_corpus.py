@@ -11,8 +11,8 @@ cross-validation families of ``tests/test_kernel_crossval.py`` (same
 ``BASE_SEED`` instances, a prefix of every size band, each on its memory
 grid): the I/O volume plus sha256 digests of the schedule and of the
 I/O function, and for ``RecExpand``/``FullRecExpand`` the
-``RecExpandResult`` counters.  It also pins all four victim rules on a
-subset, weights beyond int64, the paper's figure instances, and the
+``RecExpandResult`` counters.  It also pins all four victim rules and
+the while-loop caps 0, 1 and 4 on a subset, weights beyond int64, the paper's figure instances, and the
 ``InfeasibleSchedule`` / ``ExpansionLimitExceeded`` messages.
 
 ``tests/test_golden_corpus.py`` recomputes :func:`compute_corpus` and
@@ -148,6 +148,18 @@ def compute_corpus() -> dict[str, Any]:
                     **_solve(tree, memory, strategy, victim_rule=rule),
                 })
 
+    # FullRecExpand's capped variants (residual I/O left to FiF), at each
+    # subset tree's lowest and mid memory
+    caps = []
+    for label, tree in subset:
+        memories = _memories(tree)
+        for memory in (memories[0], memories[len(memories) // 2]):
+            for cap in (0, 1, 4):
+                caps.append({
+                    "label": label, "memory": memory, "cap": cap,
+                    **_solve(tree, memory, "FullRecExpand", iteration_cap=cap),
+                })
+
     huge = [
         _grid_record(label + "/huge", _huge(tree))
         for label, tree in cases if label.endswith("/0/1")
@@ -193,6 +205,7 @@ def compute_corpus() -> dict[str, Any]:
     return {
         "grid": grid,
         "victims": victims,
+        "caps": caps,
         "huge": huge,
         "figures": figures,
         "errors": errors,

@@ -34,7 +34,7 @@ def corpora():
     return frozen, json.loads(gen.dumps(gen.compute_corpus()))
 
 
-@pytest.mark.parametrize("section", ["grid", "victims", "huge", "figures", "errors"])
+@pytest.mark.parametrize("section", ["grid", "victims", "caps", "huge", "figures", "errors"])
 def test_section_matches_frozen_corpus(corpora, section):
     frozen, fresh = corpora
     assert len(fresh[section]) == len(frozen[section])
