@@ -39,11 +39,13 @@ The algebra itself lives once, in scalar code:
 children's ``(hill, valley, rope)`` tuples, and
 :func:`~repro.core.kernels.liu_fill` drives it bottom-up over CSR lists.
 :func:`opt_min_mem` and :func:`min_peak_memory` run those cores on the
-tree's cached lists.  :class:`LiuSolver` is the *incremental* wrapper
-around the same combine step: it memoises segments per subtree and
-supports invalidating a root-ward path, which makes the RecExpand inner
-loop (re-solve after a single node expansion) cheap on the mutable
-:class:`~repro.core.expansion.ExpansionTree`.
+tree's cached lists, and the RecExpand heuristics drive ``liu_fill``
+directly over the lists of an
+:class:`~repro.core.expansion.ExpansionTree`.  :class:`LiuSolver` is the
+memoised, incremental wrapper around the same combine step for any
+object following the tree protocol: it solves subtrees on demand and
+supports invalidating a root-ward path (used by the exact solver, the
+Theorem 2 schedule recovery and the object engine).
 """
 
 from __future__ import annotations
@@ -87,7 +89,10 @@ class LiuSolver:
     :class:`~repro.core.expansion.ExpansionTree`.  Segments are cached
     per node as ``(hill, valley, rope)`` tuples and combined by
     :func:`repro.core.kernels.liu_combine`; :class:`Segment` objects
-    exist only in what :meth:`segments` returns.
+    exist only in what :meth:`segments` returns.  Its users solve
+    subtrees on demand (:mod:`repro.algorithms.exact`,
+    :mod:`repro.algorithms.io_function`); a bottom-up pass over a whole
+    tree is :func:`repro.core.kernels.liu_fill`.
     """
 
     def __init__(self, tree):

@@ -21,12 +21,17 @@ depend on the weights, not just on ``n``).  ``RECEXPAND`` caps the loop at
 **2 iterations per node**; the resulting tree may still need I/O, which is
 simply left to the FiF policy of the final schedule.
 
-Both the while-loop's FiF passes and the two final ones run
-:func:`repro.core.kernels.simulate_fif_core` on the lists the
-:class:`~repro.core.expansion.ExpansionTree` keeps current (subtree
-schedules included), and ``OPTMINMEM`` is the incremental
-:class:`~repro.algorithms.liu.LiuSolver` over the same combine step as
-the list cores.
+``OPTMINMEM`` is :func:`repro.core.kernels.liu_fill`, the list cores'
+bottom-up solver, on the lists the
+:class:`~repro.core.expansion.ExpansionTree` keeps current.  One pass
+over the original tree fills a segment store indexed by node id and
+stops only at nodes whose subtree needs more than ``M``; there the
+while-loop runs, and after each expansion one more fill re-solves the
+path from the changed node up.  Every FiF pass runs
+:func:`repro.core.kernels.simulate_fif_core` (subtree schedules
+included).  The residual pass on the final expanded tree is skipped
+when its root hill fits ``M``: the hill is the unbounded FiF peak of the
+schedule, so FiF would evict nothing.
 
 The reported solution transposes the final ``OPTMINMEM`` schedule of the
 expanded tree back to the original nodes and re-derives the I/O function
@@ -42,10 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.expansion import ExpansionTree
-from ..core.kernels import simulate_fif_core
+from ..core.kernels import flatten_rope, liu_fill, simulate_fif_core
 from ..core.traversal import Traversal
 from ..core.tree import TaskTree
-from .liu import LiuSolver
 
 __all__ = [
     "RecExpandResult",
@@ -99,35 +103,12 @@ VICTIM_RULES = {
 }
 
 
-def _expand_subtree(
-    xt: ExpansionTree,
-    solver: LiuSolver,
-    subroot: int,
-    memory: int,
-    iteration_cap: int | None,
-    global_budget: list[int],
-    victim_rule,
-) -> int:
-    """Run the while-loop of Algorithm 2 at one node.  Returns iterations."""
-    iterations = 0
-    while iteration_cap is None or iterations < iteration_cap:
-        if solver.peak(subroot) <= memory:
-            break
-        if global_budget[0] <= 0:
-            raise ExpansionLimitExceeded(
-                "FULLRECEXPAND used up its global iteration budget; "
-                "pass a larger max_total_iterations"
-            )
-        global_budget[0] -= 1
-        iterations += 1
-
-        schedule = solver.schedule(subroot)
-        io = _fif(xt, schedule, memory)[0]
-        pos = dict(zip(schedule, range(len(schedule))))
-        victim = victim_rule(io, pos, xt)
-        dirty = xt.expand(victim, io[victim])
-        solver.invalidate_from(dirty)
-    return iterations
+def _schedule(segments) -> list[int]:
+    """The execution order of one node's ``(hill, valley, rope)`` segments."""
+    out: list[int] = []
+    for _hill, _valley, nodes in segments:
+        flatten_rope(nodes, out)
+    return out
 
 
 def _fif(tree, schedule, memory: int) -> tuple[dict[int, int], int, int]:
@@ -184,24 +165,59 @@ def full_rec_expand(
         ) from None
 
     xt = ExpansionTree(tree)
-    solver = LiuSolver(xt)
     if max_total_iterations is None:
         max_total_iterations = 50 * tree.n + 1000
-    budget = [max_total_iterations]
+    budget = max_total_iterations
 
+    weights, start, cindex, parents = xt.weights, xt.start, xt.cindex, xt.parents
+    # Segments per node of the expansion tree, kept (not consumed) so a
+    # path can be re-solved above unchanged subtrees; a splice appends
+    # two slots.
+    segs: list = [None] * xt.n
+    # Children before parents == the recursion order of Algorithm 2.  The
+    # fill stops at each node whose subtree needs more than M and resumes
+    # after it.  By then everything below r is expanded and, for the
+    # uncapped variant, I/O-free; expansions at r splice nodes strictly
+    # below r, so only the path from the changed node to r is re-solved
+    # per iteration, and r's ancestors are still to come in the order.
+    order = tree.bottom_up()
     iterations = 0
-    # Children before parents == the recursion order of Algorithm 2.  When
-    # node r is processed, everything below it is already expanded and, for
-    # the uncapped variant, I/O-free; expansions triggered at r splice new
-    # nodes strictly below r, so cached segments of untouched subtrees stay
-    # valid and only the path to r is re-solved per iteration.
-    for r in tree.bottom_up():
-        iterations += _expand_subtree(
-            xt, solver, r, memory, iteration_cap, budget, rule
-        )
+    while (
+        r := liu_fill(weights, start, cindex, order, segs, keep=True, limit=memory)
+    ) is not None:
+        done = 0
+        while iteration_cap is None or done < iteration_cap:
+            if segs[r][0][0] <= memory:
+                break
+            if budget <= 0:
+                raise ExpansionLimitExceeded(
+                    "FULLRECEXPAND used up its global iteration budget; "
+                    "pass a larger max_total_iterations"
+                )
+            budget -= 1
+            done += 1
 
-    final_schedule = solver.schedule(xt.root)
-    residual = _fif(xt, final_schedule, memory)[1]
+            schedule = _schedule(segs[r])
+            io = _fif(xt, schedule, memory)[0]
+            pos = dict(zip(schedule, range(len(schedule))))
+            victim = rule(io, pos, xt)
+            dirty = xt.expand(victim, io[victim])
+            if dirty != victim:
+                # a splice: victim -> residual -> read-back (== dirty)
+                segs += (None, None)
+                dirty = parents[victim]
+            path = [dirty]
+            while dirty != r:
+                dirty = parents[dirty]
+                path.append(dirty)
+            liu_fill(weights, start, cindex, path, segs, keep=True)
+        iterations += done
+
+    top = segs[xt.root]
+    final_schedule = _schedule(top)
+    # Liu's root hill is the peak of final_schedule with nothing evicted:
+    # at most M, FiF never evicts and the residual is exactly 0.
+    residual = 0 if top[0][0] <= memory else _fif(xt, final_schedule, memory)[1]
     original_schedule = xt.restrict_schedule(final_schedule)
     io, io_volume, _peak = _fif(tree, original_schedule, memory)
     dense = [0] * tree.n

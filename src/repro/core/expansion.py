@@ -157,16 +157,10 @@ class ExpansionTree:
 
     def io_per_original_node(self) -> dict[int, int]:
         """Total expansion volume attributed to each original node."""
+        # A residual holds w_orig minus what was written through it; the
+        # read-back above it always carries the full w_orig.
         out: dict[int, int] = {}
         for v in range(self.base_n, self.n):
-            if self.role[v] == Role.RESIDUAL:
-                orig = self.origin[v]
-                # Each residual node holds w_orig - (written so far through it).
-                out[orig] = out.get(orig, 0) + 0
-        # Simpler and exact: walk residuals comparing against the readback
-        # above them (which always carries the full size).
-        out = {}
-        for v in range(self.n):
             if self.role[v] == Role.RESIDUAL:
                 full = self.weights[self.parents[v]]  # readback holds w_orig
                 out[self.origin[v]] = out.get(self.origin[v], 0) + (

@@ -8,7 +8,8 @@ CSR layout of :class:`~repro.core.tree.CoreLists` — which both
 * :func:`best_postorder` — the shared engine of ``POSTORDERMINMEM`` /
   ``POSTORDERMINIO`` (Liu 1986 / Agullo 2008, Algorithm 1 of the paper);
 * :func:`liu_segments` / :func:`liu_schedule` / :func:`liu_peak` —
-  Liu's hill–valley segment solver (``OPTMINMEM``);
+  Liu's hill–valley segment solver (``OPTMINMEM``), whose one combine
+  step :func:`liu_combine` is driven bottom-up by :func:`liu_fill`;
 * :func:`simulate_fif` — the Furthest-in-the-Future eviction simulator
   (Theorem 1);
 * :func:`structure_stats` — one-pass shape statistics.
@@ -32,7 +33,11 @@ shared with the forest layer (:mod:`repro.core.forest_kernels`), which
 slices the same lists out of concatenated many-tree buffers, and with
 the RecExpand heuristics, which run them on the growing lists of an
 :class:`~repro.core.expansion.ExpansionTree` — one implementation, so
-the per-tree, batched and incremental paths can never diverge.
+the per-tree, batched and incremental paths can never diverge.  For
+RecExpand, :func:`liu_fill` keeps the children's segments
+(``keep=True``, so a path can be re-solved above unchanged subtrees)
+and pauses at every node whose subtree peak exceeds the memory
+(``limit=M``, resumed through the same order iterator).
 """
 
 from __future__ import annotations
@@ -275,32 +280,52 @@ def liu_fill(
     cindex: Sequence[int],
     order: Iterable[int],
     segs: list,
-) -> None:
+    *,
+    keep: bool = False,
+    limit: int | None = None,
+) -> int | None:
     """Solve every node of ``order`` bottom-up into ``segs[v]``.
 
-    ``order`` lists children before their parents; each node's canonical
-    ``(hill, valley, rope)`` segments land in ``segs[v]``, and the
-    children's entries are consumed (reset to ``None``).  Nodes whose
-    parent is not in ``order`` keep their segments — the per-tree core
-    reads the root's, the forest sweep seeds its store from a depth
-    level's.  Ids index the CSR lists directly, so the same loop runs on
-    one tree's local lists or on compact lists of a forest's deep
-    subtrees.
+    ``order`` lists children before their parents, and each node's
+    canonical ``(hill, valley, rope)`` segments land in ``segs[v]``.
+    Ids index the CSR lists directly, so the same loop runs on one
+    tree's local lists, on compact lists of a forest's deep subtrees and
+    on the growing lists of an
+    :class:`~repro.core.expansion.ExpansionTree`.
+
+    By default the children's entries are consumed (reset to ``None``,
+    a lone child's list extended in place).  Nodes whose parent is not
+    in ``order`` keep their segments: the per-tree core reads the
+    root's, the forest sweep seeds its store from a depth level's.
+    ``keep=True`` leaves every child's list intact instead (a lone
+    child's is copied before the fold), so a later call can re-solve a
+    path above an unchanged subtree.
+
+    With ``limit``, the fill stops right after the first node whose top
+    hill (its subtree's minimum peak) exceeds ``limit`` and returns that
+    node; pass an iterator as ``order`` to resume after it.  Returns
+    ``None`` once ``order`` is exhausted.
     """
     combine = liu_combine
+    bounded = limit is not None
     for v in order:
         s = start[v]
         e = start[v + 1]
         w_v = weights[v]
         if s == e:
             segs[v] = [(w_v, w_v, v)]
+            if bounded and w_v > limit:
+                return v
             continue
         if e - s == 1:
             # liu_combine's single-child case, inlined: a call per link
             # of a chain costs the forest sweep ~20% on deep trees.
             c = cindex[s]
             out = segs[c]
-            segs[c] = None
+            if keep:
+                out = out[:]
+            else:
+                segs[c] = None
             base = out[-1][1]
             hill = base if base > w_v else w_v
             nodes: object = v
@@ -311,21 +336,32 @@ def liu_fill(
                 nodes = (top_nodes, nodes)
             out.append((hill, w_v, nodes))
             segs[v] = out
-            continue
-        kids = []
-        for c in cindex[s:e]:
-            kids.append(segs[c])
-            segs[c] = None  # parent consumes it exactly once; free early
-        segs[v] = combine(v, w_v, kids)
+        else:
+            kids = []
+            for c in cindex[s:e]:
+                kids.append(segs[c])
+                if not keep:
+                    segs[c] = None  # parent consumes it exactly once; free early
+            segs[v] = out = combine(v, w_v, kids)
+        if bounded and out[0][0] > limit:
+            return v
+    return None
+
+
+#: key of an exhausted child in the two-child merge: never taken first
+_EXHAUSTED = float("inf")
 
 
 def liu_combine(v: int, w_v: int, kids: list[list]) -> list:
     """Canonical segments of ``v`` from its children's, in child order.
 
     The one scalar statement of Liu's rearrangement lemma: every child's
-    segments become deltas, merged by decreasing ``hill - valley``, then
-    ``v`` itself runs.  ``kids`` is consumed: a single child's list is
-    extended in place and returned (pass a copy to keep it).
+    segments become deltas, merged by decreasing ``hill - valley`` (ties
+    in child order), then ``v`` itself runs.  Two children are merged
+    with two pointers, since each child's list is already in that order;
+    three or more go through one sort.  ``kids`` is consumed: a single
+    child's list is extended in place and returned (pass a copy to keep
+    it); two or more are only read.
     """
     if not kids:
         return [(w_v, w_v, v)]
@@ -335,6 +371,52 @@ def liu_combine(v: int, w_v: int, kids: list[list]) -> list:
         # == its output size).
         out = kids[0]
         base = out[-1][1]
+    elif len(kids) == 2:
+        # Two children: (valley - hill) strictly increases along each
+        # list, so a two-pointer merge (ties to the first child) yields
+        # the sort path's (neg, rank) order.  A delta replayed on the
+        # running base lands at the picked child's own hill or valley
+        # plus the other child's current valley.
+        a, b = kids
+        na = len(a)
+        nb = len(b)
+        i = j = 0
+        va = vb = 0  # each child's valley reached so far
+        ha, ta, ra = a[0]
+        hb, tb, rb = b[0]
+        ka = ta - ha
+        kb = tb - hb
+        out = []
+        while True:
+            if ka <= kb:
+                if i == na:
+                    break  # both exhausted
+                hill = ha + vb
+                va = ta
+                nodes = ra
+                i += 1
+                if i < na:
+                    ha, ta, ra = a[i]
+                    ka = ta - ha
+                else:
+                    ka = _EXHAUSTED
+            else:
+                hill = hb + va
+                vb = tb
+                nodes = rb
+                j += 1
+                if j < nb:
+                    hb, tb, rb = b[j]
+                    kb = tb - hb
+                else:
+                    kb = _EXHAUSTED
+            base = va + vb
+            while out and (hill >= out[-1][0] or base <= out[-1][1]):
+                top_hill, _top_valley, top_nodes = out.pop()
+                if top_hill > hill:
+                    hill = top_hill
+                nodes = (top_nodes, nodes)
+            out.append((hill, base, nodes))
     else:
         # Delta segments of all children, merged by decreasing h - t
         # (stored negated so one ascending sort does it); the child's

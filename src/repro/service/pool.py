@@ -41,7 +41,10 @@ stray SIGKILL) breaks a ``ProcessPoolExecutor`` for good; the pool then
 builds a new executor — once, however many batches saw the break — and
 runs the lost batch again.  Requests are content-addressed and results
 deterministic, so the retry is idempotent.  A batch that breaks the new
-executor too is reported as a failure, not retried forever.
+executor too is reported as a failure, not retried forever.  Rebuilds
+that follow each other closely are spaced by a bounded, doubling delay,
+so a request that kills its worker every time cannot make the pool
+fork in a tight loop.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import copy
+import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Mapping, Sequence
@@ -268,6 +272,15 @@ def _attach_shm_untracked(name: str):
         resource_tracker.register = original
 
 
+#: Backoff between executor rebuilds: a rebuild within
+#: ``REBUILD_QUIET_S`` seconds of the previous one first waits, starting
+#: at ``REBUILD_DELAY_MIN_S`` and doubling up to ``REBUILD_DELAY_MAX_S``;
+#: a rebuild after a quiet period waits nothing and resets the delay.
+REBUILD_DELAY_MIN_S = 0.05
+REBUILD_DELAY_MAX_S = 2.0
+REBUILD_QUIET_S = 30.0
+
+
 def _warmup() -> bool:
     """A no-op unit of work used to pre-fork and import-warm the workers."""
     return True
@@ -333,6 +346,12 @@ class WorkerPool:
         self.shm_batches = 0
         #: executors rebuilt after a worker process died (observability)
         self.restarts = 0
+        self._rebuild_lock = asyncio.Lock()
+        self._last_rebuild: float | None = None
+        self._rebuild_delay = REBUILD_DELAY_MIN_S
+        # time source and wait of the rebuild backoff (tests inject fakes)
+        self._clock = time.monotonic
+        self._sleep = asyncio.sleep
         if jobs >= 1:
             self.concurrency = jobs
             self._executor: Executor = ProcessPoolExecutor(max_workers=jobs)
@@ -363,22 +382,32 @@ class WorkerPool:
         try:
             return await self._run_on(executor, requests)
         except BrokenProcessPool:
-            self._replace_broken(executor)
+            await self._replace_broken(executor)
             return await self._run_on(self._executor, requests)
 
-    def _replace_broken(self, broken: Executor) -> None:
+    async def _replace_broken(self, broken: Executor) -> None:
         """Swap a broken process executor for a new one, once.
 
         Every batch in flight on the broken executor fails with it; the
-        first to get here rebuilds, the others find the new executor
-        already in place and just retry on it.
+        first to get here rebuilds, the others wait for it and retry on
+        the new executor.  A rebuild soon after the previous one waits
+        first (see :data:`REBUILD_DELAY_MIN_S`).
         """
-        if self._executor is not broken:
-            return
-        self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-        broken.shutdown(wait=False, cancel_futures=True)
-        self.restarts += 1
-        self._restart_counter.inc()
+        async with self._rebuild_lock:
+            if self._executor is not broken:
+                return
+            last = self._last_rebuild
+            if last is not None and self._clock() - last < REBUILD_QUIET_S:
+                delay = self._rebuild_delay
+                self._rebuild_delay = min(2 * delay, REBUILD_DELAY_MAX_S)
+                await self._sleep(delay)
+            else:
+                self._rebuild_delay = REBUILD_DELAY_MIN_S
+            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+            broken.shutdown(wait=False, cancel_futures=True)
+            self._last_rebuild = self._clock()
+            self.restarts += 1
+            self._restart_counter.inc()
 
     async def _run_on(
         self, executor: Executor, requests: list[Request]

@@ -20,7 +20,7 @@ from repro.algorithms.postorder import postorder_min_io, postorder_min_mem
 from repro.core import simulator
 from repro.core.arraytree import ArrayTree
 from repro.core.expansion import ExpansionTree
-from repro.core.kernels import simulate_fif_core
+from repro.core.kernels import flatten_rope, liu_fill, liu_schedule, simulate_fif_core
 from repro.core.simulator import InfeasibleSchedule, simulate_fif
 from repro.core.tree import TaskTree
 
@@ -129,6 +129,49 @@ class TestSubtreeFif:
                 r = simulate_fif(tree, schedule, memory, engine=engine)
                 got = list(r.io.items()), r.io_volume, r.peak_memory
                 assert got == want
+
+
+class TestLiuHillIsFifPeak:
+    """Liu's top hill is the unbounded FiF peak of its own schedule.
+
+    RecExpand skips its residual FiF pass when the final root hill fits
+    M; that is exact only because of this identity.
+    """
+
+    def test_on_cross_validation_trees(self):
+        import numpy as np
+
+        from .test_kernel_crossval import BASE_SEED, FAMILIES, SIZE_BANDS, _make_tree
+
+        checked = 0
+        for f, family in enumerate(FAMILIES):
+            for b, (count, (lo, hi)) in enumerate(SIZE_BANDS):
+                for k in range(min(count, 4)):
+                    rng = np.random.default_rng(BASE_SEED + f * 10_000 + b * 100 + k)
+                    tree = _make_tree(family, int(rng.integers(lo, hi + 1)), rng)
+                    schedule, hill = liu_schedule(tree)
+                    lists = tree.core_lists()
+                    _io, volume, peak = simulate_fif_core(
+                        tree.n, lists.weights, lists.parents, lists.start,
+                        lists.cindex, lists.wbar, schedule, None,
+                    )
+                    assert (volume, peak) == (0, hill)
+                    checked += 1
+        assert checked == len(FAMILIES) * 10
+
+    def test_on_every_subtree_of_random_expansion_trees(self):
+        rng = random.Random(20170208)
+        for _ in range(150):
+            xt = _random_expansion_tree(rng)
+            topo = _subtree(xt, xt.root)
+            segs: list = [None] * xt.n
+            liu_fill(xt.weights, xt.start, xt.cindex, reversed(topo), segs, keep=True)
+            for r in topo:
+                schedule: list[int] = []
+                for _hill, _valley, nodes in segs[r]:
+                    flatten_rope(nodes, schedule)
+                _io, volume, peak = _core(xt, schedule, None)
+                assert (volume, peak) == (0, segs[r][0][0])
 
 
 class _ObjectPathEntered(AssertionError):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.algorithms.brute_force import min_peak_brute
 from repro.algorithms.liu import LiuSolver, min_peak_memory, opt_min_mem
 from repro.core.expansion import ExpansionTree
+from repro.core.kernels import liu_combine, liu_fill, liu_segments_core
 from repro.core.simulator import schedule_peak_memory
 from repro.core.tree import TaskTree, balanced_binary_tree, chain_tree, star_tree
 from repro.datasets.instances import figure_2b, figure_2c, figure_6, figure_7
@@ -194,3 +196,113 @@ class TestTieBreakDeterminism:
             if chain_of(a) != chain_of(b) and chain_of(b) != 2
         )
         assert switches >= 4  # a chain-by-chain schedule would have 1
+
+
+def _fill_args(tree):
+    lists = tree.core_lists()
+    return lists.weights, lists.start, lists.cindex
+
+
+def _kept_store(tree) -> list:
+    """Every node's segments, from one unbroken ``keep=True`` pass."""
+    segs: list = [None] * tree.n
+    assert liu_fill(*_fill_args(tree), tree.bottom_up(), segs, keep=True) is None
+    return segs
+
+
+class TestFillContract:
+    """``liu_fill``'s ``keep`` and ``limit`` modes (RecExpand's driver)."""
+
+    @given(task_trees(min_nodes=1, max_nodes=30, min_weight=0))
+    @settings(max_examples=80)
+    def test_keep_leaves_every_child_list_intact(self, tree):
+        segs: list = [None] * tree.n
+        produced = {}
+        for v in tree.bottom_up():  # one node per call: snapshot on arrival
+            liu_fill(*_fill_args(tree), [v], segs, keep=True)
+            produced[v] = list(segs[v])
+        assert all(segs[v] == produced[v] for v in range(tree.n))
+        lists = tree.core_lists()
+        assert segs[tree.root] == liu_segments_core(
+            tree.n, lists.weights, lists.start, lists.cindex, lists.topo
+        )
+
+    def test_default_call_consumes_children(self):
+        tree = figure_2b().tree
+        segs: list = [None] * tree.n
+        assert liu_fill(*_fill_args(tree), tree.bottom_up(), segs) is None
+        assert [v for v in range(tree.n) if segs[v] is not None] == [tree.root]
+
+    @given(task_trees(min_nodes=1, max_nodes=30, min_weight=0), st.integers(0, 40))
+    @settings(max_examples=120)
+    def test_limit_stops_at_each_node_over_it_and_resumes(self, tree, limit):
+        whole = _kept_store(tree)
+        over = [v for v in tree.bottom_up() if whole[v][0][0] > limit]
+        order = tree.bottom_up()
+        segs: list = [None] * tree.n
+        stops = []
+        while (v := liu_fill(
+            *_fill_args(tree), order, segs, keep=True, limit=limit
+        )) is not None:
+            assert segs[v] == whole[v]  # solved before the fill returns it
+            stops.append(v)
+        assert stops == over
+        assert segs == whole
+
+
+def _sorted_combine(v, w_v, kids):
+    """Reference combine: all children's deltas through one tuple sort."""
+    items = []
+    for rank, child in enumerate(kids):
+        prev = 0
+        for hill, valley, nodes in child:
+            items.append((valley - hill, rank, hill - prev, valley - prev, nodes))
+            prev = valley
+    items.sort()
+    base = 0
+    out = []
+    for *_key, x, y, nodes in items + [(0, 0, None, None, v)]:
+        if x is None:  # v itself runs last
+            hill, base = max(base, w_v), w_v
+        else:
+            hill, base = base + x, base + y
+        while out and (hill >= out[-1][0] or base <= out[-1][1]):
+            top_hill, _valley, top_nodes = out.pop()
+            hill = max(hill, top_hill)
+            nodes = (top_nodes, nodes)
+        out.append((hill, base, nodes))
+    return out
+
+
+@st.composite
+def canonical_segments(draw, tag: int):
+    """A canonical child list: hills strictly falling, valleys rising."""
+    s = draw(st.integers(1, 5))
+    valleys = sorted(draw(st.sets(st.integers(0, 40), min_size=s, max_size=s)))
+    hills = sorted(
+        draw(st.sets(st.integers(valleys[-1], valleys[-1] + 40), min_size=s, max_size=s)),
+        reverse=True,
+    )
+    return [(h, t, tag * 100 + i) for i, (h, t) in enumerate(zip(hills, valleys))]
+
+
+class TestTwoChildMerge:
+    @given(
+        canonical_segments(1), canonical_segments(2), st.integers(0, 60),
+        st.integers(0, 20), st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_merge_equals_sorted_combine(self, a, b, w_v, shift, tie):
+        if tie:
+            # b replays a's (valley - hill) keys exactly: every key ties
+            b = [(h + shift, t + shift, 200 + i) for i, (h, t, _) in enumerate(a)]
+        want = _sorted_combine(7, w_v, [a, b])
+        a_copy, b_copy = list(a), list(b)
+        assert liu_combine(7, w_v, [a, b]) == want
+        assert (a, b) == (a_copy, b_copy)  # two or more children: only read
+
+    def test_ties_go_to_the_first_child(self):
+        a = [(5, 1, "a")]
+        b = [(9, 5, "b")]  # same valley - hill as a
+        assert liu_combine(0, 0, [a, b]) == [(10, 0, (("a", "b"), 0))]
+        assert liu_combine(0, 0, [b, a]) == [(10, 0, (("b", "a"), 0))]

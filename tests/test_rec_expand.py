@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -102,6 +104,49 @@ class TestMechanics:
             for c in (0, 1, 2, None)
         ]
         assert ios == sorted(ios, reverse=True) or ios[-1] <= ios[0]
+
+
+class TestFifPasses:
+    """One FiF per while-loop iteration, plus the final ones."""
+
+    @pytest.fixture
+    def fif_calls(self, monkeypatch):
+        # the package re-exports the function under the module's name
+        module = importlib.import_module("repro.algorithms.rec_expand")
+        calls = []
+        real = module.simulate_fif_core
+
+        def counting(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(module, "simulate_fif_core", counting)
+        return calls
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, None])
+    def test_residual_pass_only_when_the_root_overflows(self, fif_calls, cap):
+        import numpy as np
+
+        from repro.datasets.synth import random_plane_tree, random_weights
+
+        rng = np.random.default_rng(17)
+        kinds = set()
+        for _ in range(40):
+            n = int(rng.integers(2, 60))
+            tree = random_plane_tree(n, rng).with_weights(random_weights(n, rng))
+            lb, peak = tree.min_feasible_memory(), min_peak_memory(tree)
+            for memory in {lb, (lb + peak) // 2, peak}:
+                fif_calls.clear()
+                result = full_rec_expand(tree, memory, iteration_cap=cap)
+                # the final root fits M exactly when FiF leaves no residual
+                fits = result.residual_io == 0
+                extra = 1 if fits else 2
+                assert len(fif_calls) == result.iterations + extra
+                kinds.add(fits)
+        if cap is None:
+            assert kinds == {True}  # FullRecExpand always ends I/O-free
+        if cap == 0:
+            assert kinds == {True, False}
 
 
 class TestInvariants:

@@ -1097,6 +1097,83 @@ class TestFailureRecovery:
             assert thread.server.pool.restarts == 2
 
 
+class _FakeTime:
+    """An injected clock whose ``sleep`` records the wait and moves time on."""
+
+    def __init__(self):
+        self.now = 1000.0
+        self.waits: list[float] = []
+
+    def clock(self) -> float:
+        return self.now
+
+    async def sleep(self, delay: float) -> None:
+        self.waits.append(delay)
+        self.now += delay
+
+
+class TestRebuildBackoff:
+    """Executor rebuilds close together wait a bounded, doubling delay."""
+
+    @pytest.fixture
+    def pool(self):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.service.pool import WorkerPool
+
+        pool = WorkerPool(jobs=1, registry=MetricsRegistry())
+        pool.time = _FakeTime()
+        pool._clock = pool.time.clock
+        pool._sleep = pool.time.sleep
+        yield pool
+        pool.shutdown()
+
+    @staticmethod
+    def _break(pool):
+        import asyncio
+
+        asyncio.run(pool._replace_broken(pool._executor))
+
+    def test_back_to_back_breaks_wait_doubling_up_to_the_cap(self, pool):
+        from repro.service import pool as module
+
+        for _ in range(12):
+            self._break(pool)
+            pool.time.now += 0.01
+        assert pool.restarts == 12
+        waits = pool.time.waits
+        assert len(waits) == 11  # the first rebuild waits nothing
+        assert waits[0] == module.REBUILD_DELAY_MIN_S
+        assert all(b == min(2 * a, module.REBUILD_DELAY_MAX_S) for a, b in zip(waits, waits[1:]))
+        assert max(waits) == module.REBUILD_DELAY_MAX_S <= 2.0
+
+    def test_a_quiet_period_resets_the_delay(self, pool):
+        from repro.service import pool as module
+
+        for _ in range(4):
+            self._break(pool)
+        assert pool.time.waits[-1] == 4 * module.REBUILD_DELAY_MIN_S
+        pool.time.now += module.REBUILD_QUIET_S + 1
+        self._break(pool)
+        assert len(pool.time.waits) == 3  # after the quiet period: no wait
+        self._break(pool)
+        assert pool.time.waits[-1] == module.REBUILD_DELAY_MIN_S
+
+    def test_concurrent_breaks_rebuild_once(self, pool):
+        import asyncio
+
+        self._break(pool)  # arm the backoff: the next rebuild waits
+        broken = pool._executor
+
+        async def both():
+            await asyncio.gather(
+                pool._replace_broken(broken), pool._replace_broken(broken)
+            )
+
+        asyncio.run(both())
+        assert pool.restarts == 2 and len(pool.time.waits) == 1
+        assert pool._executor is not broken
+
+
 def _kill_own_worker(tree, memory):
     os.kill(os.getpid(), signal.SIGKILL)
 
