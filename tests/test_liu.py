@@ -211,7 +211,7 @@ def _kept_store(tree) -> list:
 
 
 class TestFillContract:
-    """``liu_fill``'s ``keep`` and ``limit`` modes (RecExpand's driver)."""
+    """``liu_fill``'s ``keep`` and ``limit`` modes, which RecExpand runs on."""
 
     @given(task_trees(min_nodes=1, max_nodes=30, min_weight=0))
     @settings(max_examples=80)
@@ -259,18 +259,19 @@ def _sorted_combine(v, w_v, kids):
             items.append((valley - hill, rank, hill - prev, valley - prev, nodes))
             prev = valley
     items.sort()
+    steps = []  # (hill, valley, nodes) replayed on the running base
     base = 0
+    for _neg, _rank, x, y, nodes in items:
+        steps.append((base + x, base + y, nodes))
+        base += y
+    steps.append((max(base, w_v), w_v, v))  # v itself runs last
     out = []
-    for *_key, x, y, nodes in items + [(0, 0, None, None, v)]:
-        if x is None:  # v itself runs last
-            hill, base = max(base, w_v), w_v
-        else:
-            hill, base = base + x, base + y
-        while out and (hill >= out[-1][0] or base <= out[-1][1]):
+    for hill, valley, nodes in steps:
+        while out and (hill >= out[-1][0] or valley <= out[-1][1]):
             top_hill, _valley, top_nodes = out.pop()
             hill = max(hill, top_hill)
             nodes = (top_nodes, nodes)
-        out.append((hill, base, nodes))
+        out.append((hill, valley, nodes))
     return out
 
 
