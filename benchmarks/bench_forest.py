@@ -19,14 +19,10 @@ byte-identical on every tree:
 * **forest** — one :class:`ArrayForest` + the vectorised forest
   kernels (the new path);
 * **per-tree (auto)** — the per-tree path a request without the
-  forest layer takes: one ``TaskTree`` per tree, public APIs, the
-  engine's own ``auto`` dispatch, which runs the list cores on the
-  tree's cached CSR lists at every size.  This pair is what the
-  ``FOREST_SPEEDUP_MIN`` gate compares: it is the throughput the
-  forest path actually replaces;
-* **per-tree (array-pinned)** — same dispatch with ``engine="array"``
-  forced; ``array`` is an alias of ``auto``, so this row re-measures
-  the same path (a check on timing noise); reported, not gated;
+  forest layer takes: one ``TaskTree`` per tree, public APIs, which
+  run the list cores on the tree's cached CSR lists at every size.
+  This pair is what the ``FOREST_SPEEDUP_MIN`` gate compares: it is
+  the throughput the forest path actually replaces;
 * **per-tree (raw ArrayTree)** — the flat kernels invoked on a
   hand-built ``ArrayTree`` per tree, skipping the ``TaskTree`` hop
   entirely; the strictest baseline, reported, not gated.
@@ -151,14 +147,14 @@ def _solve_forest(pairs):
     return forest, lbs, peaks, mems, schedule, vio[roots]
 
 
-def _solve_per_tree_public(pairs, engine):
+def _solve_per_tree_public(pairs):
     out = []
     for parents, weights in pairs:
         tree = TaskTree(parents, weights)
         lb = tree.min_feasible_memory()
-        mm = postorder_min_mem(tree, engine=engine)
+        mm = postorder_min_mem(tree)
         memory = _mid(lb, mm.peak_memory)
-        io = postorder_min_io(tree, memory, engine=engine)
+        io = postorder_min_io(tree, memory)
         out.append((lb, mm.peak_memory, memory, io.schedule, io.predicted_io))
     return out
 
@@ -234,26 +230,20 @@ def test_forest_speedup(tmp_path, emit):
 
     t_forest, forest_result = _best_of(lambda: _solve_forest(pairs))
     t_auto, auto_result = _best_of(
-        lambda: _solve_per_tree_public(pairs, None), repeats=2
-    )
-    t_array, array_result = _best_of(
-        lambda: _solve_per_tree_public(pairs, "array"), repeats=2
+        lambda: _solve_per_tree_public(pairs), repeats=2
     )
     t_raw, raw_result = _best_of(lambda: _solve_per_tree_raw(pairs))
 
     _assert_identical(pairs, forest_result, auto_result)
-    _assert_identical(pairs, forest_result, array_result)
     _assert_identical(pairs, forest_result, raw_result)
 
     speedup = t_auto / t_forest
-    array_speedup = t_array / t_forest
     raw_speedup = t_raw / t_forest
     cold, warm = _cached_replay(pairs, tmp_path / "cache")
 
     rows = [
         ("forest (ArrayForest + forest kernels)", t_forest),
         ("per-tree engine (auto dispatch, list cores)", t_auto),
-        ("per-tree engine (array-pinned public APIs)", t_array),
         ("per-tree engine (raw ArrayTree + kernels)", t_raw),
     ]
     lines = [
@@ -270,8 +260,6 @@ def test_forest_speedup(tmp_path, emit):
         "",
         f"forest speedup vs per-tree engine (auto dispatch): {speedup:.2f}x "
         f"(gate: {MIN_FOREST_SPEEDUP}x)",
-        f"forest speedup vs array-pinned per-tree dispatch:  "
-        f"{array_speedup:.2f}x",
         f"forest speedup vs raw-ArrayTree per-tree kernels:  "
         f"{raw_speedup:.2f}x",
         f"buffer-digest cache replay: cold {N_TREES / cold:,.0f} trees/s, "
@@ -286,13 +274,11 @@ def test_forest_speedup(tmp_path, emit):
         "trees_per_sec": {
             "forest": N_TREES / t_forest,
             "per_tree_auto_dispatch": N_TREES / t_auto,
-            "per_tree_array_pinned": N_TREES / t_array,
             "per_tree_raw_arraytree": N_TREES / t_raw,
             "cache_cold": N_TREES / cold,
             "cache_warm": N_TREES / warm,
         },
         "speedup": speedup,
-        "array_pinned_speedup": array_speedup,
         "raw_speedup": raw_speedup,
         "gate": MIN_FOREST_SPEEDUP,
         "byte_identical": True,

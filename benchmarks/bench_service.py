@@ -159,7 +159,7 @@ def test_service_throughput_and_latency(tmp_path, batch_jobs, emit):
 
 
 # --------------------------------------------------------------------- #
-# large-batch burst: 1k small trees through the shared-memory transport
+# large-batch burst: 1k small trees through the worker pool
 # --------------------------------------------------------------------- #
 
 BURST_TREES = 1_000
@@ -188,14 +188,13 @@ def _burst_requests() -> list[dict]:
     return requests
 
 
-def test_large_batch_burst_over_shared_memory(batch_jobs, emit):
-    """1k-tree submit bursts: the forest transport vs pickled payloads.
+def test_large_batch_burst(batch_jobs, emit):
+    """1k-tree submit burst through large micro-batches.
 
     What must hold: with large micro-batches and {BURST_CLIENTS}
-    concurrent clients the service drops **zero** requests on either
-    transport, both transports return identical results, and the
-    shared-memory path's envelopes match the offline solver exactly.
-    Throughput of both transports is reported side by side.
+    concurrent clients the service drops and rejects **zero** requests,
+    and a served envelope matches the offline solver exactly.
+    Throughput and latency are reported.
     """
     requests = _burst_requests()
     probe = requests[0]
@@ -203,52 +202,34 @@ def test_large_batch_burst_over_shared_memory(batch_jobs, emit):
         TaskTree(probe["tree"]["parents"], probe["tree"]["weights"]),
         probe["memory"],
     )
+    config = ServerConfig(
+        port=0,
+        workers=batch_jobs,
+        queue_limit=max(64, 4 * BURST_CLIENTS),
+        max_batch=64,
+    )
+    with ServerThread(config) as server:
+        server.server.pool.warm_up()
+        client = ServiceClient(port=server.port)
+        assert client.wait_ready(30)
+        elapsed, latencies, errors = _drive(server.port, BURST_CLIENTS, requests)
+        assert not errors, (
+            f"dropped {len(errors)} of {BURST_TREES} burst requests: {errors[:3]}"
+        )
+        assert len(latencies) == BURST_TREES
+        served = client.submit(probe)["result"]
+        assert served["io_volume"] == offline.io_volume
+        assert served["schedule"] == list(offline.schedule)
+        metrics = client.metrics()
+        assert metrics["requests"]["rejected"] == 0
     lines = [
         f"workers={batch_jobs} clients={BURST_CLIENTS} "
         f"requests={BURST_TREES} tree_nodes={BURST_NODES} max_batch=64",
-        f"{'transport':>10} {'elapsed':>9} {'trees/s':>9} "
-        f"{'p50 ms':>8} {'p99 ms':>8}",
+        f"{'elapsed':>9} {'trees/s':>9} {'p50 ms':>8} {'p99 ms':>8}",
+        f"{elapsed:>8.2f}s {BURST_TREES / elapsed:>9,.0f} "
+        f"{_percentile(latencies, 0.50) * 1e3:>8.1f} "
+        f"{_percentile(latencies, 0.99) * 1e3:>8.1f}",
     ]
-    throughput = {}
-    for transport in ("shm", "pickle"):
-        config = ServerConfig(
-            port=0,
-            workers=batch_jobs,
-            queue_limit=max(64, 4 * BURST_CLIENTS),
-            max_batch=64,
-            shm_transport=(transport == "shm"),
-            shm_min_nodes=0,  # every batch rides the segment in shm mode
-        )
-        with ServerThread(config) as server:
-            assert server.server.pool.shm_transport == (transport == "shm")
-            server.server.pool.warm_up()
-            client = ServiceClient(port=server.port)
-            assert client.wait_ready(30)
-            elapsed, latencies, errors = _drive(
-                server.port, BURST_CLIENTS, requests
-            )
-            assert not errors, (
-                f"{transport}: dropped {len(errors)} of {BURST_TREES} "
-                f"burst requests: {errors[:3]}"
-            )
-            assert len(latencies) == BURST_TREES
-            served = client.submit(probe)["result"]
-            assert served["io_volume"] == offline.io_volume
-            assert served["schedule"] == list(offline.schedule)
-            metrics = client.metrics()
-            assert metrics["requests"]["rejected"] == 0
-            if transport == "shm":
-                assert server.server.pool.shm_batches > 0
-            throughput[transport] = BURST_TREES / elapsed
-            lines.append(
-                f"{transport:>10} {elapsed:>8.2f}s {BURST_TREES / elapsed:>9,.0f} "
-                f"{_percentile(latencies, 0.50) * 1e3:>8.1f} "
-                f"{_percentile(latencies, 0.99) * 1e3:>8.1f}"
-            )
-    lines.append(
-        f"shm/pickle throughput ratio: "
-        f"{throughput['shm'] / throughput['pickle']:.2f}x"
-    )
     emit("service_large_batch", "\n".join(lines))
 
 
@@ -321,7 +302,6 @@ def test_binary_async_burst_vs_json(tmp_path, batch_jobs, emit):
         workers=batch_jobs,
         queue_limit=max(64, 4 * BURST_CLIENTS),
         max_batch=64,
-        shm_min_nodes=0,
     )
     lines = [
         f"workers={batch_jobs} clients={BURST_CLIENTS} "
@@ -452,7 +432,6 @@ def test_observability_overhead_is_negligible(tmp_path, batch_jobs, emit):
             workers=batch_jobs,
             queue_limit=max(64, 4 * BURST_CLIENTS),
             max_batch=64,
-            shm_min_nodes=0,
             observability=observability,
         )
         with ServerThread(config, cache=cache) as server:

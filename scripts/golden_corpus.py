@@ -129,7 +129,7 @@ def compute_corpus() -> dict[str, Any]:
     """Every golden record, recomputed with the code on ``sys.path``."""
     from repro.algorithms.liu import opt_min_mem
     from repro.algorithms.rec_expand import VICTIM_RULES, full_rec_expand
-    from repro.core.simulator import simulate_fif
+    from repro.core.simulator import _simulate_fif_object, simulate_fif
     from repro.datasets import instances as paper
 
     cases = instances()
@@ -193,7 +193,7 @@ def compute_corpus() -> dict[str, Any]:
             lambda: simulate_fif(tree, schedule, lb - 1)
         )
         errors[label + "/fif-object"] = _error(
-            lambda: simulate_fif(tree, schedule, lb - 1, engine="object")
+            lambda: _simulate_fif_object(tree, schedule, lb - 1, False)
         )
         errors[label + "/below-lb"] = _error(
             lambda: full_rec_expand(tree, lb - 1)

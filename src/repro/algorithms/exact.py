@@ -38,7 +38,7 @@ from itertools import combinations
 from ..core.simulator import fif_traversal
 from ..core.traversal import Traversal
 from ..core.tree import TaskTree
-from .liu import LiuSolver, min_peak_memory
+from .liu import opt_min_mem
 from .postorder import postorder_min_io
 from .rec_expand import rec_expand
 
@@ -74,10 +74,12 @@ class ExactResult:
         )
 
 
-def _heuristic_incumbent(tree: TaskTree, memory: int) -> Traversal:
+def _heuristic_incumbent(
+    tree: TaskTree, memory: int, liu_schedule: list[int]
+) -> Traversal:
     """The best of the three polynomial strategies seeds the incumbent."""
     candidates = [
-        fif_traversal(tree, LiuSolver(tree).schedule(), memory),
+        fif_traversal(tree, liu_schedule, memory),
         fif_traversal(tree, postorder_min_io(tree, memory).schedule, memory),
         rec_expand(tree, memory).traversal,
     ]
@@ -130,15 +132,16 @@ def exact_min_io(
     parents = tree.parents
     wbar = tree.wbar
 
-    incumbent = _heuristic_incumbent(tree, memory)
+    liu_schedule, liu_peak = opt_min_mem(tree)
+    incumbent = _heuristic_incumbent(tree, memory, liu_schedule)
     best_cost = incumbent.io_volume
     best_schedule: tuple[int, ...] = incumbent.schedule
-    lower_bound = max(0, min_peak_memory(tree) - memory)
+    lower_bound = max(0, liu_peak - memory)
     if best_cost <= lower_bound:
         return ExactResult(incumbent, best_cost, True, 0, lower_bound)
 
     # DFS branch order: follow Liu's schedule so good incumbents come early.
-    liu_pos = {v: t for t, v in enumerate(LiuSolver(tree).schedule())}
+    liu_pos = {v: t for t, v in enumerate(liu_schedule)}
 
     # Pareto memo: active antichain -> list of (cost, residency-tuple),
     # residency aligned with the sorted antichain.

@@ -16,7 +16,7 @@ from typing import Sequence
 from ..core.expansion import expand_tree
 from ..core.traversal import Traversal
 from ..core.tree import TaskTree
-from .liu import LiuSolver
+from .liu import opt_min_mem
 
 __all__ = ["schedule_for_io_function"]
 
@@ -31,8 +31,8 @@ def schedule_for_io_function(
     schedule on the expanded tree to the original nodes.
     """
     expanded, bookkeeping = expand_tree(tree, io)
-    solver = LiuSolver(expanded)
-    if solver.peak() > memory:
+    liu_schedule, peak = opt_min_mem(expanded)
+    if peak > memory:
         return None
-    schedule = bookkeeping.restrict_schedule(solver.schedule())
+    schedule = bookkeeping.restrict_schedule(liu_schedule)
     return Traversal(tuple(schedule), tuple(io))

@@ -39,13 +39,14 @@ The algebra itself lives once, in scalar code:
 children's ``(hill, valley, rope)`` tuples, and
 :func:`~repro.core.kernels.liu_fill` drives it bottom-up over CSR lists.
 :func:`opt_min_mem` and :func:`min_peak_memory` run those cores on the
-tree's cached lists, and the RecExpand heuristics drive ``liu_fill``
-directly over the lists of an
+tree's cached lists — every whole-tree solve, including the exact
+solver's and the Theorem 2 schedule recovery's — and the RecExpand
+heuristics drive ``liu_fill`` directly over the lists of an
 :class:`~repro.core.expansion.ExpansionTree`.  :class:`LiuSolver` is the
-memoised, incremental wrapper around the same combine step for any
+memoised, incremental reference around the same combine step for any
 object following the tree protocol: it solves subtrees on demand and
-supports invalidating a root-ward path (used by the exact solver, the
-Theorem 2 schedule recovery and the object engine).
+supports invalidating a root-ward path.  Nothing in the package outside
+this module calls it; the tests compare the list cores against it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import kernels
-from ..core.engine import runs_on_cores
 from ..core.tree import TaskTree
 
 __all__ = ["Segment", "LiuSolver", "opt_min_mem", "min_peak_memory"]
@@ -89,10 +89,14 @@ class LiuSolver:
     :class:`~repro.core.expansion.ExpansionTree`.  Segments are cached
     per node as ``(hill, valley, rope)`` tuples and combined by
     :func:`repro.core.kernels.liu_combine`; :class:`Segment` objects
-    exist only in what :meth:`segments` returns.  Its users solve
-    subtrees on demand (:mod:`repro.algorithms.exact`,
-    :mod:`repro.algorithms.io_function`); a bottom-up pass over a whole
-    tree is :func:`repro.core.kernels.liu_fill`.
+    exist only in what :meth:`segments` returns.
+
+    The incremental reference: no module of the package outside this
+    one calls it (whole-tree solves run :func:`opt_min_mem` on the list
+    core, and a bottom-up pass over a whole tree is
+    :func:`repro.core.kernels.liu_fill`); the cross-validation tests and
+    benchmarks compare the cores against it, and it serves
+    tree-protocol objects without ``core_lists()``.
     """
 
     def __init__(self, tree):
@@ -160,20 +164,21 @@ class LiuSolver:
             u = parents[u]
 
 
-def opt_min_mem(tree: TaskTree, *, engine: str | None = None) -> tuple[list[int], int]:
+def opt_min_mem(tree: TaskTree) -> tuple[list[int], int]:
     """``OPTMINMEM``: an optimal-peak schedule and its peak memory.
 
-    ``engine`` overrides the kernel engine (see :mod:`repro.core.engine`);
-    the list core reproduces :class:`LiuSolver`'s schedule exactly.
+    Runs the list core on any tree with ``core_lists()``; it reproduces
+    :class:`LiuSolver`'s schedule exactly, and other tree protocol
+    objects take the solver.
     """
-    if runs_on_cores(tree, engine):
+    if hasattr(tree, "core_lists"):
         return kernels.liu_schedule(tree)
     solver = LiuSolver(tree)
     return solver.schedule(), solver.peak()
 
 
-def min_peak_memory(tree: TaskTree, *, engine: str | None = None) -> int:
+def min_peak_memory(tree: TaskTree) -> int:
     """The in-core peak memory lower bound ``Peak_incore`` of a tree."""
-    if runs_on_cores(tree, engine):
+    if hasattr(tree, "core_lists"):
         return kernels.liu_peak(tree)
     return LiuSolver(tree).peak()

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import kernels
-from ..core.engine import runs_on_cores
 from ..core.tree import TaskTree
 
 __all__ = [
@@ -78,7 +77,7 @@ CHILD_ORDER_KEYS = {
 def _best_postorder(
     tree: TaskTree, memory: int | None, key_fn=None
 ) -> PostorderResult:
-    """Shared engine: ``memory=None`` → MinMem keys, otherwise MinIO keys.
+    """The object reference: ``memory=None`` → MinMem keys, otherwise MinIO keys.
 
     ``key_fn`` overrides the child-ordering key (ablations); the ``S_i``
     and ``V_i`` recursions stay valid for *any* postorder, only the
@@ -136,30 +135,29 @@ def _core_result(tree, memory: int | None) -> PostorderResult:
     )
 
 
-def postorder_min_mem(tree: TaskTree, *, engine: str | None = None) -> PostorderResult:
+def postorder_min_mem(tree: TaskTree) -> PostorderResult:
     """``POSTORDERMINMEM``: the peak-memory-optimal postorder (Liu 1986).
 
-    ``engine`` overrides the kernel engine (see :mod:`repro.core.engine`);
-    both engines return identical results.
+    Runs the list core on any tree with ``core_lists()``; other tree
+    protocol objects take :func:`_best_postorder`, which returns the
+    same result.
     """
-    if runs_on_cores(tree, engine):
+    if hasattr(tree, "core_lists"):
         return _core_result(tree, None)
     return _best_postorder(tree, None)
 
 
-def postorder_min_io(
-    tree: TaskTree, memory: int, *, engine: str | None = None
-) -> PostorderResult:
+def postorder_min_io(tree: TaskTree, memory: int) -> PostorderResult:
     """``POSTORDERMINIO`` (Algorithm 1): the I/O-optimal postorder.
 
     ``predicted_io`` is Agullo's ``V_root`` — by Theorem 4 this is the
     overall optimum on homogeneous trees, and on general trees it equals
-    the FiF cost of the returned schedule.  ``engine`` overrides the
-    kernel engine; both engines return identical results.
+    the FiF cost of the returned schedule.  Dispatches like
+    :func:`postorder_min_mem`.
     """
     if memory <= 0:
         raise ValueError(f"memory bound must be positive, got {memory}")
-    if runs_on_cores(tree, engine):
+    if hasattr(tree, "core_lists"):
         return _core_result(tree, memory)
     return _best_postorder(tree, memory)
 

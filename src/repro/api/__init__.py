@@ -25,8 +25,8 @@ of I/O)::
 
 The same ``request`` — same content-addressed :meth:`key`, same
 byte-identical canonical outcome — runs unchanged on a
-:class:`PoolBackend` (embedded worker processes, shared-memory forest
-transport) or a :class:`RemoteBackend` (a running ``repro-ioschedule
+:class:`PoolBackend` (embedded worker processes) or a
+:class:`RemoteBackend` (a running ``repro-ioschedule
 serve`` instance), and a result cache written by any of them serves
 warm hits to all.
 

@@ -8,15 +8,13 @@ identical cache keys on every one of them (the equivalence harness in
 ``tests/test_api_equivalence.py`` enforces it):
 
 :class:`LocalBackend`
-    runs requests in-process through the shared execution cores —
-    engine ``auto`` dispatching object trees, flat
-    :class:`~repro.core.arraytree.ArrayTree` kernels, or whole-forest
-    batches (for :class:`~repro.api.requests.BatchRequest`);
+    runs requests in-process through the shared execution cores — the
+    list cores on each request's tree, or whole-forest batches (for
+    :class:`~repro.api.requests.BatchRequest`);
 :class:`PoolBackend`
     ships requests to an embedded
     :class:`~repro.service.pool.WorkerPool` — persistent worker
-    processes, micro-batched execution, shared-memory forest transport
-    included — without running a server;
+    processes, micro-batched execution — without running a server;
 :class:`RemoteBackend`
     submits requests to a running ``repro-ioschedule serve`` instance
     through :class:`~repro.service.client.ServiceClient`.
@@ -208,10 +206,9 @@ class _CachingBackend:
 class LocalBackend(_CachingBackend):
     """Run requests in the calling process.
 
-    The engine hint on each request resolves exactly as everywhere
-    else: ``auto`` picks object trees or flat-array kernels by size,
-    and :class:`~repro.api.requests.BatchRequest` units solve through
-    the whole-forest kernels (with byte-identical per-tree fallback).
+    Requests run on the list cores, exactly as everywhere else, and
+    :class:`~repro.api.requests.BatchRequest` units solve through the
+    whole-forest kernels (with byte-identical per-tree fallback).
 
     ``seed_rng`` keeps the worker-pool contract — the process-global
     RNG is seeded from each request's content address — so local runs
@@ -258,11 +255,11 @@ class PoolBackend(_CachingBackend):
     """Run requests on an embedded service worker pool.
 
     Wraps :class:`~repro.service.pool.WorkerPool` — persistent worker
-    processes (``jobs >= 1``), micro-batched dispatch, and the
-    shared-memory forest transport — behind the synchronous backend
-    contract, without starting a server.  ``jobs=0`` runs on in-process
-    threads (the deterministic test mode).  Pass an existing pool to
-    share it; the backend then does not own (or close) it.
+    processes (``jobs >= 1``) and micro-batched dispatch — behind the
+    synchronous backend contract, without starting a server.
+    ``jobs=0`` runs on in-process threads (the deterministic test
+    mode).  Pass an existing pool to share it; the backend then does
+    not own (or close) it.
 
     The typed requests themselves ride to the workers, exactly as
     behind the server: validated once by whoever built them
@@ -280,8 +277,6 @@ class PoolBackend(_CachingBackend):
         *,
         cache: ResultCache | None = None,
         pool: "WorkerPool | None" = None,
-        shm_transport: bool = True,
-        shm_min_nodes: int | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
         super().__init__(cache, registry=registry)
@@ -289,10 +284,7 @@ class PoolBackend(_CachingBackend):
         if pool is None:
             from ..service.pool import WorkerPool
 
-            kwargs: dict[str, Any] = {"shm_transport": shm_transport}
-            if shm_min_nodes is not None:
-                kwargs["shm_min_nodes"] = shm_min_nodes
-            pool = WorkerPool(jobs, **kwargs)
+            pool = WorkerPool(jobs)
         self.pool = pool
 
     def _execute(self, requests: Sequence[Any]) -> list[Outcome]:

@@ -25,7 +25,6 @@ from typing import Any, Sequence
 
 from ..analysis.bounds import MemoryBounds, memory_bounds
 from ..core.arraytree import ArrayTree
-from ..core.engine import AUTO_THRESHOLD, default_engine, engine_scope
 from ..core.forest import ArrayForest
 from ..core.forest_kernels import (
     FOREST_STRATEGIES,
@@ -61,6 +60,13 @@ __all__ = [
     "run_solve",
 ]
 
+#: :func:`build_tree` makes an :class:`~repro.core.arraytree.ArrayTree`
+#: (vectorised construction) from at least this many nodes, and a
+#: :class:`~repro.core.tree.TaskTree`, whose cached lists the cores read
+#: without a conversion, from fewer.  It picks a representation; both
+#: run the same list cores.
+AUTO_THRESHOLD = 512
+
 #: the solver-refusal exceptions that map to the client-fault code
 #: ``unsolvable`` (anything else is a genuine internal error and must
 #: propagate).  One definition, shared by every envelope-wrapping site.
@@ -72,10 +78,10 @@ def build_tree(parents: Any, weights: Any) -> TaskTree | ArrayTree:
 
     Large requests go straight to :class:`~repro.core.arraytree.ArrayTree`
     — vectorised construction, no per-node object graph.  Small requests
-    build a ``TaskTree`` (below :data:`~repro.core.engine.AUTO_THRESHOLD`
-    its per-node loop beats numpy's fixed costs), as do weights beyond
-    int64.  Either way the kernel cores run on the result.  Accepts
-    Python sequences or numpy columns (the shared-memory path).
+    build a ``TaskTree`` (below :data:`AUTO_THRESHOLD` its per-node loop
+    beats numpy's fixed costs), as do weights beyond int64.  Either way
+    the kernel cores run on the result.  Accepts Python sequences or
+    numpy columns.
     """
     import numpy as np
 
@@ -222,17 +228,14 @@ def execute_request(
     trace_id = getattr(request, "trace", None)
     if trace_id is None:
         try:
-            # Thread-local scope: inline (thread-pool) workers honour each
-            # request's engine without clobbering their batch-mates'.
-            with engine_scope(request.engine):
-                result = _RUNNERS[request.kind](request, tree=tree)
+            result = _RUNNERS[request.kind](request, tree=tree)
         except UNSOLVABLE_ERRORS as exc:
             return error_envelope("unsolvable", f"{type(exc).__name__}: {exc}")
         return ok_envelope(result, key=key)
     # traced request: time the solver stage into the request's breakdown
     with trace_context(trace_id) as trace:
         try:
-            with engine_scope(request.engine), span("solve"):
+            with span("solve"):
                 result = _RUNNERS[request.kind](request, tree=tree)
         except UNSOLVABLE_ERRORS as exc:
             return error_envelope("unsolvable", f"{type(exc).__name__}: {exc}")
@@ -282,40 +285,38 @@ def execute_batch(request: BatchRequest) -> dict[str, Any]:
     :func:`~repro.core.forest_kernels.forest_validate` pass checks each
     strategy's traversals; strategies without a forest kernel (the
     RecExpand family) fall back to per-tree dispatch over the forest's
-    member views.  Both paths produce
-    byte-identical payloads — pinning ``engine="object"`` (field or
-    ``REPRO_ENGINE``) disables the forest path entirely, as do trees
-    beyond the forest's int64 budgets (e.g. huge weights).
+    member views.  Both paths produce byte-identical payloads; trees
+    beyond the forest's int64 budgets (e.g. huge weights) take the
+    per-tree path.  The request's ``engine`` field is ignored.
     """
     from ..experiments.registry import get_algorithm
 
     io: dict[str, list[int]] = {a: [] for a in request.algorithms}
     memories: list[int] = []
     sizes: list[int] = []
-    with engine_scope(request.engine):
-        forest = None
-        if request.forest and request.trees and default_engine() != "object":
-            try:
-                forest = ArrayForest.from_pairs(request.trees)
-            except TreeError:
-                forest = None  # beyond int64 budgets: per-tree engines cope
-        if forest is not None:
-            _execute_batch_forest(request, forest, io, memories, sizes)
-        else:
-            for parents, weights in request.trees:
-                tree = TaskTree(parents, weights)
-                memory = request.memory
-                if memory is None:
-                    bounds = memory_bounds(tree)
-                    if not bounds.has_io_regime:
-                        continue
-                    memory = bounds.grid()[request.bound]
-                memories.append(memory)
-                sizes.append(tree.n)
-                for a in request.algorithms:
-                    traversal = get_algorithm(a)(tree, memory)
-                    validate(tree, traversal, memory)
-                    io[a].append(traversal.io_volume)
+    forest = None
+    if request.forest and request.trees:
+        try:
+            forest = ArrayForest.from_pairs(request.trees)
+        except TreeError:
+            forest = None  # beyond int64 budgets: the per-tree path copes
+    if forest is not None:
+        _execute_batch_forest(request, forest, io, memories, sizes)
+    else:
+        for parents, weights in request.trees:
+            tree = TaskTree(parents, weights)
+            memory = request.memory
+            if memory is None:
+                bounds = memory_bounds(tree)
+                if not bounds.has_io_regime:
+                    continue
+                memory = bounds.grid()[request.bound]
+            memories.append(memory)
+            sizes.append(tree.n)
+            for a in request.algorithms:
+                traversal = get_algorithm(a)(tree, memory)
+                validate(tree, traversal, memory)
+                io[a].append(traversal.io_volume)
     return {
         "io": {a: list(v) for a, v in io.items()},
         "memories": memories,

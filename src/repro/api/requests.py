@@ -29,7 +29,7 @@ its content address with :meth:`key` — a buffer
 digest via :func:`repro.datasets.store.cache_key_buffers` over the
 canonical int64 tree columns, salted with :data:`ENGINE_VERSION`.  The
 digest is identical whether the columns are Python tuples or numpy
-views of the shared-memory transport, and it is computed **once** per
+arrays, and it is computed **once** per
 (frozen) instance: the cache lookup, the in-flight dedup and the
 worker's RNG seeding all reuse one canonicalisation.  Because every
 backend derives keys through this one path, identical requests collapse
@@ -44,7 +44,6 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..core.arraytree import validate_columns
-from ..core.engine import ENGINES
 from ..core.tree import TaskTree, TreeError
 from ..datasets.store import cache_key_buffers
 from ..obs.trace import MAX_TRACE_ID
@@ -88,6 +87,11 @@ DEFAULT_PAGING_POLICIES = ("belady", "lru", "random", "pessimal")
 #: (:meth:`repro.analysis.bounds.MemoryBounds.grid`) a
 #: :class:`BatchRequest` may ask for instead of an absolute bound.
 MEMORY_POLICIES = ("M1", "Mmid", "M2")
+
+#: the accepted values of the ``engine`` request field.  The field is
+#: parsed, validated and ignored: every request runs on the list cores.
+#: It stays on the wire, and out of every key, until the 2.0 cut.
+ENGINES = ("auto", "object", "array")
 
 #: one tree as its identity columns: ``(parents, weights)``.
 TreeColumns = tuple[tuple[int, ...], tuple[int, ...]]
@@ -225,11 +229,10 @@ def _parse_algorithm(obj: Mapping[str, Any], *, default: str = "RecExpand") -> s
 
 
 def _parse_engine(obj: Mapping[str, Any]) -> str:
-    """The optional kernel-engine override (``auto``/``object``/``array``).
+    """The optional ``engine`` field (one of :data:`ENGINES`), ignored.
 
-    Purely a performance knob: both engines return identical results, so
-    the engine is **not** part of the request's content address — a
-    cached result computed under either engine serves both.
+    Accepted for compatibility and **not** part of the request's content
+    address: every value runs the same code.
     """
     engine = obj.get("engine", "auto")
     if engine not in ENGINES:
@@ -291,8 +294,7 @@ class SolveRequest(CanonicalRequest):
     trace: str | None = None
 
     kind = "solve"
-    #: ``timeout``/``trace`` are delivery knobs; ``engine`` is a
-    #: performance knob with byte-identical results (cross-validated).
+    #: ``timeout``/``trace`` are delivery knobs; ``engine`` is ignored.
     key_excluded = frozenset({"timeout", "engine", "trace"})
 
     def to_payload(self) -> dict[str, Any]:
@@ -429,10 +431,10 @@ class BatchRequest(CanonicalRequest):
     tree, dropping trees without an I/O regime, exactly like the
     paper's evaluation.
 
-    ``engine`` and ``forest`` are performance knobs deliberately
-    **excluded** from the key: the kernels are byte-identical across
-    engines and the forest path (the cross-validation harnesses enforce
-    it), so a cached result serves every setting.
+    ``engine`` and ``forest`` are deliberately **excluded** from the
+    key: ``engine`` is ignored, and the forest path is byte-identical to
+    the per-tree one (the cross-validation harnesses enforce it), so a
+    cached result serves every setting.
     """
 
     trees: tuple[TreeColumns, ...]
@@ -443,8 +445,8 @@ class BatchRequest(CanonicalRequest):
     forest: bool = True
 
     kind = "batch"
-    #: both are performance knobs: the cross-validation harnesses pin
-    #: byte-identical results across engines and the forest path.
+    #: ``engine`` is ignored; ``forest`` is a performance knob whose
+    #: byte-identical results the cross-validation harnesses pin.
     key_excluded = frozenset({"engine", "forest"})
 
     def __post_init__(self) -> None:

@@ -34,7 +34,6 @@ from . import __version__
 from .analysis.bounds import memory_bounds
 from .analysis.profiles import render_ascii, to_csv
 from .api.errors import EXIT_BAD_INPUT, ApiError
-from .core.engine import ENGINES, set_default_engine
 from .core.traversal import validate
 from .core.tree import TaskTree, TreeError
 from .datasets import instances as paper_instances
@@ -90,10 +89,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     # One typed request, executed through the LocalBackend view of the
     # API.  Built directly rather than via parse_request: _load_tree
     # already ran the full structural validation and argparse pinned
-    # algorithm/engine to known choices, and the wire-schema caps
+    # the algorithm to known choices, and the wire-schema caps
     # (MAX_NODES, the 10^15 memory ceiling) protect the *service* — the
     # offline path must keep taking million-node trees and the
-    # beyond-int64 memory bounds the object engine supports.  An
+    # beyond-int64 memory bounds the TaskTree lists support.  An
     # infeasible memory still fails as "unsolvable" (exit 2) like every
     # other backend.
     tree = _load_tree(args.tree)
@@ -102,7 +101,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         weights=tree.weights,
         memory=args.memory,
         algorithm=args.algorithm,
-        engine=args.engine,
     )
     outcome = LocalBackend().submit(request).raise_for_error()
     result = outcome.result
@@ -256,7 +254,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         args.scale,
         jobs=args.jobs,
         cache=cache,
-        engine=args.engine,
         forest=args.forest,
         progress=print,
     )
@@ -294,16 +291,6 @@ def _cmd_instance(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.server import ServerConfig, ServiceServer
 
-    # Server-side default for requests that do not pin an engine.  The
-    # env var covers spawn-started workers (they re-import and read it);
-    # the in-process default covers inline threads and fork-started
-    # workers, which copy module state.  "auto" (the flag default) means
-    # "no preference" and must not clobber a user-set REPRO_ENGINE.
-    if args.engine != "auto":
-        import os
-
-        os.environ["REPRO_ENGINE"] = args.engine
-        set_default_engine(args.engine)
     cache_dir = None if args.no_cache else (args.cache_dir or "results/service-cache")
     config = ServerConfig(
         host=args.host,
@@ -313,7 +300,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         request_timeout=args.timeout,
         cache_dir=cache_dir,
-        shm_transport=args.forest,
         keepalive_timeout=args.keepalive_timeout,
         max_pipeline=args.max_pipeline,
         dashboard=args.dashboard,
@@ -348,8 +334,6 @@ def _build_submit_request(args: argparse.Namespace) -> dict[str, Any]:
     }
     if args.timeout:
         request["timeout"] = args.timeout
-    if args.engine != "auto":
-        request["engine"] = args.engine
     if args.kind in ("solve", "paging"):
         request["algorithm"] = args.algorithm
     if args.kind == "paging":
@@ -553,11 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--memory", type=int, required=True)
     p.add_argument("--algorithm", default="RecExpand", choices=_ALL_STRATEGIES)
     p.add_argument("--show-schedule", action="store_true")
-    p.add_argument(
-        "--engine", default="auto", choices=ENGINES,
-        help="kernel engine: flat-array kernels or per-node objects "
-             "(auto picks by tree size; results are identical)",
-    )
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("figure", help="regenerate an evaluation figure")
@@ -618,16 +597,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the on-disk result cache entirely",
     )
     p.add_argument(
-        "--engine", default="auto", choices=ENGINES,
-        help="kernel engine for the figure shards (results are identical)",
-    )
-    p.add_argument(
         "--forest", dest="forest", action="store_true", default=True,
         help="solve shards through the forest batch kernels (default)",
     )
     p.add_argument(
         "--no-forest", dest="forest", action="store_false",
-        help="dispatch the per-tree engine for every instance instead",
+        help="solve every instance on its own tree instead",
     )
     p.set_defaults(func=_cmd_report)
 
@@ -672,19 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the on-disk result cache (in-flight dedup stays on)",
     )
     p.add_argument(
-        "--engine", default="auto", choices=ENGINES,
-        help="default kernel engine for requests that do not pin one",
-    )
-    p.add_argument(
-        "--forest", dest="forest", action="store_true", default=True,
-        help="ship micro-batches to workers as shared-memory forest "
-             "buffers (default; ignored in inline mode)",
-    )
-    p.add_argument(
-        "--no-forest", dest="forest", action="store_false",
-        help="pickle micro-batch payloads to workers instead",
-    )
-    p.add_argument(
         "--keepalive-timeout", type=float, default=75.0,
         help="seconds an idle keep-alive connection stays open "
              "(<= 0 closes after every response; default: 75)",
@@ -715,10 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timeout", type=float, default=0.0,
         help="per-request deadline in seconds (0 = server default)",
-    )
-    p.add_argument(
-        "--engine", default="auto", choices=ENGINES,
-        help="kernel engine the server should use for this request",
     )
     p.add_argument("--json", action="store_true", help="print the raw JSON envelope")
     p.add_argument(

@@ -1,21 +1,15 @@
 """Model substrate: trees, traversals, the FiF simulator and node expansion.
 
-Two interchangeable kernel engines back the core computations: the
-list cores of :mod:`repro.core.kernels` (on a :class:`TaskTree`'s
-cached lists or an :class:`ArrayTree`'s columns — the default) and the
-object engine (per-node Python structures, the cross-validation
-reference); see :mod:`repro.core.engine` for how one is selected.
+The core computations run on the list cores of :mod:`repro.core.kernels`
+whenever the tree has ``core_lists()`` (a :class:`TaskTree`'s cached
+lists or an :class:`ArrayTree`'s columns).  The object implementations
+over the tree protocol remain for what the cores do not cover — traced
+FiF runs and tree protocol objects such as :class:`ExpansionTree` — and
+as the references the cross-validation tests compare the cores against.
 """
 
 from .arraytree import ArrayTree, as_array_tree
 from .forest import ArrayForest
-from .engine import (
-    ENGINES,
-    default_engine,
-    engine_scope,
-    resolve_engine,
-    set_default_engine,
-)
 from .execution import ExecutionReport, MachineModel, execute_traversal
 from .expansion import ExpansionTree, Role, expand_tree
 from .simulator import (
@@ -36,11 +30,6 @@ __all__ = [
     "ArrayTree",
     "as_array_tree",
     "ArrayForest",
-    "ENGINES",
-    "default_engine",
-    "engine_scope",
-    "resolve_engine",
-    "set_default_engine",
     "chain_tree",
     "star_tree",
     "balanced_binary_tree",

@@ -19,7 +19,7 @@ that scale).  :class:`ArrayTree` is the flat alternative:
 
 The class satisfies the same "tree protocol" (``n``, ``root``,
 ``parents``, ``weights``, ``children``, ``wbar``) as :class:`TaskTree`,
-so every object-engine algorithm also runs on it unchanged; the
+so every tree-protocol algorithm also runs on it unchanged; the
 iterative kernels in :mod:`repro.core.kernels` additionally exploit the
 flat layout directly.  ``TaskTree ↔ ArrayTree`` conversion is exact in
 both directions, and invalid descriptions are rejected with the same
@@ -135,7 +135,7 @@ def _int64_column(values: Sequence[int], what: str, *, strict: bool) -> np.ndarr
     and non-integral values are rejected, integral floats are accepted.
     ``strict=False`` mirrors its parent handling (plain ``int()``
     coercion, i.e. floats truncate and booleans count as 0/1).  Values
-    outside int64 raise ``TreeError`` (the object engine handles those).
+    outside int64 raise ``TreeError`` (a TaskTree handles those).
     """
     if isinstance(values, np.ndarray):
         arr = values

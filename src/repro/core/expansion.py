@@ -47,14 +47,37 @@ class Role(IntEnum):
     READBACK = 2  # the output restored to full size before the parent runs
 
 
+class _ChildrenView:
+    """Read-only per-node children over CSR lists: ``view[v]`` is a new list."""
+
+    __slots__ = ("_start", "_cindex")
+
+    def __init__(self, start: list[int], cindex: list[int]):
+        self._start = start
+        self._cindex = cindex
+
+    def __len__(self) -> int:
+        return len(self._start) - 1
+
+    def __getitem__(self, v: int) -> list[int]:
+        start = self._start
+        return self._cindex[start[v] : start[v + 1]]
+
+    def __iter__(self):
+        return (self[v] for v in range(len(self)))
+
+
 class ExpansionTree:
     """A mutable task tree supporting repeated node expansions.
 
     The structure grows monotonically: original nodes keep their ids
     (``0 .. base_n-1``), spliced nodes are appended.  All arrays are plain
-    lists so the FiF simulator and the Liu solver can read them directly;
-    besides ``children``, the CSR lists ``start``/``cindex`` and ``wbar``
-    are kept current for :func:`repro.core.kernels.simulate_fif_core`.
+    lists so the FiF simulator and the Liu solver can read them directly.
+    Children are stored once, as the CSR lists ``start``/``cindex`` that
+    :func:`repro.core.kernels.simulate_fif_core` and the RecExpand fill
+    read (kept current with ``wbar``); ``children`` is a read-only
+    per-node view over them for tree-protocol readers such as
+    :class:`~repro.algorithms.liu.LiuSolver`.
     """
 
     def __init__(self, tree: TaskTree):
@@ -63,9 +86,9 @@ class ExpansionTree:
         lists = tree.core_lists()
         self.parents: list[int] = list(lists.parents)
         self.weights: list[int] = list(lists.weights)
-        self.children: list[list[int]] = [list(c) for c in tree.children]
         self.start: list[int] = list(lists.start)
         self.cindex: list[int] = list(lists.cindex)
+        self.children = _ChildrenView(self.start, self.cindex)
         self.wbar: list[int] = list(lists.wbar)
         self.root: int = tree.root
         self.origin: list[int] = list(range(tree.n))
@@ -113,9 +136,8 @@ class ExpansionTree:
         self.parents.append(parent)  # readback's parent
         self.weights.append(w - amount)
         self.weights.append(w)
-        self.children.append([v])  # residual's children
-        self.children.append([residual])  # readback's children
-        # CSR: each new node owns one slot appended at the end.  Both
+        # CSR: each new node owns one slot appended at the end (the
+        # residual's child v, the readback's child residual).  Both
         # execute with w resident (their child weighs w, resp. at most
         # w), and every wbar already present is unchanged: the old parent
         # swaps a child of weight w for one of weight w, and a residual's
@@ -133,10 +155,8 @@ class ExpansionTree:
         if parent == -1:
             self.root = readback
         else:
-            kids = self.children[parent]
-            slot = kids.index(v)
-            kids[slot] = readback
-            cindex[self.start[parent] + slot] = readback
+            start = self.start
+            cindex[cindex.index(v, start[parent], start[parent + 1])] = readback
         return readback
 
     # ------------------------------------------------------------------

@@ -19,10 +19,9 @@ to 512 nodes per tree that overhead rivals the actual solve.
   children, and ``wbar`` are O(total nodes) of numpy work, never one
   numpy call per tree; the only per-node Python loop is the canonical
   per-tree BFS (the same loop ``ArrayTree`` runs);
-* ``pack()``/``from_packed()`` give a canonical raw-buffer wire form
-  (one header + three int64 columns) used by the service's
-  shared-memory transport and the buffer-digest cache keys — shipping a
-  forest costs a memcpy, not a pickle of Python int lists.
+* ``pack()``/``from_packed()`` give a canonical raw-buffer form (one
+  header + three int64 columns) — shipping a forest costs a memcpy, not
+  a pickle of Python int lists.
 
 Derived per-tree structures are **byte-identical** to what
 ``ArrayTree(parents, weights)`` builds for each member (the forest
@@ -347,15 +346,15 @@ class ArrayForest:
         return cls(offsets, np.concatenate(pcols), np.concatenate(wcols))
 
     # ------------------------------------------------------------------
-    # the wire form (shared-memory transport, buffer-digest cache keys)
+    # the raw-buffer form
     # ------------------------------------------------------------------
     def pack(self) -> bytes:
         """Canonical raw form: ``[n_trees, total] + offsets + parents + weights``.
 
         All native-endian int64; :meth:`from_packed` is the exact inverse
-        on the same machine (the shared-memory transport never crosses
-        hosts).  For host-portable digests use :meth:`column_buffers`
-        with :func:`repro.datasets.store.cache_key_buffers`, which
+        on the same machine.  For host-portable digests use
+        :meth:`column_buffers` with
+        :func:`repro.datasets.store.cache_key_buffers`, which
         canonicalises to little-endian.
         """
         head = np.array([self._n_trees, self._total], dtype=np.int64)
@@ -447,7 +446,7 @@ class ArrayForest:
             yield self.tree(k)
 
     def task_tree(self, k: int) -> TaskTree:
-        """Member ``k`` as a :class:`TaskTree` (re-validates, object engine)."""
+        """Member ``k`` as a :class:`TaskTree` (re-validates)."""
         off = self._offsets
         a, b = int(off[k]), int(off[k + 1])
         return TaskTree(

@@ -14,9 +14,12 @@ CSR layout of :class:`~repro.core.tree.CoreLists` — which both
   (Theorem 1);
 * :func:`structure_stats` — one-pass shape statistics.
 
-Every function is **exactly equivalent** to its object-engine
-counterpart (same schedules, same ``S_i``/``V_i``, same I/O function,
-same tie-breaking) — an invariant enforced by the randomized
+These cores are the one execution path of every tree with
+``core_lists()``; there is no engine switch.  Every function is
+**exactly equivalent** to its object reference (``_best_postorder``,
+``_simulate_fif_object``, :class:`~repro.algorithms.liu.LiuSolver`:
+same schedules, same ``S_i``/``V_i``, same I/O function, same
+tie-breaking) — an invariant enforced by the randomized
 cross-validation harness in ``tests/test_kernel_crossval.py``.  The
 difference is purely mechanical: no recursion anywhere (explicit int
 stacks, so 10^6-node and 10^6-deep trees are fine), no per-node object
@@ -78,7 +81,7 @@ def best_postorder(
     otherwise by ``min(M, S_j) - w_j`` (MinIO).  Returns
     ``(schedule, storage, vio)`` with ``storage[v] = S_v`` and
     ``vio[v] = V_v`` (all zeros in MinMem mode) — the exact quantities
-    of the object engine's ``_best_postorder``.
+    of the object reference ``_best_postorder``.
     """
     lists = tree.core_lists()
     return best_postorder_core(
@@ -139,7 +142,7 @@ def best_postorder_core(
             a = ordered[s]
             b = ordered[s + 1]
             # A strict improvement swaps; a tie keeps ascending ids —
-            # the same (-key, id) order the object engine sorts by.
+            # the same (-key, id) order the object reference sorts by.
             if key[b] > key[a]:
                 ordered[s] = b
                 ordered[s + 1] = a
@@ -167,7 +170,7 @@ def best_postorder_core(
             continue
         kids = ordered[s:e]  # ascending ids == TaskTree construction order
         # Stable reverse sort == sorting by (-key, id): ties keep the
-        # ascending-id order, exactly the object engine's tie-break.
+        # ascending-id order, exactly the object reference's tie-break.
         kids.sort(key=key_get, reverse=True)
         ordered[s:e] = kids
 
@@ -232,7 +235,7 @@ def best_postorder_core(
 def flatten_rope(rope, out: list[int]) -> None:
     """Flatten a rope (an int leaf or a nested pair) into ``out``.
 
-    The single definition of the rope encoding both the object-engine
+    The single definition of the rope encoding both the object
     :class:`~repro.algorithms.liu.Segment` and the kernel's segment
     tuples use — keep them on one flattener so they can never diverge.
     """
@@ -622,7 +625,7 @@ def simulate_fif_core(
 
     resident = [0] * n
     io = [0] * n
-    evicted: list[int] = []  # first-eviction order, as the object engine
+    evicted: list[int] = []  # first-eviction order, as the object reference
     # The eviction heap is built lazily: newly active outputs accumulate
     # in ``pending`` and are folded in only when an eviction round
     # actually needs candidates.  Eviction-free execution (the common

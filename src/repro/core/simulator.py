@@ -18,6 +18,13 @@ The implementation is generic over the small "tree protocol" (``weights``,
   schedule — its output simply stays resident, which is harmless because
   the subtree root is always scheduled last), and
 * the mutable expansion trees used by the RecExpand heuristics.
+
+Which loop runs follows from the input alone: an untraced simulation of
+a tree with ``core_lists()`` runs the list core
+:func:`repro.core.kernels.simulate_fif_core`; a traced one, or any
+other tree protocol object, runs the object loop
+(:func:`_simulate_fif_object`), which is also the reference the
+cross-validation tests compare the core against.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
 from . import kernels
-from .engine import runs_on_cores
 from .traversal import Traversal
 
 __all__ = [
@@ -88,7 +94,6 @@ def simulate_fif(
     memory: int | None,
     *,
     trace: bool = False,
-    engine: str | None = None,
 ) -> SimulationResult:
     """Run ``schedule`` under memory bound ``memory`` with FiF evictions.
 
@@ -105,14 +110,12 @@ def simulate_fif(
         (no evictions — useful to measure the peak of a schedule).
     trace:
         record a :class:`StepTrace` per step (costs memory; off by default).
-    engine:
-        kernel-engine override (see :mod:`repro.core.engine`).  Untraced
-        runs on a :class:`~repro.core.tree.TaskTree` or an
-        :class:`~repro.core.arraytree.ArrayTree` — full-tree or subtree
-        schedules — take :func:`repro.core.kernels.simulate_fif_core`
-        unless it resolves to ``object``; traced runs and other tree
-        protocol objects use the object loop.  Results are identical
-        either way.
+        Untraced runs on a tree with ``core_lists()`` (a
+        :class:`~repro.core.tree.TaskTree` or an
+        :class:`~repro.core.arraytree.ArrayTree`) — full-tree or subtree
+        schedules — take :func:`repro.core.kernels.simulate_fif_core`;
+        traced runs and other tree protocol objects use the object loop.
+        Results are identical either way.
 
     Returns
     -------
@@ -126,7 +129,7 @@ def simulate_fif(
         if some step needs more than ``memory`` with every other active
         output fully evicted, i.e. ``wbar > M``.
     """
-    if not trace and runs_on_cores(tree, engine):
+    if not trace and hasattr(tree, "core_lists"):
         io, io_total, peak = kernels.simulate_fif(tree, schedule, memory)
         return SimulationResult(io=io, io_volume=io_total, peak_memory=peak)
     return _simulate_fif_object(tree, schedule, memory, trace)
@@ -135,7 +138,7 @@ def simulate_fif(
 def _simulate_fif_object(
     tree: TreeLike, schedule: Sequence[int], memory: int | None, trace: bool
 ) -> SimulationResult:
-    """The object-engine FiF loop: the reference, and the traced path."""
+    """The object FiF loop: the reference, and the traced path."""
     weights = tree.weights
     parents = tree.parents
     children = tree.children

@@ -165,7 +165,7 @@ def _canonical_int64(values: Any) -> bytes:
     identical bytes for equal *values*, regardless of container type or
     host byte order (so digests are portable across cache directories).
 
-    Columns with values beyond int64 (the object engine supports
+    Columns with values beyond int64 (TaskTree supports
     arbitrary-precision weights) get a canonical decimal encoding
     instead — see :func:`_canonical_bigint` — so such trees are content-
     addressable too; int64-representable values always take the byte

@@ -195,7 +195,6 @@ def shard_figure(
     scale: Scale | str,
     *,
     shard_size: int = DEFAULT_SHARD_SIZE,
-    engine: str = "auto",
     forest: bool = True,
 ) -> list[FigureShard]:
     """Cut one figure's instance list into contiguous shards.
@@ -220,7 +219,6 @@ def shard_figure(
             index=index,
             trees=tuple((t.parents, t.weights) for t in chunk),
             seed=0,
-            engine=engine,
             forest=forest,
         )
         # The seed is derived from the content address (which excludes the
@@ -458,7 +456,6 @@ def run_batch_figures(
     cache: ResultCache | None = None,
     stats: BatchStats | None = None,
     shard_size: int = DEFAULT_SHARD_SIZE,
-    engine: str = "auto",
     forest: bool = True,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, Any]:
@@ -479,9 +476,7 @@ def run_batch_figures(
     # ``figure_ids or sorted(FIGURES)``.
     ids = list(figure_ids) if figure_ids else sorted(FIGURE_SPECS)
     by_figure: dict[str, list[FigureShard]] = {
-        fid: shard_figure(
-            fid, scale, shard_size=shard_size, engine=engine, forest=forest
-        )
+        fid: shard_figure(fid, scale, shard_size=shard_size, forest=forest)
         for fid in ids
     }
     flat: list[FigureShard] = [s for fid in ids for s in by_figure[fid]]
@@ -517,7 +512,6 @@ def run_batch_report(
     jobs: int = 1,
     cache: ResultCache | None = None,
     shard_size: int = DEFAULT_SHARD_SIZE,
-    engine: str = "auto",
     forest: bool = True,
     progress: Callable[[str], None] | None = None,
 ) -> "ExperimentReport":
@@ -526,10 +520,9 @@ def run_batch_report(
     Equivalent to :func:`repro.experiments.runner.run_all` — same
     figures, same counterexamples, same summary values — with the
     ``batch`` provenance block (shard and cache counters) filled in.
-    ``engine`` selects the kernel engine the figure shards run under
-    (``auto``/``object``/``array``) and ``forest`` whether shards solve
-    through the forest layer; results are identical in every
-    combination, which is why neither is part of the cache keys.
+    ``forest`` selects whether shards solve through the forest layer;
+    results are identical either way, which is why it is not part of
+    the cache keys.
     Returns an :class:`~repro.experiments.runner.ExperimentReport`.
     """
     from .runner import ExperimentReport
@@ -551,7 +544,6 @@ def run_batch_report(
         cache=cache,
         stats=stats,
         shard_size=shard_size,
-        engine=engine,
         forest=forest,
         progress=progress,
     )

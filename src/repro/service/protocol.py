@@ -24,9 +24,9 @@ the server and its clients share:
   "the wire schema" as the JSON envelopes are.
 
 A request's content address (:meth:`key`) is the same buffer digest the
-batch engine's work units use — one canonicalisation shared by the
-server's tuples and a worker's numpy views of the shared-memory
-transport — so identical requests collapse onto one computation and one
+batch engine's work units use — one canonicalisation, computed once
+by the server and carried to the worker with the request — so
+identical requests collapse onto one computation and one
 cache entry on every surface, and bumping
 :data:`~repro.api.requests.ENGINE_VERSION` invalidates served results
 and offline shards alike.

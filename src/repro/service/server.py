@@ -51,7 +51,9 @@ JSON, and the length-framed binary protocol negotiated per request via
 ``Content-Type`` / ``Accept``.  Either way a request is validated
 once, here — binary submissions straight off their int64 columns, with
 no JSON parse — and the typed request object is what the queue and the
-workers carry on.
+workers carry on: a micro-batch reaches its worker process as one
+pickle of those objects, with their cached keys (see
+:mod:`repro.service.pool`).
 Connections are HTTP/1.1 keep-alive with request pipelining: responses
 are written strictly in request order by a per-connection writer, while
 up to ``max_pipeline`` requests from the same connection are in flight
@@ -129,12 +131,6 @@ class ServerConfig:
     request_timeout: float = 60.0  # default per-request deadline (seconds)
     max_body_bytes: int = 16 * 1024 * 1024
     cache_dir: str | None = None  # None = no result cache
-    #: ship micro-batch trees to process workers via shared memory (the
-    #: forest transport); falls back to pickling automatically where
-    #: shared memory is unavailable or the batch is too small to
-    #: amortise a segment, and is a no-op in inline mode.
-    shm_transport: bool = True
-    shm_min_nodes: int = -1  # -1 = the pool's default floor
     #: how long an idle keep-alive connection is held open between
     #: requests; <= 0 restores the original one-request-per-connection
     #: behaviour (every response carries ``Connection: close``).
@@ -395,15 +391,10 @@ class ServiceServer:
         # A pool the server builds counts its batches and restarts here.
         self.registry = MetricsRegistry()
         if pool is None:
-            kwargs = {}
-            if config.shm_min_nodes >= 0:
-                kwargs["shm_min_nodes"] = config.shm_min_nodes
             pool = WorkerPool(
                 config.workers,
                 inline_threads=config.inline_threads,
-                shm_transport=config.shm_transport,
                 registry=self.registry,
-                **kwargs,
             )
         self.pool = pool
         self.metrics = ServiceMetrics(

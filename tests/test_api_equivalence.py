@@ -353,3 +353,55 @@ class TestBinaryCacheProvenance:
         assert via_binary.error_code == via_json.error_code == "unsolvable"
         assert via_binary.error_status == via_json.error_status == 422
         assert via_binary.canonical() == via_json.canonical()
+
+
+class TestEngineFieldIgnored:
+    """The ``engine`` request field is parsed, validated and ignored.
+
+    It stays on the wire until the 2.0 cut; every accepted value runs
+    the same code, so it moves neither the key nor a byte of the
+    envelope, over either encoding.
+    """
+
+    def _payload(self, **fields):
+        payload = {
+            "kind": "solve",
+            "tree": {"parents": [-1, 0, 0, 1, 1], "weights": [3, 4, 2, 5, 1]},
+            "memory": 9,
+            "algorithm": "RecExpand",
+        }
+        payload.update(fields)
+        return payload
+
+    def test_accepted_names_give_one_key_and_one_envelope(self):
+        import json
+
+        from repro.service import ServiceClient
+
+        keys = {parse_request(self._payload()).key()}
+        envelopes = set()
+        config = ServerConfig(port=0, workers=0, inline_threads=1)
+        with ServerThread(config) as thread:
+            for wire in ("json", "binary"):
+                client = ServiceClient(port=thread.port, wire=wire)
+                for engine in ("auto", "object", "array"):
+                    payload = self._payload(engine=engine)
+                    keys.add(parse_request(payload).key())
+                    envelopes.add(json.dumps(client.submit(payload), sort_keys=True))
+        assert len(keys) == 1
+        assert len(envelopes) == 1
+        assert json.loads(envelopes.pop())["key"] == keys.pop()
+
+    def test_unknown_name_is_bad_field_on_both_encodings(self):
+        from repro.service import ServiceClient, ServiceError
+
+        with pytest.raises(ProtocolError) as err:
+            parse_request(self._payload(engine="vector"))
+        assert err.value.code == "bad_field"
+        config = ServerConfig(port=0, workers=0, inline_threads=1)
+        with ServerThread(config) as thread:
+            for wire in ("json", "binary"):
+                client = ServiceClient(port=thread.port, wire=wire)
+                with pytest.raises(ServiceError) as failure:
+                    client.submit(self._payload(engine="vector"))
+                assert (failure.value.status, failure.value.code) == (400, "bad_field")

@@ -17,13 +17,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.arraytree import ArrayTree, as_array_tree
-from repro.core.engine import (
-    AUTO_THRESHOLD,
-    default_engine,
-    engine_scope,
-    resolve_engine,
-    set_default_engine,
-)
 from repro.core.tree import TaskTree, TreeError, chain_tree, star_tree
 
 from .conftest import task_trees
@@ -146,75 +139,12 @@ class TestValidation:
     def test_huge_weight_falls_back_to_object_engine(self):
         # Beyond int64 the flat layout refuses, but the list cores run on
         # the TaskTree's own lists (arbitrary precision), exactly like the
-        # object engine — the dispatch must not fail.
-        from repro.algorithms.postorder import postorder_min_mem
-        from repro.core.engine import runs_on_cores
+        # object reference — the dispatch must not fail.
+        from repro.algorithms.postorder import _best_postorder, postorder_min_mem
 
         tree = TaskTree([-1, 0], [2**70, 1])
         with pytest.raises(TreeError):
             ArrayTree.from_task_tree(tree)
-        assert runs_on_cores(tree, "array")
-        result = postorder_min_mem(tree, engine="array")
+        result = postorder_min_mem(tree)
         assert result.peak_memory == 2**70
-        assert result == postorder_min_mem(tree, engine="object")
-
-
-class TestEngineSelection:
-    def test_resolution_rules(self):
-        small = chain_tree([1, 2])
-        big = TaskTree(
-            [-1] + list(range(AUTO_THRESHOLD)), [1] * (AUTO_THRESHOLD + 1)
-        )
-        from repro.core.engine import runs_on_cores
-        from repro.core.expansion import ExpansionTree
-
-        assert resolve_engine("object") == "object"
-        assert resolve_engine("array") == "array"
-        assert resolve_engine(None) in ("object", "array")
-        previous = set_default_engine("auto")
-        try:
-            # auto is array's alias: the list cores at every size, on
-            # either representation; only mutable trees stay on objects
-            assert resolve_engine(None) == "array"
-            for tree in (small, big, as_array_tree(small)):
-                assert runs_on_cores(tree)
-                assert not runs_on_cores(tree, "object")
-            assert not runs_on_cores(ExpansionTree(small))
-        finally:
-            set_default_engine(previous)
-
-    def test_auto_scope_does_not_shadow_process_default(self):
-        # "auto" means "no preference": a request that does not pin an
-        # engine must inherit a server-wide default (serve --engine /
-        # REPRO_ENGINE), not silently re-enable auto dispatch.
-        previous = set_default_engine("object")
-        try:
-            with engine_scope("auto"):
-                assert resolve_engine(None) == "object"
-            with engine_scope(None):
-                assert resolve_engine(None) == "object"
-            with engine_scope("array"):
-                assert resolve_engine(None) == "array"
-        finally:
-            set_default_engine(previous)
-
-    def test_engine_scope_restores(self):
-        before = default_engine()
-        with engine_scope("object"):
-            assert default_engine() == "object"
-            with engine_scope("array"):
-                assert default_engine() == "array"
-            assert default_engine() == "object"
-        assert default_engine() == before
-        with pytest.raises(ValueError):
-            with engine_scope("vector"):
-                pass  # pragma: no cover
-
-    def test_set_default_engine_round_trip(self):
-        previous = set_default_engine("object")
-        try:
-            assert default_engine() == "object"
-        finally:
-            set_default_engine(previous)
-        with pytest.raises(ValueError):
-            set_default_engine("nope")
+        assert result == _best_postorder(tree, None)

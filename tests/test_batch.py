@@ -180,15 +180,28 @@ class TestForestPath:
                 pb.pop("seconds")
                 assert pa == pb
 
-    def test_object_engine_pin_disables_forest(self):
-        shard = shard_figure("fig4", "tiny", forest=True, engine="object")[0]
-        payload = run_shard(shard)
-        reference = run_shard(
-            shard_figure("fig4", "tiny", forest=False, engine="object")[0]
+    def test_object_engine_field_is_ignored(self, monkeypatch):
+        """``engine="object"`` selects nothing: the forest path still runs,
+        and the payload equals the per-tree (``forest=False``) one."""
+        from repro.api import execution
+
+        shard = shard_figure("fig4", "tiny")[0]
+        pinned = dataclasses.replace(shard, engine="object")
+        assert pinned.key() == shard.key()
+        forest_runs = []
+        real = execution._execute_batch_forest
+        monkeypatch.setattr(
+            execution,
+            "_execute_batch_forest",
+            lambda *args: forest_runs.append(1) or real(*args),
         )
+        payload = run_shard(pinned)
+        assert forest_runs == [1]
+        reference = run_shard(dataclasses.replace(shard, forest=False))
+        assert forest_runs == [1]
         payload.pop("seconds")
         reference.pop("seconds")
-        assert payload == reference
+        assert json.dumps(payload) == json.dumps(reference)
 
     def test_shard_key_is_computed_once(self):
         shard = shard_figure("fig4", "tiny")[0]

@@ -1,11 +1,12 @@
-"""The list cores behind ``auto``: subtree FiF equivalence and dispatch pins.
+"""The list cores behind the public APIs: subtree FiF equivalence and dispatch pins.
 
 * :func:`repro.core.kernels.simulate_fif_core` on *subtree* schedules of
   random expansion trees equals the object simulator — the I/O function
   (in first-eviction order, which the RecExpand victim rules see), its
   volume, the peak, and the ``InfeasibleSchedule`` text;
-* ``auto`` on a small :class:`TaskTree` never builds an ``ArrayTree`` and
-  never enters the object loops, while ``engine="object"`` still does.
+* a small :class:`TaskTree` never builds an ``ArrayTree`` and never
+  enters the object loops, while traced runs and tree protocol objects
+  without ``core_lists()`` still do.
 """
 
 from __future__ import annotations
@@ -16,12 +17,16 @@ import pytest
 
 from repro.algorithms import liu, postorder
 from repro.algorithms.liu import LiuSolver, min_peak_memory, opt_min_mem
-from repro.algorithms.postorder import postorder_min_io, postorder_min_mem
+from repro.algorithms.postorder import (
+    postorder_min_io,
+    postorder_min_mem,
+    postorder_with_child_key,
+)
 from repro.core import simulator
 from repro.core.arraytree import ArrayTree
 from repro.core.expansion import ExpansionTree
 from repro.core.kernels import flatten_rope, liu_fill, liu_schedule, simulate_fif_core
-from repro.core.simulator import InfeasibleSchedule, simulate_fif
+from repro.core.simulator import InfeasibleSchedule, _simulate_fif_object, simulate_fif
 from repro.core.tree import TaskTree
 
 
@@ -80,7 +85,7 @@ def _core(xt, schedule, memory):
 
 
 def _object(tree, schedule, memory):
-    r = simulate_fif(tree, schedule, memory, engine="object")
+    r = _simulate_fif_object(tree, schedule, memory, False)
     return r.io, r.io_volume, r.peak_memory
 
 
@@ -125,8 +130,8 @@ class TestSubtreeFif:
             schedule = LiuSolver(tree).schedule(root)
             memory = max(tree.wbar[v] for v in schedule) + rng.randint(0, 5)
             want = _outcome(lambda: _object(tree, schedule, memory))
-            for engine in ("auto", "array"):
-                r = simulate_fif(tree, schedule, memory, engine=engine)
+            for view in (tree, ArrayTree.from_task_tree(tree)):
+                r = simulate_fif(view, schedule, memory)
                 got = list(r.io.items()), r.io_volume, r.peak_memory
                 assert got == want
 
@@ -189,7 +194,7 @@ class _ForbiddenSolver:
 
 @pytest.fixture
 def object_paths_forbidden(monkeypatch):
-    """Make every ArrayTree build and every object-engine loop raise."""
+    """Make every ArrayTree build and every object loop raise."""
     monkeypatch.setattr(ArrayTree, "__init__", _forbid)
     monkeypatch.setattr(ArrayTree, "from_task_tree", _forbid)
     monkeypatch.setattr(postorder, "_best_postorder", _forbid)
@@ -218,26 +223,19 @@ class TestAutoStaysOnCores:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda t, m: opt_min_mem(t, engine="object"),
-            lambda t, m: min_peak_memory(t, engine="object"),
-            lambda t, m: postorder_min_mem(t, engine="object"),
-            lambda t, m: postorder_min_io(t, m, engine="object"),
-            lambda t, m: simulate_fif(t, list(t.postorder()), m, engine="object"),
+            lambda t, m: opt_min_mem(ExpansionTree(t)),
+            lambda t, m: min_peak_memory(ExpansionTree(t)),
+            lambda t, m: postorder_with_child_key(t, m, "A-w"),
+            lambda t, m: simulate_fif(t, list(t.postorder()), m, trace=True),
+            lambda t, m: simulate_fif(ExpansionTree(t), list(t.postorder()), m),
         ],
     )
-    def test_explicit_object_engine_still_enters_them(
+    def test_tree_protocol_inputs_still_enter_them(
         self, object_paths_forbidden, call
     ):
         tree = _small_tree()
         with pytest.raises(_ObjectPathEntered):
             call(tree, tree.min_feasible_memory())
-
-    def test_engine_scope_object_still_enters_them(self, object_paths_forbidden):
-        from repro.core.engine import engine_scope
-
-        tree = _small_tree()
-        with engine_scope("object"), pytest.raises(_ObjectPathEntered):
-            postorder_min_mem(tree)
 
 
 class TestCoreListsAreShared:

@@ -1,10 +1,12 @@
-"""Randomized cross-validation of the two kernel engines.
+"""Randomized cross-validation of the list cores against the object references.
 
 A seeded fuzzer draws ~200 trees across every family and size band the
 repository generates — uniform binary and plane trees, preferential
 attachment, nested-dissection-shaped, chains, stars, caterpillars,
-uniform random attachment with zero weights — and asserts that the flat
-array kernels and the object-engine implementations are **byte
+uniform random attachment with zero weights — and asserts that the list
+cores (run on an :class:`ArrayTree`) and the object reference
+implementations (``postorder._best_postorder``, ``LiuSolver``,
+``simulator._simulate_fif_object``, called by name) are **byte
 identical** on all of them:
 
 * ``postorder_min_mem`` / ``postorder_min_io``: schedule, per-subtree
@@ -14,10 +16,10 @@ identical** on all of them:
   total volume, and peak, on every schedule above, at several memory
   bounds across the I/O regime;
 * the paper's invariant: ``postorder_min_io``'s predicted ``V_root``
-  equals the FiF simulation of its schedule — on *both* engines.
+  equals the FiF simulation of its schedule — on *both* paths.
 
-Exact equality (not "close") is the point: the array engine replaces the
-object engine behind the public APIs, so any divergence is a bug.
+Exact equality (not "close") is the point: the list cores are the only
+path behind the public APIs, so any divergence is a bug.
 """
 
 from __future__ import annotations
@@ -26,9 +28,13 @@ import numpy as np
 import pytest
 
 from repro.algorithms.liu import LiuSolver, min_peak_memory, opt_min_mem
-from repro.algorithms.postorder import postorder_min_io, postorder_min_mem
+from repro.algorithms.postorder import (
+    _best_postorder,
+    postorder_min_io,
+    postorder_min_mem,
+)
 from repro.core.arraytree import ArrayTree
-from repro.core.simulator import simulate_fif
+from repro.core.simulator import _simulate_fif_object, simulate_fif
 from repro.core.tree import TaskTree
 from repro.datasets.synth import (
     deep_random_tree,
@@ -98,8 +104,8 @@ def _memory_grid(tree: TaskTree) -> list[int]:
 
 
 def _assert_simulations_match(tree, at, schedule, memory):
-    r_obj = simulate_fif(tree, schedule, memory, engine="object")
-    r_arr = simulate_fif(at, schedule, memory, engine="array")
+    r_obj = _simulate_fif_object(tree, schedule, memory, False)
+    r_arr = simulate_fif(at, schedule, memory)
     assert dict(r_obj.io) == dict(r_arr.io)
     assert r_obj.io_volume == r_arr.io_volume
     assert r_obj.peak_memory == r_arr.peak_memory
@@ -109,24 +115,24 @@ def _assert_simulations_match(tree, at, schedule, memory):
 def _crossval_one(tree: TaskTree) -> None:
     at = ArrayTree.from_task_tree(tree)
 
-    mm_obj = postorder_min_mem(tree, engine="object")
-    mm_arr = postorder_min_mem(at, engine="array")
+    mm_obj = _best_postorder(tree, None)
+    mm_arr = postorder_min_mem(at)
     assert mm_obj == mm_arr
 
     liu_obj = (LiuSolver(tree).schedule(), LiuSolver(tree).peak())
-    liu_arr = opt_min_mem(at, engine="array")
+    liu_arr = opt_min_mem(at)
     assert liu_obj[0] == liu_arr[0]
     assert liu_obj[1] == liu_arr[1]
 
     for memory in _memory_grid(tree):
         if memory < tree.min_feasible_memory():
             continue
-        io_obj = postorder_min_io(tree, memory, engine="object")
-        io_arr = postorder_min_io(at, memory, engine="array")
+        io_obj = _best_postorder(tree, memory)
+        io_arr = postorder_min_io(at, memory)
         assert io_obj == io_arr
 
-        # FiF equality on every schedule the engines produced, plus the
-        # headline invariant V_root == simulated volume on both engines.
+        # FiF equality on every schedule both paths produced, plus the
+        # headline invariant V_root == simulated volume on both paths.
         simulated = _assert_simulations_match(tree, at, io_obj.schedule, memory)
         assert io_obj.predicted_io == simulated
         assert io_arr.predicted_io == simulated
@@ -154,9 +160,9 @@ def test_unbounded_memory_simulation_matches():
     rng = np.random.default_rng(7)
     tree = _make_tree("binary", 300, rng)
     at = ArrayTree.from_task_tree(tree)
-    schedule = postorder_min_mem(tree, engine="object").schedule
-    r_obj = simulate_fif(tree, schedule, None, engine="object")
-    r_arr = simulate_fif(at, schedule, None, engine="array")
+    schedule = _best_postorder(tree, None).schedule
+    r_obj = _simulate_fif_object(tree, schedule, None, False)
+    r_arr = simulate_fif(at, schedule, None)
     assert r_obj.peak_memory == r_arr.peak_memory
     assert r_obj.io_volume == r_arr.io_volume == 0
 
@@ -167,22 +173,23 @@ def test_infeasible_memory_raises_identically():
     rng = np.random.default_rng(11)
     tree = _make_tree("plane", 60, rng)
     at = ArrayTree.from_task_tree(tree)
-    schedule = postorder_min_mem(tree, engine="object").schedule
+    schedule = _best_postorder(tree, None).schedule
     too_small = tree.min_feasible_memory() - 1
     if too_small < 1:
         pytest.skip("tree with zero LB")
     with pytest.raises(InfeasibleSchedule):
-        simulate_fif(tree, schedule, too_small, engine="object")
+        _simulate_fif_object(tree, schedule, too_small, False)
     with pytest.raises(InfeasibleSchedule):
-        simulate_fif(at, schedule, too_small, engine="array")
+        simulate_fif(at, schedule, too_small)
 
 
 def test_auto_dispatch_equals_forced_engines():
-    """The default (auto) path returns the same objects as both forced paths."""
+    """The public entry point returns what the object reference and the
+    core on an ``ArrayTree`` return."""
     rng = np.random.default_rng(23)
     for n in (40, 700):
         tree = _make_tree("binary", n, rng)
         memory = max(1, (tree.min_feasible_memory() + min_peak_memory(tree)) // 2)
         auto = postorder_min_io(tree, memory)
-        assert auto == postorder_min_io(tree, memory, engine="object")
-        assert auto == postorder_min_io(tree, memory, engine="array")
+        assert auto == _best_postorder(tree, memory)
+        assert auto == postorder_min_io(ArrayTree.from_task_tree(tree), memory)

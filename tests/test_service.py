@@ -439,14 +439,12 @@ class TestBackpressureAndTimeouts:
 
 
 # --------------------------------------------------------------------- #
-# shared-memory transport (the forest wire path to process workers)
+# the worker hand-off: pickled typed requests, one call per micro-batch
 # --------------------------------------------------------------------- #
 
 
-class TestSharedMemoryTransport:
+class TestWorkerHandOff:
     def _payloads(self):
-        import numpy as np
-
         from repro.analysis.bounds import memory_bounds
         from repro.datasets.synth import synth_instance
 
@@ -480,41 +478,29 @@ class TestSharedMemoryTransport:
         # a second call reuses the cached digest
         assert trusted.key() is trusted.key()
 
-    def test_pack_and_execute_in_process(self):
+    def test_pickled_requests_carry_their_keys(self):
         import pickle
 
-        from repro.service.pool import (
-            _pack_batch,
-            _release_shm,
-            execute_many,
-            execute_payload,
-        )
+        from repro.service.pool import execute_many, execute_payload
 
         payloads = self._payloads()
         requests = [parse_request(p) for p in payloads]
-        packed = _pack_batch(requests)
-        assert packed is not None
-        shm, stripped = packed
-        try:
-            # the columns ride the segment; the requests travel without
-            # them, carrying the key the server derived
-            assert all(r.parents == () and r.weights == () for r in stripped)
-            shipped = pickle.loads(pickle.dumps(stripped))
-            assert [r.__dict__["_cached_key"] for r in shipped] == [
-                r.key() for r in requests
-            ]
-            got = execute_many(shipped, True, shm.name)
-        finally:
-            _release_shm(shm)
+        keys = [r.key() for r in requests]
+        # what a process worker receives: the typed requests, with the
+        # key the server derived, so the worker never recomputes it
+        shipped = pickle.loads(pickle.dumps(requests))
+        assert [r.__dict__["_cached_key"] for r in shipped] == keys
+        got = execute_many(shipped, True)
         assert got == [execute_payload(p, seed_rng=True) for p in payloads]
         assert all(envelope["ok"] for envelope in got)
 
-    def test_invalid_scalars_still_rejected_on_shm_path(self):
+    def test_invalid_scalars_fail_alone(self):
         import dataclasses
+        import pickle
 
-        from repro.service.pool import _pack_batch, _release_shm, execute_many
+        from repro.service.pool import execute_many
 
-        # scalars are validated once, before anything is packed ...
+        # scalars are validated once, before anything is shipped ...
         with pytest.raises(ProtocolError) as err:
             parse_request(_request(algorithm="NoSuchAlgorithm"))
         assert err.value.code == "unknown_algorithm"
@@ -522,89 +508,83 @@ class TestSharedMemoryTransport:
         bad = dataclasses.replace(
             parse_request(_request()), algorithm="NoSuchAlgorithm"
         )
-        packed = _pack_batch([bad])
-        assert packed is not None
-        shm, stripped = packed
-        try:
-            (envelope,) = execute_many(stripped, True, shm.name)
-        finally:
-            _release_shm(shm)
+        good, envelope = execute_many(
+            pickle.loads(pickle.dumps([parse_request(_request()), bad])), True
+        )
+        assert good["ok"] is True
         assert envelope["ok"] is False
         assert "NoSuchAlgorithm" in envelope["error"]["message"]
 
-    def test_lost_segment_degrades_to_error_envelopes(self):
-        from repro.service.pool import execute_many
-
-        stripped = [parse_request(_request())] * 2
-        out = execute_many(stripped, True, "psm_repro_gone_missing")
-        assert [e["error"]["code"] for e in out] == ["internal", "internal"]
-
-    def test_worker_pool_round_trip_and_fallback(self):
+    def test_worker_pool_round_trip(self):
         import asyncio
 
+        from repro.obs import MetricsRegistry
         from repro.service.pool import WorkerPool, execute_payload
 
         payloads = self._payloads()
         expected = [execute_payload(p, seed_rng=True) for p in payloads]
         requests = [parse_request(p) for p in payloads]
+        registry = MetricsRegistry()
 
         async def drive():
-            pool = WorkerPool(jobs=1, shm_min_nodes=0)
-            assert pool.shm_transport
+            pool = WorkerPool(jobs=1, registry=registry)
             try:
                 pool.warm_up()
                 assert await pool.run_batch(requests) == expected
-                assert pool.shm_batches == 1
-                pool.shm_transport = False  # pickle fallback, same envelopes
                 assert await pool.run_batch(requests) == expected
-                assert pool.shm_batches == 1
+            finally:
+                pool.shutdown()
+
+        asyncio.run(drive())
+        assert registry.counter("pool_batches_total").value == 2
+
+    def test_over_budget_request_served_by_a_process_pool(self):
+        """The 2^61-weight tree (past the flat budget, still int64) is
+        answered by a worker process, not poisoned."""
+        import asyncio
+
+        from repro.service.pool import WorkerPool, execute_many
+
+        big = 2**61
+        requests = [
+            SolveRequest(
+                parents=(-1, 0, 0), weights=(big, big, big), memory=3 * big,
+                algorithm="PostOrderMinIO",
+            ),
+            parse_request(_request()),
+        ]
+        expected = execute_many(requests, True)
+        assert all(envelope["ok"] for envelope in expected)
+
+        async def drive():
+            pool = WorkerPool(jobs=1)
+            try:
+                pool.warm_up()
+                assert await pool.run_batch(requests) == expected
             finally:
                 pool.shutdown()
 
         asyncio.run(drive())
 
-    def test_small_batches_stay_on_the_pickle_path(self):
-        """Below the node floor a segment cannot pay for itself."""
-        from repro.service.pool import _pack_batch, _release_shm
-
-        requests = [parse_request(p) for p in self._payloads()]  # ~800 nodes
-        assert _pack_batch(requests, min_nodes=100_000) is None
-        packed = _pack_batch(requests, min_nodes=0)
-        assert packed is not None
-        _release_shm(packed[0])
-
-    def test_inline_mode_never_packs(self):
-        from repro.service.pool import WorkerPool
-
-        pool = WorkerPool(jobs=0, shm_transport=True)
-        try:
-            assert pool.shm_transport is False
-        finally:
-            pool.shutdown()
-
-    def test_served_results_identical_with_and_without_shm(self, tmp_path):
-        """End to end over the socket: worker processes, both transports."""
+    def test_served_results_match_execute_payload(self):
+        """End to end over the socket, on a worker process."""
         from repro.service.pool import execute_payload
 
         payloads = self._payloads()
         expected = [execute_payload(p, seed_rng=True)["result"] for p in payloads]
-        for shm in (True, False):
-            config = ServerConfig(
-                port=0, workers=1, shm_transport=shm, shm_min_nodes=0
-            )
-            with ServerThread(config) as server:
-                client = ServiceClient(port=server.port)
-                assert client.wait_ready(30)
-                for payload, want in zip(payloads, expected):
-                    envelope = client.submit(payload)
-                    assert envelope["ok"] is True
-                    assert envelope["result"] == want
+        with ServerThread(ServerConfig(port=0, workers=1)) as server:
+            client = ServiceClient(port=server.port)
+            assert client.wait_ready(30)
+            for payload, want in zip(payloads, expected):
+                envelope = client.submit(payload)
+                assert envelope["ok"] is True
+                assert envelope["result"] == want
 
 
 class TestLargeRequestTreePath:
     def test_build_tree_switches_representation(self):
         from repro.core.arraytree import ArrayTree
-        from repro.core.engine import AUTO_THRESHOLD
+        from repro.api.execution import AUTO_THRESHOLD
         from repro.core.tree import TaskTree
         from repro.datasets.synth import synth_instance
         from repro.service.pool import build_tree
@@ -620,7 +600,7 @@ class TestLargeRequestTreePath:
 
         n = 600
         parents = [-1] + [0] * (n - 1)
-        weights = [2**70] * n  # object engine territory
+        weights = [2**70] * n  # beyond int64: a TaskTree
         assert isinstance(build_tree(parents, weights), TaskTree)
 
     def test_large_solve_and_paging_match_object_path(self):
@@ -655,56 +635,6 @@ class TestLargeRequestTreePath:
         got = run_paging(paging)
         want = run_paging(paging, tree=TaskTree(tree.parents, tree.weights))
         assert got == want
-
-
-class TestShmBudgetFallback:
-    def test_beyond_int64_batches_take_the_pickle_path(self):
-        """Only int64 columns fit the segment; the object tree takes the rest."""
-        from repro.service.pool import _pack_batch, _release_shm
-
-        big = 2**61  # int64, though the three sum past the flat budget
-        over_budget = SolveRequest(
-            parents=(-1, 0, 0), weights=(big, big, big), memory=1,
-            algorithm="PostOrderMinIO",
-        )
-        packed = _pack_batch([over_budget], min_nodes=0)
-        assert packed is not None  # the worker builds a TaskTree: no budget
-        _release_shm(packed[0])
-        huge = parse_request({
-            "kind": "solve",
-            "tree": {"parents": [-1, 0], "weights": [2**70, 2**70]},
-            "memory": 1,
-            "algorithm": "PostOrderMinIO",
-        })
-        assert _pack_batch([huge], min_nodes=0) is None  # beyond int64
-
-    def test_over_budget_request_still_served(self):
-        """End to end: the over-budget tree is answered, not poisoned."""
-        import asyncio
-
-        from repro.service.pool import WorkerPool, execute_many
-
-        big = 2**61
-        requests = [
-            SolveRequest(
-                parents=(-1, 0, 0), weights=(big, big, big), memory=3 * big,
-                algorithm="PostOrderMinIO",
-            ),
-            parse_request(_request()),
-        ]
-        expected = execute_many(requests, True)
-        assert all(envelope["ok"] for envelope in expected)
-
-        async def drive():
-            pool = WorkerPool(jobs=1, shm_min_nodes=0)
-            try:
-                pool.warm_up()
-                assert await pool.run_batch(requests) == expected
-                assert pool.shm_batches == 1
-            finally:
-                pool.shutdown()
-
-        asyncio.run(drive())
 
 
 # --------------------------------------------------------------------- #
@@ -743,20 +673,16 @@ class TestPerRequestGuard:
         ])
         self._assert_good_and_bad(envelopes)
 
-    def test_execute_many_shm(self, boom_algorithm):
-        from repro.service.pool import _pack_batch, _release_shm, execute_many
+    def test_execute_many_pickled(self, boom_algorithm):
+        import pickle
 
-        packed = _pack_batch([
+        from repro.service.pool import execute_many
+
+        shipped = pickle.loads(pickle.dumps([
             parse_request(_request()),
             parse_request(_request(algorithm=boom_algorithm)),
-        ])
-        assert packed is not None
-        shm, stripped = packed
-        try:
-            envelopes = execute_many(stripped, True, shm.name)
-        finally:
-            _release_shm(shm)
-        self._assert_good_and_bad(envelopes)
+        ]))
+        self._assert_good_and_bad(execute_many(shipped, True))
 
     def test_batch_mates_of_a_failing_request_get_200(
         self, tmp_path, boom_algorithm, gated_algorithm
