@@ -168,8 +168,9 @@ def opt_min_mem(tree: TaskTree) -> tuple[list[int], int]:
     """``OPTMINMEM``: an optimal-peak schedule and its peak memory.
 
     Runs the list core on any tree with ``core_lists()``; it reproduces
-    :class:`LiuSolver`'s schedule exactly, and other tree protocol
-    objects take the solver.
+    :class:`LiuSolver`'s schedule exactly.  Tree-protocol objects without
+    ``core_lists()``, such as :class:`~repro.core.expansion.ExpansionTree`,
+    remain a supported input and take :class:`LiuSolver`.
     """
     if hasattr(tree, "core_lists"):
         return kernels.liu_schedule(tree)
@@ -178,7 +179,10 @@ def opt_min_mem(tree: TaskTree) -> tuple[list[int], int]:
 
 
 def min_peak_memory(tree: TaskTree) -> int:
-    """The in-core peak memory lower bound ``Peak_incore`` of a tree."""
+    """The in-core peak memory lower bound ``Peak_incore`` of a tree.
+
+    Dispatches on the input's type like :func:`opt_min_mem`.
+    """
     if hasattr(tree, "core_lists"):
         return kernels.liu_peak(tree)
     return LiuSolver(tree).peak()

@@ -79,6 +79,9 @@ def _best_postorder(
 ) -> PostorderResult:
     """The object reference: ``memory=None`` → MinMem keys, otherwise MinIO keys.
 
+    The tests compare the list core against it, and it is the path of
+    :func:`postorder_with_child_key`.
+
     ``key_fn`` overrides the child-ordering key (ablations); the ``S_i``
     and ``V_i`` recursions stay valid for *any* postorder, only the
     optimality of the result depends on the key.
@@ -138,13 +141,11 @@ def _core_result(tree, memory: int | None) -> PostorderResult:
 def postorder_min_mem(tree: TaskTree) -> PostorderResult:
     """``POSTORDERMINMEM``: the peak-memory-optimal postorder (Liu 1986).
 
-    Runs the list core on any tree with ``core_lists()``; other tree
-    protocol objects take :func:`_best_postorder`, which returns the
-    same result.
+    Runs the list core, so ``tree`` must have ``core_lists()`` (a
+    :class:`TaskTree` or an :class:`~repro.core.arraytree.ArrayTree`).
+    :func:`_best_postorder` is the object reference it is tested against.
     """
-    if hasattr(tree, "core_lists"):
-        return _core_result(tree, None)
-    return _best_postorder(tree, None)
+    return _core_result(tree, None)
 
 
 def postorder_min_io(tree: TaskTree, memory: int) -> PostorderResult:
@@ -152,14 +153,12 @@ def postorder_min_io(tree: TaskTree, memory: int) -> PostorderResult:
 
     ``predicted_io`` is Agullo's ``V_root`` — by Theorem 4 this is the
     overall optimum on homogeneous trees, and on general trees it equals
-    the FiF cost of the returned schedule.  Dispatches like
+    the FiF cost of the returned schedule.  Runs the list core, like
     :func:`postorder_min_mem`.
     """
     if memory <= 0:
         raise ValueError(f"memory bound must be positive, got {memory}")
-    if hasattr(tree, "core_lists"):
-        return _core_result(tree, memory)
-    return _best_postorder(tree, memory)
+    return _core_result(tree, memory)
 
 
 def postorder_with_child_key(
