@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "bootstrap_ci",
@@ -91,6 +90,8 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> float:
         raise ValueError(f"paired samples differ in length: {a.shape} vs {b.shape}")
     if np.allclose(a, b):
         return 1.0
+    from scipy import stats
+
     return float(stats.wilcoxon(a, b, zero_method="zsplit").pvalue)
 
 

@@ -18,10 +18,7 @@ to 512 nodes per tree that overhead rivals the actual solve.
   single vectorised pass over the whole forest — validation, CSR
   children, and ``wbar`` are O(total nodes) of numpy work, never one
   numpy call per tree; the only per-node Python loop is the canonical
-  per-tree BFS (the same loop ``ArrayTree`` runs);
-* ``pack()``/``from_packed()`` give a canonical raw-buffer form (one
-  header + three int64 columns) — shipping a forest costs a memcpy, not
-  a pickle of Python int lists.
+  per-tree BFS (the same loop ``ArrayTree`` runs).
 
 Derived per-tree structures are **byte-identical** to what
 ``ArrayTree(parents, weights)`` builds for each member (the forest
@@ -85,9 +82,8 @@ class ArrayForest:
     parents, weights)``, fully validated in vectorised passes), from
     already-validated trees (:meth:`from_trees`, which concatenates
     their derived buffers directly), from per-tree ``(parents,
-    weights)`` pairs (:meth:`from_pairs`), from a packed wire buffer
-    (:meth:`from_packed`), or as some members of another forest
-    (:meth:`subset`).
+    weights)`` pairs (:meth:`from_pairs`), or as some members of
+    another forest (:meth:`subset`).
 
     Error messages from the vectorised validation use *global* node
     indices (forest-wide positions) with the owning tree named where the
@@ -346,47 +342,8 @@ class ArrayForest:
         return cls(offsets, np.concatenate(pcols), np.concatenate(wcols))
 
     # ------------------------------------------------------------------
-    # the raw-buffer form
+    # the identity columns
     # ------------------------------------------------------------------
-    def pack(self) -> bytes:
-        """Canonical raw form: ``[n_trees, total] + offsets + parents + weights``.
-
-        All native-endian int64; :meth:`from_packed` is the exact inverse
-        on the same machine.  For host-portable digests use
-        :meth:`column_buffers` with
-        :func:`repro.datasets.store.cache_key_buffers`, which
-        canonicalises to little-endian.
-        """
-        head = np.array([self._n_trees, self._total], dtype=np.int64)
-        return b"".join(
-            np.ascontiguousarray(col).tobytes()
-            for col in (head, self._offsets, self._parents, self._weights)
-        )
-
-    @classmethod
-    def from_packed(cls, buffer) -> "ArrayForest":
-        """Rebuild (and re-validate) a forest from :meth:`pack` output.
-
-        ``buffer`` may be ``bytes`` or any buffer-protocol object; the
-        columns are read zero-copy, so keep the buffer alive for the
-        forest's lifetime (or pass ``bytes`` for an owning copy).
-        """
-        words = np.frombuffer(buffer, dtype=np.int64)
-        if len(words) < 2:
-            raise TreeError("packed forest too short for its header")
-        n_trees = int(words[0])
-        total = int(words[1])
-        expected = 2 + (n_trees + 1) + 2 * total
-        if n_trees < 0 or total < 0 or len(words) != expected:
-            raise TreeError(
-                f"packed forest of {len(words)} words does not match its "
-                f"header (n_trees={n_trees}, total={total})"
-            )
-        offsets = words[2 : 2 + n_trees + 1]
-        parents = words[2 + n_trees + 1 : 2 + n_trees + 1 + total]
-        weights = words[2 + n_trees + 1 + total :]
-        return cls(offsets, parents, weights)
-
     def column_buffers(self) -> dict[str, np.ndarray]:
         """The identity columns, named for buffer-digest cache keys."""
         return {

@@ -144,20 +144,16 @@ class TaskTree:
         weights_t = self._weights
         kids_of = self._children
         wbar = list(weights_t)  # a leaf's footprint is its own output
-        size = [1] * n
         for v in reversed(topo):  # children before parents
             kids = kids_of[v]
             if kids:
                 inputs = 0
-                sz = 1
                 for c in kids:
                     inputs += weights_t[c]
-                    sz += size[c]
-                size[v] = sz
                 if inputs > weights_t[v]:
                     wbar[v] = inputs
         self._wbar = tuple(wbar)
-        self._subtree_size = tuple(size)
+        self._subtree_size: tuple[int, ...] | None = None
         self._core_lists: CoreLists | None = None
 
     # ------------------------------------------------------------------
@@ -264,8 +260,21 @@ class TaskTree:
         return self._weights[v]
 
     def subtree_size(self, v: int) -> int:
-        """Number of nodes in the subtree rooted at ``v`` (including ``v``)."""
-        return self._subtree_size[v]
+        """Number of nodes in the subtree rooted at ``v`` (including ``v``).
+
+        Computed for every node on the first call and cached; solvers
+        never ask, so building a tree does not pay for it.
+        """
+        sizes = self._subtree_size
+        if sizes is None:
+            size = [1] * self.n
+            parents = self._parents
+            for u in reversed(self._topo):  # children before parents
+                p = parents[u]
+                if p != -1:
+                    size[p] += size[u]
+            sizes = self._subtree_size = tuple(size)
+        return sizes[v]
 
     # ------------------------------------------------------------------
     # traversal helpers (all iterative: trees can be deep chains)

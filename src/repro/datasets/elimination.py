@@ -24,10 +24,16 @@ matter (the paper assumes no pivoting).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from ..core.tree import TaskTree
+
+# scipy loads inside the functions that use it: importing the CLI or
+# the server must not pay for it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "elimination_tree",
@@ -41,6 +47,8 @@ __all__ = [
 
 def _lower_pattern(a: sp.spmatrix) -> sp.csr_matrix:
     """Row-wise pattern of the strict lower triangle of ``A + Aᵀ``."""
+    import scipy.sparse as sp
+
     a = sp.csr_matrix(a)
     sym = (a + a.T).tocsr()
     return sp.tril(sym, k=-1, format="csr")

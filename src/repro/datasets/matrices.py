@@ -23,9 +23,14 @@ all values are 1.0.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+# scipy loads inside the functions that use it: importing the CLI or
+# the server must not pay for it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "grid_laplacian_2d",
@@ -42,6 +47,8 @@ __all__ = [
 
 def _as_symmetric_csr(a: sp.spmatrix) -> sp.csr_matrix:
     """Symmetrise the pattern, force a unit diagonal, drop values."""
+    import scipy.sparse as sp
+
     a = sp.csr_matrix(a)
     pattern = (a + a.T).tocsr()
     pattern.data[:] = 1.0
@@ -53,6 +60,8 @@ def _as_symmetric_csr(a: sp.spmatrix) -> sp.csr_matrix:
 
 def grid_laplacian_2d(nx: int, ny: int) -> sp.csr_matrix:
     """The 5-point Laplacian pattern on an ``nx × ny`` grid."""
+    import scipy.sparse as sp
+
     dx = sp.diags([np.ones(nx - 1), np.ones(nx - 1)], [-1, 1], shape=(nx, nx))
     dy = sp.diags([np.ones(ny - 1), np.ones(ny - 1)], [-1, 1], shape=(ny, ny))
     adj = sp.kron(sp.eye(ny), dx) + sp.kron(dy, sp.eye(nx))
@@ -61,6 +70,8 @@ def grid_laplacian_2d(nx: int, ny: int) -> sp.csr_matrix:
 
 def grid_laplacian_3d(nx: int, ny: int, nz: int) -> sp.csr_matrix:
     """The 7-point Laplacian pattern on an ``nx × ny × nz`` grid."""
+    import scipy.sparse as sp
+
     plane = grid_laplacian_2d(nx, ny)
     dz = sp.diags([np.ones(nz - 1), np.ones(nz - 1)], [-1, 1], shape=(nz, nz))
     adj = sp.kron(sp.eye(nz), plane) + sp.kron(dz, sp.eye(nx * ny))
@@ -71,6 +82,8 @@ def random_symmetric_pattern(
     n: int, avg_degree: float, rng: np.random.Generator
 ) -> sp.csr_matrix:
     """A random symmetric pattern with ≈ ``avg_degree`` off-diagonals per row."""
+    import scipy.sparse as sp
+
     if avg_degree <= 0 or avg_degree >= n:
         raise ValueError(f"avg_degree must be in (0, n), got {avg_degree}")
     nnz = int(n * avg_degree / 2)
@@ -98,6 +111,9 @@ def random_ordering(a: sp.csr_matrix, rng: np.random.Generator) -> np.ndarray:
 
 def rcm_ordering(a: sp.csr_matrix, rng=None) -> np.ndarray:
     """Reverse Cuthill–McKee (bandwidth-reducing) ordering."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     return np.asarray(reverse_cuthill_mckee(sp.csr_matrix(a), symmetric_mode=True))
 
 
@@ -111,6 +127,8 @@ def minimum_degree_ordering(a: sp.csr_matrix, rng=None) -> np.ndarray:
     direct solvers' elimination trees are shaped by this family of
     orderings.
     """
+    import scipy.sparse as sp
+
     a = sp.csr_matrix(a)
     n = a.shape[0]
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -152,6 +170,8 @@ def minimum_degree_ordering(a: sp.csr_matrix, rng=None) -> np.ndarray:
 
 def permute_symmetric(a: sp.csr_matrix, perm: np.ndarray) -> sp.csr_matrix:
     """Return ``P A Pᵀ`` where row ``i`` of the result is ``perm[i]`` of ``a``."""
+    import scipy.sparse as sp
+
     a = sp.csr_matrix(a)
     n = a.shape[0]
     inv = np.empty(n, dtype=np.int64)

@@ -24,16 +24,23 @@ factorisation, multifrontal weights — works unchanged.
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .matrices import ORDERINGS, minimum_degree_ordering
+
+# scipy loads inside the functions that use it: importing the CLI or
+# the server must not pay for it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["nested_dissection_ordering", "bfs_levels", "pseudo_peripheral_vertex"]
 
 
 def _adjacency(a: sp.csr_matrix) -> list[np.ndarray]:
+    import scipy.sparse as sp
+
     a = sp.csr_matrix(a)
     out = []
     for i in range(a.shape[0]):
@@ -124,6 +131,8 @@ def nested_dissection_ordering(
         permutation ``order`` with ``order[k]`` = the vertex eliminated
         at step ``k`` (separators come after their components).
     """
+    import scipy.sparse as sp
+
     a = sp.csr_matrix(a)
     n = a.shape[0]
     if n == 0:

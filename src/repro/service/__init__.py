@@ -15,8 +15,8 @@ north star:
     admission queue (backpressure), in-flight + cache-backed dedup,
     ``/metrics``;
 ``repro.service.wire``
-    the length-framed binary content type: tree buffers in
-    ``ArrayForest.pack()`` layout plus a compact binary header, with
+    the length-framed binary content type: tree buffers as raw int64
+    columns (offsets, parents, weights) plus a compact binary header, with
     zero JSON on the tree path (negotiated per request, JSON stays the
     default);
 ``repro.service.client``

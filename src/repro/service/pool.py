@@ -29,15 +29,23 @@ request and never recomputes a key.  It builds each request's
 :class:`~repro.core.tree.TaskTree` exactly once — the constructor's
 structural checks are the worker-side guard — and solves on it.
 
+The server keeps up to two micro-batches per worker in flight, so a
+worker's next batch can already wait, pickled, in the executor while it
+runs the current one; see :mod:`repro.service.server`.
+
 A worker process that dies (OOM killer, a segfaulting extension, a
-stray SIGKILL) breaks a ``ProcessPoolExecutor`` for good; the pool then
-builds a new executor — once, however many batches saw the break — and
-runs the lost batch again.  Requests are content-addressed and results
-deterministic, so the retry is idempotent.  A batch that breaks the new
-executor too is reported as a failure, not retried forever.  Rebuilds
-that follow each other closely are spaced by a bounded, doubling delay,
-so a request that kills its worker every time cannot make the pool
-fork in a tight loop.
+stray SIGKILL) breaks a ``ProcessPoolExecutor`` for good, and every
+batch in flight on it is lost.  The pool recovers them without letting
+one bad request fail the others: each lost batch is run again one
+request per executor call, one call at a time, under the rebuild lock,
+and the executor is rebuilt before any call that would land on a broken
+one.  Only a request whose own solo call breaks the executor is answered
+``internal``; its batch-mates, and the batches that were in flight
+beside it, get their answers.  New batches wait until the recovery is
+done.  Requests are content-addressed and results deterministic, so the
+re-runs are idempotent.  Rebuilds that follow each other closely are
+spaced by a bounded, doubling delay, so a request that kills its worker
+every time cannot make the pool fork in a tight loop.
 """
 
 from __future__ import annotations
@@ -140,9 +148,9 @@ class WorkerPool:
         ``0`` — run batches on an in-process thread pool of
         ``inline_threads`` threads instead.
     inline_threads:
-        concurrency of the inline mode; also the number of micro-batches
-        the server allows in flight at once (its dispatch semaphore is
-        sized to :attr:`concurrency`).
+        concurrency of the inline mode.  The server sizes its dispatch
+        semaphore from :attr:`concurrency`: two micro-batches in flight
+        per worker or thread.
     registry:
         a :class:`repro.obs.MetricsRegistry` to count batches
         (``pool_batches_total``) and executor rebuilds
@@ -174,6 +182,13 @@ class WorkerPool:
         #: executors rebuilt after a worker process died (observability)
         self.restarts = 0
         self._rebuild_lock = asyncio.Lock()
+        # lost batches waiting for or running their solo re-runs; new
+        # batches wait on ``_recovered`` until there are none
+        self._recovering = 0
+        self._recovered = asyncio.Event()
+        self._recovered.set()
+        # the executor a call last saw break, while it is still current
+        self._broken: Executor | None = None
         self._last_rebuild: float | None = None
         self._rebuild_delay = REBUILD_DELAY_MIN_S
         # time source and wait of the rebuild backoff (tests inject fakes)
@@ -201,40 +216,86 @@ class WorkerPool:
     async def run_batch(self, requests: Sequence[Request]) -> list[dict[str, Any]]:
         """Execute one micro-batch without blocking the event loop.
 
-        A batch lost to a dead worker process runs once more on a
-        rebuilt executor; a second break in a row propagates.
+        A batch lost to a dead worker process is run again one request
+        at a time (see :meth:`_rerun_alone`), so each request's envelope
+        is its own answer or, if the request itself kills its worker,
+        ``internal``.
         """
         requests = list(requests)
-        executor = self._executor
+        while True:
+            await self._recovered.wait()
+            executor = self._executor
+            if self._broken is not executor:
+                break
+            await self._replace_broken(executor)
         try:
             return await self._run_on(executor, requests)
         except BrokenProcessPool:
-            await self._replace_broken(executor)
-            return await self._run_on(self._executor, requests)
+            if executor is self._executor:
+                self._broken = executor
+            return await self._rerun_alone(requests)
+
+    async def _rerun_alone(self, requests: list[Request]) -> list[dict[str, Any]]:
+        """Re-run a lost batch one request per call, one call at a time.
+
+        Holding the rebuild lock serialises every recovery, so a solo
+        call shares its executor with no other work: a call that breaks
+        it was killed by its own request.  That request alone is
+        answered ``internal``; the executor is rebuilt before the next
+        call, with the usual backoff.
+        """
+        self._recovering += 1
+        self._recovered.clear()
+        try:
+            async with self._rebuild_lock:
+                envelopes = []
+                for request in requests:
+                    if self._broken is self._executor:
+                        await self._rebuild()
+                    executor = self._executor
+                    try:
+                        envelopes += await self._run_on(executor, [request])
+                    except BrokenProcessPool as exc:
+                        self._broken = executor
+                        envelopes.append(error_envelope(
+                            "internal", f"worker process died running this request: {exc}"
+                        ))
+                return envelopes
+        finally:
+            self._recovering -= 1
+            if not self._recovering:
+                self._recovered.set()
 
     async def _replace_broken(self, broken: Executor) -> None:
         """Swap a broken process executor for a new one, once.
 
-        Every batch in flight on the broken executor fails with it; the
-        first to get here rebuilds, the others wait for it and retry on
-        the new executor.  A rebuild soon after the previous one waits
-        first (see :data:`REBUILD_DELAY_MIN_S`).
+        Callers that saw the same executor break wait for one another;
+        the first rebuilds, the rest find it already replaced.
         """
         async with self._rebuild_lock:
-            if self._executor is not broken:
-                return
-            last = self._last_rebuild
-            if last is not None and self._clock() - last < REBUILD_QUIET_S:
-                delay = self._rebuild_delay
-                self._rebuild_delay = min(2 * delay, REBUILD_DELAY_MAX_S)
-                await self._sleep(delay)
-            else:
-                self._rebuild_delay = REBUILD_DELAY_MIN_S
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-            broken.shutdown(wait=False, cancel_futures=True)
-            self._last_rebuild = self._clock()
-            self.restarts += 1
-            self._restart_counter.inc()
+            if self._executor is broken:
+                await self._rebuild()
+
+    async def _rebuild(self) -> None:
+        """Build a new process executor; the caller holds the rebuild lock.
+
+        A rebuild soon after the previous one waits first (see
+        :data:`REBUILD_DELAY_MIN_S`).
+        """
+        broken = self._executor
+        last = self._last_rebuild
+        if last is not None and self._clock() - last < REBUILD_QUIET_S:
+            delay = self._rebuild_delay
+            self._rebuild_delay = min(2 * delay, REBUILD_DELAY_MAX_S)
+            await self._sleep(delay)
+        else:
+            self._rebuild_delay = REBUILD_DELAY_MIN_S
+        self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+        self._broken = None
+        broken.shutdown(wait=False, cancel_futures=True)
+        self._last_rebuild = self._clock()
+        self.restarts += 1
+        self._restart_counter.inc()
 
     async def _run_on(
         self, executor: Executor, requests: list[Request]

@@ -14,12 +14,17 @@ Request lifecycle::
 
 Four mechanisms do the heavy lifting:
 
-* **Micro-batching** — the moment a worker is free, the dispatcher
-  ships it everything already waiting in the admission queue (up to
-  ``max_batch``) in one executor call; it never waits for more to
-  arrive.  While every worker is busy, requests queue up, so batches
-  grow exactly when load is high and pickle/IPC overhead needs
-  amortising — and an idle service dispatches a lone request at once.
+* **Micro-batching** — the moment a dispatch slot is free, the
+  dispatcher ships everything already waiting in the admission queue
+  (up to ``max_batch``) in one executor call; it never waits for more
+  to arrive.  Each worker has two slots (:data:`BATCHES_PER_WORKER`):
+  one batch running and the next already pickled and queued in the
+  executor, so a worker starts its next batch the moment it returns a
+  result instead of idling while the server unpickles, forms and
+  pickles the next one.  While every slot is busy, requests queue up,
+  so batches grow exactly when load is high and pickle/IPC overhead
+  needs amortising — and an idle service dispatches a lone request at
+  once.
 * **Cache-backed dedup** — every request is content-addressed (see
   :mod:`repro.service.protocol`); an identical *in-flight* request
   coalesces onto the same future, and an identical *completed* request
@@ -101,6 +106,9 @@ __all__ = [
     "running_server",
 ]
 
+#: micro-batches in flight per worker: one running, one queued behind it
+BATCHES_PER_WORKER = 2
+
 #: an admission-queue entry: (request, enqueue perf_counter, timings|None)
 _Entry = tuple[Request, float, dict[str, float] | None]
 
@@ -116,6 +124,29 @@ _REASONS = {
     500: "Internal Server Error",
     504: "Gateway Timeout",
 }
+
+
+def _keep_read_buffers_on_the_heap() -> None:
+    """Let glibc serve asyncio's socket read buffers from its heap.
+
+    asyncio reads every socket with ``recv(256 KiB)``.  Under glibc's
+    default 128 KiB mmap threshold each such buffer is mapped and
+    unmapped again, with fresh page faults: ~16 µs per read against
+    ~2 µs from the heap, measured on a socket pair.  glibc raises the
+    threshold by itself once the process frees a larger mapped block
+    (importing scipy at start-up used to do that by accident); the
+    server sets it outright.  Elsewhere than glibc this does nothing.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    # <malloc.h>: M_MMAP_THRESHOLD = -3, above the 256 KiB buffer;
+    # M_TRIM_THRESHOLD = -1, at twice that, the ratio glibc itself keeps
+    mallopt(-3, 1 << 20)
+    mallopt(-1, 2 << 20)
 
 
 @dataclass(frozen=True)
@@ -433,10 +464,13 @@ class ServiceServer:
 
     async def start(self) -> None:
         self._queue = asyncio.Queue(maxsize=self.config.queue_limit)
-        # Bounding in-flight batches to the pool's concurrency is what
-        # makes the admission queue meaningful: when every worker is busy
-        # the queue fills and overload turns into 429s, not latency.
-        self._batch_slots = asyncio.Semaphore(self.pool.concurrency)
+        # Bounding in-flight batches to a small multiple of the pool's
+        # concurrency is what makes the admission queue meaningful: when
+        # every worker is busy and has its next batch queued, the queue
+        # fills and overload turns into 429s, not latency.
+        self._batch_slots = asyncio.Semaphore(
+            BATCHES_PER_WORKER * self.pool.concurrency
+        )
         self._writeback_slots = asyncio.Semaphore(self.pool.concurrency)
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
         self._server = await asyncio.start_server(
@@ -466,6 +500,7 @@ class ServiceServer:
 
     def run(self) -> None:
         """Blocking entry point (the CLI's ``serve``); Ctrl-C to stop."""
+        _keep_read_buffers_on_the_heap()
 
         async def _main() -> None:
             await self.start()
@@ -486,7 +521,8 @@ class ServiceServer:
 
         The loop blocks on a slot first, then on the first request; the
         batch is that request plus whatever else is queued at that
-        moment.  While every slot is busy, arrivals wait in the queue —
+        moment.  While every slot is busy (each worker running one batch
+        with another queued behind it), arrivals wait in the queue —
         that is where batches form.
         """
         assert self._queue is not None and self._batch_slots is not None
@@ -515,7 +551,9 @@ class ServiceServer:
                 envelopes = await self.pool.run_batch(
                     [request for request, _, _ in batch]
                 )
-            except Exception as exc:  # pool death is an internal error
+            # the pool answers a dead worker request by request; what is
+            # left (say, an executor shut down under the batch) fails it
+            except Exception as exc:
                 envelopes = [
                     error_envelope("internal", f"worker pool failure: {exc}")
                 ] * len(batch)
@@ -571,6 +609,8 @@ class ServiceServer:
             if timings is not None and envelope.get("ok"):
                 merged = dict(envelope.get("timings") or {})
                 merged.update(timings)
+                # the admission wait only: the wait of a batch queued in
+                # the executor behind the running one is in no stage
                 merged["queue"] = t_batch - enqueued_at
                 envelope = dict(envelope, timings=merged)
         finally:

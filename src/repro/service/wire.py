@@ -20,8 +20,8 @@ Frame layout (everything little-endian)::
     24      H     header  — one value in the binary codec below
     24+H    P     payload — packed tree columns (requests; empty for
                   responses): [n_trees, total] + offsets + parents +
-                  weights, int64 LE — exactly the canonical
-                  :meth:`repro.core.forest.ArrayForest.pack` layout
+                  weights, int64 LE — the identity columns of
+                  :meth:`repro.core.forest.ArrayForest.column_buffers`
 
 The **header codec** is a small deterministic binary encoding of the
 JSON value universe (it exists so request *fields* and response

@@ -329,3 +329,34 @@ class TestLazyAlgorithmChoices:
             assert args.algorithm == name
         finally:
             ALGORITHMS.pop(name, None)
+
+
+class TestStartupImports:
+    def test_cli_and_server_imports_leave_scipy_unloaded(self):
+        """scipy is imported where it is used, never at start-up."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.cli, repro.service.server; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"

@@ -11,8 +11,7 @@ every constructor, and asserts that
   Liu peaks/schedules, FiF simulation, full registry-strategy
   traversals — reproduces the per-tree kernels and registry exactly:
   same schedules, same I/O functions and volumes, same peaks;
-* the wire form (``pack``/``from_packed``) and the buffer-digest cache
-  keys are faithful to the identity columns;
+* the buffer-digest cache keys are faithful to the identity columns;
 * invalid forests fail with the same ``TreeError`` vocabulary as the
   per-tree constructors, naming the offending tree;
 * ``forest_validate`` raises exactly what scalar ``validate`` raises for
@@ -104,8 +103,7 @@ def _assert_same_buffers(tk: ArrayTree, at: ArrayTree):
 class TestConstruction:
     def test_every_constructor_matches_arraytree(self, trees, ats, forest):
         from_trees = ArrayForest.from_trees(trees)
-        from_packed = ArrayForest.from_packed(forest.pack())
-        for f in (forest, from_trees, from_packed):
+        for f in (forest, from_trees):
             assert f.n_trees == len(trees)
             assert f.total_nodes == sum(t.n for t in trees)
             for k, at in enumerate(ats):
@@ -119,13 +117,6 @@ class TestConstruction:
         assert forest.sizes().tolist() == [t.n for t in trees]
         assert int(forest.offsets[0]) == 0
         assert len(forest) == len(trees)
-
-    def test_pack_roundtrip_is_exact(self, forest):
-        blob = forest.pack()
-        again = ArrayForest.from_packed(blob)
-        assert np.array_equal(again._parents, forest._parents)
-        assert np.array_equal(again._weights, forest._weights)
-        assert again.pack() == blob
 
     def test_column_buffers_digest_stability(self, forest):
         params = {"kind": "t", "version": 0}
@@ -185,10 +176,6 @@ class TestValidation:
         # each tree individually fits; the forest total does not
         with pytest.raises(TreeError, match="forest-wide"):
             ArrayForest([0, 1, 2], [-1, -1], [2**61 + 2**60] * 2)
-
-    def test_truncated_pack_rejected(self, forest):
-        with pytest.raises(TreeError, match="packed forest"):
-            ArrayForest.from_packed(forest.pack()[:-8])
 
 
 class TestKernelEquivalence:

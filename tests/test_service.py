@@ -700,13 +700,19 @@ class TestPerRequestGuard:
                 except ServiceError as exc:
                     outcomes[name] = ("error", exc)
 
-            # the single worker is busy, so the pair queues up together
+            # the single worker runs one gated batch and has the other
+            # queued behind it: both dispatch slots are busy, so the pair
+            # queues up together
             name, gate = gated_algorithm
-            busy = threading.Thread(
-                target=send, args=("busy", _request(algorithm=name))
-            )
-            busy.start()
-            _wait_for(lambda: sizes == [1])
+            busy = [
+                threading.Thread(
+                    target=send, args=(f"busy{m}", _request(algorithm=name, memory=m))
+                )
+                for m in (6, 7)
+            ]
+            for k, t in enumerate(busy, 1):
+                t.start()
+                _wait_for(lambda: sizes == [1] * k)
             threads = [
                 threading.Thread(target=send, args=("good", _request())),
                 threading.Thread(
@@ -717,10 +723,10 @@ class TestPerRequestGuard:
                 t.start()
             _wait_for(lambda: thread.server._queue.qsize() == 2)
             gate.set()
-            for t in [busy, *threads]:
+            for t in [*busy, *threads]:
                 t.join(30)
-            assert sizes == [1, 2]
-            assert thread.server.metrics.batches == 2  # the pair shared one
+            assert sizes == [1, 1, 2]
+            assert thread.server.metrics.batches == 3  # the pair shared one
         kind, good = outcomes["good"]
         assert kind == "ok" and good["ok"] is True
         kind, bad = outcomes["bad"]
@@ -791,7 +797,7 @@ class TestWriteBackOffDispatchSlot:
         events = []
         cache = _SlowCache(tmp_path / "cache", events, delay=0.3)
         config = ServerConfig(port=0, workers=0, inline_threads=1, max_batch=1)
-        payloads = [_request(memory=m) for m in (6, 7, 8)]
+        payloads = [_request(memory=m) for m in (6, 7, 8, 9)]
         with ServerThread(config, cache=cache) as thread:
             pool = thread.server.pool
             run_batch = pool.run_batch
@@ -812,9 +818,11 @@ class TestWriteBackOffDispatchSlot:
                 t.join(30)
         dispatched = sorted(t for kind, _, t in events if kind == "dispatched")
         written = sorted(t for kind, _, t in events if kind == "written")
-        assert len(dispatched) == len(written) == 3
-        # one write-back slot: the third batch waits for the first write
-        assert dispatched[2] > written[0]
+        assert len(dispatched) == len(written) == 4
+        # one write-back slot and two dispatch slots: the second and third
+        # batches hold their slots waiting to write, so the fourth batch
+        # waits for the first write
+        assert dispatched[3] > written[0]
 
 
 # --------------------------------------------------------------------- #
@@ -856,11 +864,17 @@ class TestWorkConservingDispatch:
             sizes = _record_batch_sizes(thread.server.pool)
             client = ServiceClient(port=thread.port, timeout=30.0)
             assert client.wait_ready(15)
-            busy = threading.Thread(
-                target=client.submit, args=(_request(algorithm=name),)
-            )
-            busy.start()
-            _wait_for(lambda: sizes == [1])
+            # one gated batch runs and one waits behind it: both of the
+            # worker's dispatch slots are busy
+            busy = [
+                threading.Thread(
+                    target=client.submit, args=(_request(algorithm=name, memory=m),)
+                )
+                for m in (6, 7)
+            ]
+            for k, t in enumerate(busy, 1):
+                t.start()
+                _wait_for(lambda: sizes == [1] * k)
             queued = [
                 threading.Thread(target=client.submit, args=(_request(memory=m),))
                 for m in (7, 8, 9)
@@ -869,10 +883,10 @@ class TestWorkConservingDispatch:
                 t.start()
             _wait_for(lambda: thread.server._queue.qsize() == 3)
             gate.set()
-            for t in [busy, *queued]:
+            for t in [*busy, *queued]:
                 t.join(30)
-            assert sizes == [1, 3]
-            assert thread.server.metrics.computed == 4
+            assert sizes == [1, 1, 3]
+            assert thread.server.metrics.computed == 5
 
     def test_pool_path_neither_parses_nor_rekeys(self, monkeypatch):
         import asyncio
@@ -1021,6 +1035,53 @@ class TestFailureRecovery:
             # the next batch gets a fresh executor and its answer
             assert client.submit(_request())["ok"] is True
             assert thread.server.pool.restarts == 2
+
+
+class TestWorkerDeathBlastRadius:
+    """A request that kills its worker fails alone, on a one-process pool."""
+
+    @pytest.fixture
+    def pool(self):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.service.pool import WorkerPool
+
+        pool = WorkerPool(1, registry=MetricsRegistry())
+        yield pool
+        pool.shutdown()
+
+    @staticmethod
+    def _assert_killer_alone(killer_envelope, innocent_envelope, innocent):
+        from repro.service.pool import execute_many
+
+        assert innocent_envelope["ok"] is True
+        assert innocent_envelope == execute_many([innocent])[0]
+        assert killer_envelope["ok"] is False
+        assert killer_envelope["error"]["code"] == "internal"
+
+    def test_batch_mate_of_a_killer_is_answered(self, pool, worker_killer):
+        import asyncio
+
+        killer = parse_request(_request(algorithm=worker_killer))
+        innocent = parse_request(_request())
+        bad, good = asyncio.run(pool.run_batch([killer, innocent]))
+        self._assert_killer_alone(bad, good, innocent)
+        # the lost batch's rebuild, then the one the killer's solo run broke
+        assert pool.restarts == 2
+
+    def test_batch_in_flight_beside_a_killer_is_answered(self, pool, worker_killer):
+        import asyncio
+
+        killer = parse_request(_request(algorithm=worker_killer))
+        innocent = parse_request(_request())
+
+        async def both():
+            return await asyncio.gather(
+                pool.run_batch([killer]), pool.run_batch([innocent])
+            )
+
+        [bad], [good] = asyncio.run(both())
+        self._assert_killer_alone(bad, good, innocent)
+        assert pool.restarts == 2
 
 
 class _FakeTime:
