@@ -10,7 +10,7 @@
 from __future__ import annotations
 
 from repro.algorithms.integral_io import whole_node_fif
-from repro.algorithms.liu import LiuSolver
+from repro.algorithms.liu import opt_min_mem
 from repro.analysis.bounds import memory_bounds
 from repro.core.simulator import simulate_fif
 from repro.parallel import priority_from_strategy, simulate_parallel
@@ -32,7 +32,7 @@ def test_integrality_gap_on_synth(benchmark, synth_trees, emit):
         frac_total = whole_total = 0
         per_instance = []
         for tree, memory in instances:
-            schedule = LiuSolver(tree).schedule()
+            schedule, _peak = opt_min_mem(tree)
             frac = simulate_fif(tree, schedule, memory).io_volume
             whole = whole_node_fif(tree, schedule, memory).io_volume
             frac_total += frac

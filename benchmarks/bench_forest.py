@@ -71,7 +71,7 @@ from repro.core.forest import ArrayForest
 from repro.core.tree import TaskTree
 from repro.datasets.store import ResultCache, cache_key_buffers
 from repro.datasets.synth import huge_instance, synth_instance
-from repro.experiments.batch import ENGINE_VERSION
+from repro.api.requests import ENGINE_VERSION
 
 N_TREES = 1_000
 NODE_RANGE = (64, 512)

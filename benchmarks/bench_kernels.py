@@ -117,7 +117,9 @@ def _render(n, rows, t_liu):
         f"{'TOTAL':<20} {tot_obj:>8.3f}s {tot_arr:>8.3f}s "
         f"{tot_obj/tot_arr:>7.2f}x"
     )
-    lines.append(f"{'opt_min_mem':<20} {'-':>9} {t_liu:>8.3f}s  (list core only, not in TOTAL)")
+    lines.append(
+        f"{'opt_min_mem':<20} {'-':>9} {t_liu:>8.3f}s  (list core only, not in TOTAL)"
+    )
     return "\n".join(lines), tot_obj / tot_arr
 
 

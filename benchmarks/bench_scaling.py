@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.liu import LiuSolver
+from repro.algorithms.liu import min_peak_memory, opt_min_mem
 from repro.analysis.bounds import memory_bounds
 from repro.core.expansion import ExpansionTree
+from repro.core.kernels import liu_fill
 from repro.core.simulator import simulate_fif
 from repro.datasets.synth import synth_instance
 from repro.experiments.registry import get_algorithm
@@ -46,37 +47,43 @@ def test_liu_solver_kernel(benchmark, n):
     tree, _ = _instance(n)
     benchmark.group = "liu-solve"
 
-    def solve():
-        return LiuSolver(tree).peak()
-
-    benchmark(solve)
+    benchmark(opt_min_mem, tree)
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_fif_simulation_kernel(benchmark, n):
     tree, memory = _instance(n)
-    schedule = LiuSolver(tree).schedule()
+    schedule, _peak = opt_min_mem(tree)
     benchmark.group = "fif-simulate"
     benchmark(simulate_fif, tree, schedule, memory)
 
 
 def test_incremental_resolve_vs_fresh(benchmark):
     """The RecExpand inner loop depends on path-local re-solves being much
-    cheaper than full re-solves; quantify the speedup."""
+    cheaper than full re-solves; quantify the speedup.
+
+    Times the re-solve RecExpand runs after an expansion: one
+    ``liu_fill(keep=True)`` over the path from the changed node to the
+    root, on a store that keeps every other node's segments.
+    """
     tree, memory = _instance(3000)
     xt = ExpansionTree(tree)
-    solver = LiuSolver(xt)
-    solver.peak()
+    segs: list = [None] * xt.n
+    liu_fill(xt.weights, xt.start, xt.cindex, tree.bottom_up(), segs, keep=True)
     # Expand a deep node once so there is something to re-solve.
     leaf = max(range(tree.n), key=lambda v: len(tree.path_to_root(v)))
     victim = tree.path_to_root(leaf)[1]
-    dirty = xt.expand(victim, max(1, xt.weights[victim] // 2))
+    xt.expand(victim, max(1, xt.weights[victim] // 2))  # a splice
+    segs += (None, None)
+    path = [xt.parents[victim]]  # the new residual node, then up
+    while path[-1] != xt.root:
+        path.append(xt.parents[path[-1]])
 
     benchmark.group = "incremental"
 
     def incremental():
-        solver.invalidate_from(dirty)
-        return solver.peak()
+        liu_fill(xt.weights, xt.start, xt.cindex, path, segs, keep=True)
+        return segs[xt.root][0][0]
 
     peak = benchmark(incremental)
-    assert peak == LiuSolver(xt).peak()
+    assert peak == min_peak_memory(xt)

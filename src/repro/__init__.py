@@ -64,7 +64,7 @@ Typed-API quick start (the paper's Figure 2b instance)::
 from .algorithms.brute_force import min_io_brute, min_peak_brute
 from .algorithms.exact import ExactResult, exact_min_io, optimality_gap
 from .algorithms.homogeneous import homogeneous_labels, optimal_io
-from .algorithms.liu import LiuSolver, min_peak_memory, opt_min_mem
+from .algorithms.liu import min_peak_memory, opt_min_mem
 from .algorithms.local_search import LocalSearchResult, local_search
 from .algorithms.postorder import postorder_min_io, postorder_min_mem
 from .algorithms.rec_expand import RecExpandResult, full_rec_expand, rec_expand
@@ -87,7 +87,7 @@ from .core.traversal import InvalidTraversal, Traversal, is_postorder, validate
 from .core.tree import TaskTree, TreeError, balanced_binary_tree, chain_tree, star_tree
 from .io import PageMap, paged_io
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 #: ``repro.api`` names served lazily through module ``__getattr__`` —
 #: available as ``repro.<name>`` without paying the import cost (the
@@ -155,7 +155,6 @@ __all__ = [
     "InfeasibleSchedule",
     "ExpansionTree",
     "expand_tree",
-    "LiuSolver",
     "opt_min_mem",
     "min_peak_memory",
     "postorder_min_io",

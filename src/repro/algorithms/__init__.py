@@ -17,13 +17,11 @@ from .integral_io import (
     whole_node_fif,
 )
 from .io_function import schedule_for_io_function
-from .liu import LiuSolver, Segment, min_peak_memory, opt_min_mem
+from .liu import min_peak_memory, opt_min_mem
 from .postorder import PostorderResult, postorder_min_io, postorder_min_mem
 from .rec_expand import RecExpandResult, full_rec_expand, rec_expand
 
 __all__ = [
-    "LiuSolver",
-    "Segment",
     "opt_min_mem",
     "min_peak_memory",
     "PostorderResult",

@@ -113,7 +113,7 @@ def _schedule(segments) -> list[int]:
 
 def _fif(tree, schedule, memory: int) -> tuple[dict[int, int], int, int]:
     """FiF on ``tree``'s CSR lists: an expansion tree's, or the original's."""
-    lists = tree if isinstance(tree, ExpansionTree) else tree.core_lists()
+    lists = tree.core_lists()
     return simulate_fif_core(
         len(lists.weights),
         lists.weights,

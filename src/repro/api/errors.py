@@ -111,9 +111,8 @@ class ApiError(Exception):
 class ProtocolError(ApiError, ValueError):
     """A request that violates the schema; carries a stable error code.
 
-    A :class:`ValueError` subclass for backwards compatibility with the
-    original ``repro.service.protocol`` definition (callers catching
-    ``ValueError`` keep working).  Restricted to client-fault codes at
+    A :class:`ValueError` subclass, so callers catching ``ValueError``
+    keep working.  Restricted to client-fault codes at
     construction, so ``exit_code`` is :data:`EXIT_BAD_INPUT` through
     the base invariant rather than an override that could contradict it.
     """

@@ -287,7 +287,7 @@ def execute_batch(request: BatchRequest) -> dict[str, Any]:
     RecExpand family) fall back to per-tree dispatch over the forest's
     member views.  Both paths produce byte-identical payloads; trees
     beyond the forest's int64 budgets (e.g. huge weights) take the
-    per-tree path.  The request's ``engine`` field is ignored.
+    per-tree path.
     """
     from ..experiments.registry import get_algorithm
 

@@ -16,8 +16,8 @@ splits cleanly into two halves:
 The wire format of the service is exactly the canonical half plus the
 cache provenance: :func:`ok_envelope` / :func:`error_envelope` build
 it, :meth:`Outcome.from_envelope` / :meth:`Outcome.to_envelope` convert
-losslessly, so ``repro.service.protocol`` stays a thin (de)serializer
-of this model.
+losslessly, so the service's wire codecs stay thin (de)serializers of
+this model.
 """
 
 from __future__ import annotations

@@ -88,11 +88,6 @@ DEFAULT_PAGING_POLICIES = ("belady", "lru", "random", "pessimal")
 #: :class:`BatchRequest` may ask for instead of an absolute bound.
 MEMORY_POLICIES = ("M1", "Mmid", "M2")
 
-#: the accepted values of the ``engine`` request field.  The field is
-#: parsed, validated and ignored: every request runs on the list cores.
-#: It stays on the wire, and out of every key, until the 2.0 cut.
-ENGINES = ("auto", "object", "array")
-
 #: one tree as its identity columns: ``(parents, weights)``.
 TreeColumns = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -228,20 +223,6 @@ def _parse_algorithm(obj: Mapping[str, Any], *, default: str = "RecExpand") -> s
     return algorithm
 
 
-def _parse_engine(obj: Mapping[str, Any]) -> str:
-    """The optional ``engine`` field (one of :data:`ENGINES`), ignored.
-
-    Accepted for compatibility and **not** part of the request's content
-    address: every value runs the same code.
-    """
-    engine = obj.get("engine", "auto")
-    if engine not in ENGINES:
-        raise _fail(
-            "bad_field", f"'engine' must be one of {list(ENGINES)}, got {engine!r}"
-        )
-    return engine
-
-
 def _parse_timeout(obj: Mapping[str, Any]) -> float | None:
     timeout = obj.get("timeout")
     if timeout is None:
@@ -284,7 +265,6 @@ class SolveRequest(CanonicalRequest):
     memory: int
     algorithm: str
     timeout: float | None = None
-    engine: str = "auto"
     #: opt into a per-request schedule trace (memory hill-valley curve +
     #: cumulative I/O) in the result; **part of the key** when set, since
     #: it changes the result payload.
@@ -294,8 +274,8 @@ class SolveRequest(CanonicalRequest):
     trace: str | None = None
 
     kind = "solve"
-    #: ``timeout``/``trace`` are delivery knobs; ``engine`` is ignored.
-    key_excluded = frozenset({"timeout", "engine", "trace"})
+    #: ``timeout``/``trace`` are delivery knobs.
+    key_excluded = frozenset({"timeout", "trace"})
 
     def to_payload(self) -> dict[str, Any]:
         payload = {
@@ -303,7 +283,6 @@ class SolveRequest(CanonicalRequest):
             "tree": {"parents": list(self.parents), "weights": list(self.weights)},
             "memory": self.memory,
             "algorithm": self.algorithm,
-            "engine": self.engine,
         }
         if self.trace_schedule:
             payload["trace_schedule"] = True
@@ -338,11 +317,10 @@ class PagingRequest(CanonicalRequest):
     policies: tuple[str, ...]
     seed: int
     timeout: float | None = None
-    engine: str = "auto"
     trace: str | None = None
 
     kind = "paging"
-    key_excluded = frozenset({"timeout", "engine", "trace"})
+    key_excluded = frozenset({"timeout", "trace"})
 
     def to_payload(self) -> dict[str, Any]:
         payload = {
@@ -353,7 +331,6 @@ class PagingRequest(CanonicalRequest):
             "page_size": self.page_size,
             "policies": list(self.policies),
             "seed": self.seed,
-            "engine": self.engine,
         }
         if self.trace is not None:
             payload["trace"] = self.trace
@@ -384,11 +361,10 @@ class ExactRequest(CanonicalRequest):
     max_states: int
     node_limit: int
     timeout: float | None = None
-    engine: str = "auto"
     trace: str | None = None
 
     kind = "exact"
-    key_excluded = frozenset({"timeout", "engine", "trace"})
+    key_excluded = frozenset({"timeout", "trace"})
 
     def to_payload(self) -> dict[str, Any]:
         payload = {
@@ -397,7 +373,6 @@ class ExactRequest(CanonicalRequest):
             "memory": self.memory,
             "max_states": self.max_states,
             "node_limit": self.node_limit,
-            "engine": self.engine,
         }
         if self.trace is not None:
             payload["trace"] = self.trace
@@ -431,34 +406,27 @@ class BatchRequest(CanonicalRequest):
     tree, dropping trees without an I/O regime, exactly like the
     paper's evaluation.
 
-    ``engine`` and ``forest`` are deliberately **excluded** from the
-    key: ``engine`` is ignored, and the forest path is byte-identical to
-    the per-tree one (the cross-validation harnesses enforce it), so a
-    cached result serves every setting.
+    ``forest`` is deliberately **excluded** from the key: the forest
+    path is byte-identical to the per-tree one (the cross-validation
+    harnesses enforce it), so a cached result serves both settings.
     """
 
     trees: tuple[TreeColumns, ...]
     algorithms: tuple[str, ...]
     bound: str = "Mmid"
     memory: int | None = None
-    engine: str = "auto"
     forest: bool = True
 
     kind = "batch"
-    #: ``engine`` is ignored; ``forest`` is a performance knob whose
-    #: byte-identical results the cross-validation harnesses pin.
-    key_excluded = frozenset({"engine", "forest"})
+    #: ``forest`` is a performance knob whose byte-identical results the
+    #: cross-validation harnesses pin.
+    key_excluded = frozenset({"forest"})
 
     def __post_init__(self) -> None:
         if self.memory is None and self.bound not in MEMORY_POLICIES:
             raise _fail(
                 "bad_field",
                 f"'bound' must be one of {list(MEMORY_POLICIES)}, got {self.bound!r}",
-            )
-        if self.engine not in ENGINES:
-            raise _fail(
-                "bad_field",
-                f"'engine' must be one of {list(ENGINES)}, got {self.engine!r}",
             )
 
     def tree_columns(self) -> tuple[list[int], list[int], list[int]]:
@@ -481,7 +449,6 @@ class BatchRequest(CanonicalRequest):
             "algorithms": list(self.algorithms),
             "bound": self.bound,
             "memory": self.memory,
-            "engine": self.engine,
         }
 
     def key_params(self) -> dict[str, Any]:
@@ -535,7 +502,6 @@ def parse_request(obj: Any, *, trusted_tree: tuple[Any, Any] | None = None) -> R
         parents, weights = _parse_tree(obj)
     memory = _require_int(obj.get("memory"), "memory", lo=1, hi=10**15)
     timeout = _parse_timeout(obj)
-    engine = _parse_engine(obj)
     trace = _parse_trace(obj)
     trace_schedule = _parse_trace_schedule(obj, kind)
 
@@ -547,7 +513,6 @@ def parse_request(obj: Any, *, trusted_tree: tuple[Any, Any] | None = None) -> R
             memory=memory,
             algorithm=_parse_algorithm(obj),
             timeout=timeout,
-            engine=engine,
             trace_schedule=trace_schedule,
             trace=trace,
         )
@@ -574,7 +539,6 @@ def parse_request(obj: Any, *, trusted_tree: tuple[Any, Any] | None = None) -> R
             policies=tuple(policies),
             seed=_require_int(obj.get("seed", 0), "seed", lo=0, hi=2**32 - 1),
             timeout=timeout,
-            engine=engine,
             trace=trace,
         )
     else:
@@ -589,7 +553,6 @@ def parse_request(obj: Any, *, trusted_tree: tuple[Any, Any] | None = None) -> R
                 obj.get("node_limit", 24), "node_limit", lo=1, hi=64
             ),
             timeout=timeout,
-            engine=engine,
             trace=trace,
         )
     return request

@@ -1,11 +1,11 @@
 """Model substrate: trees, traversals, the FiF simulator and node expansion.
 
 The core computations run on the list cores of :mod:`repro.core.kernels`
-whenever the tree has ``core_lists()`` (a :class:`TaskTree`'s cached
-lists or an :class:`ArrayTree`'s columns).  The object implementations
-over the tree protocol remain for what the cores do not cover — traced
-FiF runs and tree protocol objects such as :class:`ExpansionTree` — and
-as the references the cross-validation tests compare the cores against.
+over a tree's ``core_lists()``: a :class:`TaskTree`'s cached lists, an
+:class:`ArrayTree`'s columns, or an :class:`ExpansionTree`'s own lists.
+Two object loops remain, for what the cores do not cover and as the
+references the cross-validation tests compare the cores against: the
+traced FiF simulation and the child-key postorder.
 """
 
 from .arraytree import ArrayTree, as_array_tree

@@ -18,8 +18,9 @@ I/O function, see :func:`repro.algorithms.io_function.schedule_for_io_function`)
 and the RecExpand heuristics (Algorithm 2), which repeatedly expand nodes
 until the tree fits in memory.
 
-This module provides :class:`ExpansionTree`, a mutable tree satisfying the
-simulator/solver "tree protocol", with two extra properties:
+This module provides :class:`ExpansionTree`, a mutable tree that the
+list cores read through ``core_lists()`` like any other, with two extra
+properties:
 
 * every node remembers which *original* node it stands for (``origin``),
   so schedules on the expanded tree can be transposed back;
@@ -72,12 +73,11 @@ class ExpansionTree:
 
     The structure grows monotonically: original nodes keep their ids
     (``0 .. base_n-1``), spliced nodes are appended.  All arrays are plain
-    lists so the FiF simulator and the Liu solver can read them directly.
-    Children are stored once, as the CSR lists ``start``/``cindex`` that
-    :func:`repro.core.kernels.simulate_fif_core` and the RecExpand fill
-    read (kept current with ``wbar``); ``children`` is a read-only
-    per-node view over them for tree-protocol readers such as
-    :class:`~repro.algorithms.liu.LiuSolver`.
+    lists, kept current with every expansion, so the tree is its own
+    :meth:`core_lists` view: children are stored once, as the CSR lists
+    ``start``/``cindex``, next to ``weights``, ``parents`` and ``wbar``;
+    ``topo`` is built on first use after each splice.  ``children`` is a
+    read-only per-node view over the CSR lists for the traced FiF loop.
     """
 
     def __init__(self, tree: TaskTree):
@@ -91,6 +91,7 @@ class ExpansionTree:
         self.children = _ChildrenView(self.start, self.cindex)
         self.wbar: list[int] = list(lists.wbar)
         self.root: int = tree.root
+        self._topo: list[int] | None = None
         self.origin: list[int] = list(range(tree.n))
         self.role: list[Role] = [Role.ORIGINAL] * tree.n
         #: total volume of I/O forced by expansions so far
@@ -102,13 +103,35 @@ class ExpansionTree:
     def n(self) -> int:
         return len(self.parents)
 
+    def core_lists(self) -> ExpansionTree:
+        """The kernel cores' CSR view: the tree itself, in O(1).
+
+        Its ``weights``/``parents``/``start``/``cindex``/``wbar`` lists
+        are the cores' columns; RecExpand fetches them once per
+        while-loop iteration.
+        """
+        return self
+
+    @property
+    def topo(self) -> list[int]:
+        """A root-first order of the current structure, built on first use."""
+        topo = self._topo
+        if topo is None:
+            start, cindex = self.start, self.cindex
+            topo = [self.root]
+            for v in topo:
+                topo.extend(cindex[start[v] : start[v + 1]])
+            self._topo = topo
+        return topo
+
     # ------------------------------------------------------------------
     def expand(self, v: int, amount: int) -> int:
         """Force ``amount`` more units of the data held by node ``v`` to disk.
 
-        Returns the node from which cached per-subtree solutions become
-        stale (the lowest modified node): the residual node itself for a
-        weight reduction, or the new read-back node for a splice.
+        Returns ``v`` itself when it is a residual node whose weight
+        drops, or the new read-back node for a splice.  Either way the
+        residual (``v``, or the new ``parents[v]``) and every node above
+        it need solving again.
         """
         if amount <= 0:
             raise ValueError(f"expansion amount must be positive, got {amount}")
@@ -127,6 +150,7 @@ class ExpansionTree:
             return v
 
         # Splice  v -> residual -> readback -> old parent  above v.
+        self._topo = None
         w = self.weights[v]
         residual = len(self.parents)
         readback = residual + 1

@@ -1,9 +1,10 @@
 """Iterative, allocation-lean algorithm cores over CSR lists.
 
 These are the hot paths of the reproduction, written against the flat
-CSR layout of :class:`~repro.core.tree.CoreLists` — which both
-:class:`~repro.core.tree.TaskTree` (cached) and
-:class:`~repro.core.arraytree.ArrayTree` (converted per call) provide:
+CSR layout of :class:`~repro.core.tree.CoreLists` — which
+:class:`~repro.core.tree.TaskTree` (cached),
+:class:`~repro.core.arraytree.ArrayTree` (converted per call) and
+:class:`~repro.core.expansion.ExpansionTree` (its own lists) provide:
 
 * :func:`best_postorder` — the shared engine of ``POSTORDERMINMEM`` /
   ``POSTORDERMINIO`` (Liu 1986 / Agullo 2008, Algorithm 1 of the paper);
@@ -15,12 +16,15 @@ CSR layout of :class:`~repro.core.tree.CoreLists` — which both
 * :func:`structure_stats` — one-pass shape statistics.
 
 These cores are the one execution path of every tree with
-``core_lists()``; there is no engine switch.  Every function is
-**exactly equivalent** to its object reference (``_best_postorder``,
-``_simulate_fif_object``, :class:`~repro.algorithms.liu.LiuSolver`:
-same schedules, same ``S_i``/``V_i``, same I/O function, same
-tie-breaking) — an invariant enforced by the randomized
-cross-validation harness in ``tests/test_kernel_crossval.py``.  The
+``core_lists()``; there is no engine switch.  The postorder and FiF
+cores are **exactly equivalent** to their object references
+(``_best_postorder``, ``_simulate_fif_object``: same schedules, same
+``S_i``/``V_i``, same I/O function, same tie-breaking) — an invariant
+enforced by the randomized cross-validation harness in
+``tests/test_kernel_crossval.py``.  Liu's solver exists only here; the
+harness checks its peak against the rope-free :func:`liu_peak_core`
+and the FiF peak of its schedule, and the golden corpus pins its
+answers.  The
 difference is purely mechanical: no recursion anywhere (explicit int
 stacks, so 10^6-node and 10^6-deep trees are fine), no per-node object
 or closure allocation, plain-list scratch buffers, and child orderings
@@ -235,9 +239,8 @@ def best_postorder_core(
 def flatten_rope(rope, out: list[int]) -> None:
     """Flatten a rope (an int leaf or a nested pair) into ``out``.
 
-    The single definition of the rope encoding both the object
-    :class:`~repro.algorithms.liu.Segment` and the kernel's segment
-    tuples use — keep them on one flattener so they can never diverge.
+    The single definition of the rope encoding in the segment tuples
+    ``(hill, valley, rope)`` of :func:`liu_combine`.
     """
     stack = [rope]
     push = stack.append

@@ -10,28 +10,26 @@ instrument of the whole reproduction: every scheduling algorithm produces
 a schedule, and this module turns it into the minimal I/O volume that the
 schedule can achieve, together with an optional step-by-step trace.
 
-The implementation is generic over the small "tree protocol" (``weights``,
-``parents``, ``children`` indexables) so it can simulate
+It simulates any tree with ``core_lists()`` — a
+:class:`~repro.core.tree.TaskTree`, an
+:class:`~repro.core.arraytree.ArrayTree`, or the mutable
+:class:`~repro.core.expansion.ExpansionTree` of the RecExpand heuristics
+— on full or *subtree* schedules (the root of the subtree has its parent
+outside the schedule: its output simply stays resident, which is
+harmless because the subtree root is always scheduled last).
 
-* full :class:`~repro.core.tree.TaskTree` schedules,
-* *subtree* schedules (the root of the subtree has its parent outside the
-  schedule — its output simply stays resident, which is harmless because
-  the subtree root is always scheduled last), and
-* the mutable expansion trees used by the RecExpand heuristics.
-
-Which loop runs follows from the input alone: an untraced simulation of
-a tree with ``core_lists()`` runs the list core
-:func:`repro.core.kernels.simulate_fif_core`; a traced one, or any
-other tree protocol object, runs the object loop
-(:func:`_simulate_fif_object`), which is also the reference the
-cross-validation tests compare the core against.
+An untraced simulation runs the list core
+:func:`repro.core.kernels.simulate_fif_core`.  A traced one runs the
+object loop (:func:`_simulate_fif_object`, over ``weights``,
+``parents`` and ``children``), the only path that emits step traces and
+the reference the cross-validation tests compare the core against.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from typing import Any, Mapping, Protocol, Sequence
 
 from . import kernels
 from .traversal import Traversal
@@ -48,11 +46,13 @@ __all__ = [
 
 
 class TreeLike(Protocol):
-    """The minimal structural interface the simulator needs."""
+    """What the simulator reads: the CSR lists, and ``children`` when traced."""
 
     weights: Sequence[int]
     parents: Sequence[int]
     children: Sequence[Sequence[int]]
+
+    def core_lists(self) -> Any: ...
 
 
 class InfeasibleSchedule(ValueError):
@@ -100,7 +100,8 @@ def simulate_fif(
     Parameters
     ----------
     tree:
-        anything satisfying the tree protocol.
+        a tree with ``core_lists()``; a traced run also reads its
+        ``children``.
     schedule:
         the node ids to execute, in order.  Must be topological over the
         nodes it contains; every non-final node's parent must appear later
@@ -110,12 +111,8 @@ def simulate_fif(
         (no evictions — useful to measure the peak of a schedule).
     trace:
         record a :class:`StepTrace` per step (costs memory; off by default).
-        Untraced runs on a tree with ``core_lists()`` (a
-        :class:`~repro.core.tree.TaskTree` or an
-        :class:`~repro.core.arraytree.ArrayTree`) — full-tree or subtree
-        schedules — take :func:`repro.core.kernels.simulate_fif_core`;
-        traced runs and other tree protocol objects use the object loop.
-        Results are identical either way.
+        Untraced runs take :func:`repro.core.kernels.simulate_fif_core`,
+        traced runs the object loop; results are identical either way.
 
     Returns
     -------
@@ -129,7 +126,7 @@ def simulate_fif(
         if some step needs more than ``memory`` with every other active
         output fully evicted, i.e. ``wbar > M``.
     """
-    if not trace and hasattr(tree, "core_lists"):
+    if not trace:
         io, io_total, peak = kernels.simulate_fif(tree, schedule, memory)
         return SimulationResult(io=io, io_volume=io_total, peak_memory=peak)
     return _simulate_fif_object(tree, schedule, memory, trace)

@@ -12,10 +12,12 @@ The model follows Section 3.1 of Marchal, McCauley, Simon & Vivien,
 Nodes are dense integer identifiers ``0 .. n-1``.  The structure is
 immutable once built; all derived quantities (children lists, ``wbar``,
 subtree sizes, a canonical topological order) are computed once and cached.
-Every algorithm in :mod:`repro.algorithms` is written against the small
-"tree protocol" exposed here (``n``, ``root``, ``parent``, ``weights``,
-``children``) so that the mutable expansion trees used by the RecExpand
-heuristic (:mod:`repro.core.expansion`) can be substituted transparently.
+The solvers read a tree through :meth:`TaskTree.core_lists`, the CSR
+view that :class:`~repro.core.arraytree.ArrayTree` and the mutable
+expansion trees of the RecExpand heuristic
+(:mod:`repro.core.expansion`) provide as well; the smaller "tree
+protocol" (``n``, ``root``, ``parent``, ``weights``, ``children``)
+serves the object loops and the analysis code.
 """
 
 from __future__ import annotations

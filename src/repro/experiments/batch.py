@@ -62,8 +62,6 @@ __all__ = [
     "FigureShard",
     "CounterexampleUnit",
     "DEFAULT_SHARD_SIZE",
-    "ENGINE_VERSION",
-    "unit_seed",
     "shard_figure",
     "counterexample_units",
     "run_shard",
@@ -78,10 +76,6 @@ __all__ = [
 #: from the worker count) so that shard boundaries — and therefore cache
 #: keys and hit/miss counters — are identical at every ``--jobs`` value.
 DEFAULT_SHARD_SIZE = 8
-
-# Backwards-compatible alias; the public constant now lives in
-# :mod:`repro.api.requests` (one engine-version salt for every surface).
-_ENGINE_VERSION = ENGINE_VERSION
 
 
 @dataclass
@@ -141,7 +135,7 @@ class FigureShard(BatchRequest):
     def key_params(self) -> dict[str, Any]:
         params = {
             "kind": "figure-shard",
-            "version": _ENGINE_VERSION,
+            "version": ENGINE_VERSION,
             "fig_id": self.fig_id,
             "scale": self.scale,
             "bound": self.bound,
@@ -176,7 +170,7 @@ class CounterexampleUnit(CanonicalRequest):
     def key_params(self) -> dict[str, Any]:
         return {
             "kind": "counterexample",
-            "version": _ENGINE_VERSION,
+            "version": ENGINE_VERSION,
             "name": self.name,
             "memory": self.memory,
             "witness_io": self.witness_io,
@@ -185,9 +179,6 @@ class CounterexampleUnit(CanonicalRequest):
 
     def key_buffers(self) -> Mapping[str, Any]:
         return {"parents": self.parents, "weights": self.weights}
-
-
-_shard_seed = unit_seed  # historical name
 
 
 def shard_figure(
@@ -226,7 +217,7 @@ def shard_figure(
         # across shards with different inputs.  Carrying the key over to
         # the reseeded instance keeps it one canonicalisation per shard.
         key = shard.key()
-        shard = dataclasses.replace(shard, seed=_shard_seed(key))
+        shard = dataclasses.replace(shard, seed=unit_seed(key))
         object.__setattr__(shard, "_cached_key", key)
         shards.append(shard)
     return shards

@@ -4,10 +4,6 @@ This package puts a non-blocking network front-end on the same code
 paths the CLI runs offline, aimed at the ROADMAP's "serve heavy traffic"
 north star:
 
-``repro.service.protocol``
-    the wire-level view of the typed solver API (:mod:`repro.api`):
-    request dataclasses, validation, stable error codes and content
-    addressing all live there — this module (de)serializes them;
 ``repro.service.pool``
     the persistent worker pool executing validated micro-batches;
 ``repro.service.server``
@@ -30,15 +26,12 @@ Start a server with ``repro-ioschedule serve`` and query it with
 :class:`AsyncServiceClient`.
 """
 
+from ..api.errors import ERROR_CODES, ProtocolError
+from ..api.outcome import PROTOCOL_VERSION
+from ..api.requests import parse_request
 from .aioclient import AsyncServiceClient
 from .client import ServiceClient, ServiceError
 from .pool import WorkerPool
-from .protocol import (
-    ERROR_CODES,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    parse_request,
-)
 from .server import ServerConfig, ServerThread, ServiceServer, running_server
 from .wire import (
     WIRE_CONTENT_TYPE,

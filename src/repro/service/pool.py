@@ -56,26 +56,12 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Mapping, Sequence
 
-from ..api.execution import (
-    build_tree,
-    execute_request,
-    run_exact,
-    run_paging,
-    run_solve,
-)
+from ..api.execution import execute_request
 from ..api.outcome import error_envelope
 from ..api.requests import Request, parse_request
 from ..core.tree import TaskTree, TreeError
 
-__all__ = [
-    "WorkerPool",
-    "build_tree",
-    "execute_payload",
-    "execute_many",
-    "run_solve",
-    "run_paging",
-    "run_exact",
-]
+__all__ = ["WorkerPool", "execute_payload", "execute_many"]
 
 
 def execute_payload(

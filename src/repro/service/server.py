@@ -26,7 +26,7 @@ Four mechanisms do the heavy lifting:
   needs amortising — and an idle service dispatches a lone request at
   once.
 * **Cache-backed dedup** — every request is content-addressed (see
-  :mod:`repro.service.protocol`); an identical *in-flight* request
+  :meth:`repro.api.requests.CanonicalRequest.key`); an identical *in-flight* request
   coalesces onto the same future, and an identical *completed* request
   is served from the shared :class:`~repro.datasets.store.ResultCache`
   without touching a worker.  The cache directory can be the same one
@@ -76,18 +76,12 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from ..api.requests import ENGINE_VERSION, Request
+from ..api.errors import HTTP_STATUS, ProtocolError
+from ..api.outcome import PROTOCOL_VERSION, error_envelope, ok_envelope
+from ..api.requests import ENGINE_VERSION, Request, parse_request
 from ..datasets.store import ResultCache
 from ..obs.metrics import Histogram, MetricsRegistry
 from .pool import WorkerPool
-from .protocol import (
-    HTTP_STATUS,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    error_envelope,
-    ok_envelope,
-    parse_request,
-)
 from .wire import (
     JSON_CONTENT_TYPE,
     WIRE_CONTENT_TYPE,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.algorithms.liu import LiuSolver
+from repro.algorithms.liu import opt_min_mem
 from repro.core.simulator import simulate_fif
 from repro.parallel import (
     priority_from_schedule,
@@ -27,7 +27,7 @@ class TestReductions:
     @settings(max_examples=40)
     def test_window_one_single_proc_is_sequential(self, tm):
         tree, memory = tm
-        order = LiuSolver(tree).schedule()
+        order = opt_min_mem(tree)[0]
         report = simulate_activation(tree, memory, 1, order, window=1)
         assert report.order == list(order)
         assert report.io_volume == simulate_fif(tree, order, memory).io_volume
@@ -36,7 +36,7 @@ class TestReductions:
     @settings(max_examples=40)
     def test_window_n_equals_plain_priority_list(self, tm):
         tree, memory = tm
-        order = LiuSolver(tree).schedule()
+        order = opt_min_mem(tree)[0]
         gated = simulate_activation(tree, memory, 3, order, window=tree.n)
         plain = simulate_parallel(
             tree, memory, 3, priority_from_schedule(order)
@@ -50,7 +50,7 @@ class TestReductions:
     def test_window_one_many_procs_still_sequential_order(self, tm):
         """With window 1 extra processors cannot reorder execution starts."""
         tree, memory = tm
-        order = LiuSolver(tree).schedule()
+        order = opt_min_mem(tree)[0]
         report = simulate_activation(tree, memory, 4, order, window=1)
         assert report.order == list(order)
 
@@ -69,14 +69,14 @@ class TestSweep:
 
     def test_sweep_covers_all_windows(self):
         tree, memory = self._instance()
-        order = LiuSolver(tree).schedule()
+        order = opt_min_mem(tree)[0]
         reports = window_sweep(tree, memory, 2, order, windows=(1, 4, tree.n))
         assert set(reports) == {1, 4, tree.n}
 
     def test_wider_window_never_slows_down_unit_durations(self):
         """More admissible tasks == more parallelism on this workload."""
         tree, memory = self._instance()
-        order = LiuSolver(tree).schedule()
+        order = opt_min_mem(tree)[0]
         reports = window_sweep(tree, memory, 4, order, windows=(1, tree.n))
         assert reports[tree.n].makespan <= reports[1].makespan + 1e-9
 
@@ -85,13 +85,13 @@ class TestSweep:
         # window 1 still starts tasks in sigma-order, but overlapping
         # executions reserve memory concurrently and can change the I/O.
         tree, memory = self._instance()
-        order = LiuSolver(tree).schedule()
+        order = opt_min_mem(tree)[0]
         reports = window_sweep(tree, memory, 1, order, windows=(1, tree.n))
         assert reports[1].io_volume == simulate_fif(tree, order, memory).io_volume
 
     def test_all_reports_complete_every_task(self):
         tree, memory = self._instance()
-        order = LiuSolver(tree).schedule()
+        order = opt_min_mem(tree)[0]
         for report in window_sweep(
             tree, memory, 3, order, windows=(1, 2, 8)
         ).values():

@@ -356,11 +356,11 @@ class TestBinaryCacheProvenance:
 
 
 class TestEngineFieldIgnored:
-    """The ``engine`` request field is parsed, validated and ignored.
+    """A 1.x client's ``engine`` field is accepted and ignored.
 
-    It stays on the wire until the 2.0 cut; every accepted value runs
-    the same code, so it moves neither the key nor a byte of the
-    envelope, over either encoding.
+    2.0 dropped the field; :func:`parse_request` ignores unknown fields,
+    so a request that still carries it, under any value, moves neither
+    the key nor a byte of the envelope, over either encoding.
     """
 
     def _payload(self, **fields):
@@ -392,16 +392,15 @@ class TestEngineFieldIgnored:
         assert len(envelopes) == 1
         assert json.loads(envelopes.pop())["key"] == keys.pop()
 
-    def test_unknown_name_is_bad_field_on_both_encodings(self):
-        from repro.service import ServiceClient, ServiceError
+    def test_unknown_name_is_ignored_on_both_encodings(self):
+        from repro.service import ServiceClient
 
-        with pytest.raises(ProtocolError) as err:
-            parse_request(self._payload(engine="vector"))
-        assert err.value.code == "bad_field"
+        plain = parse_request(self._payload())
+        assert parse_request(self._payload(engine="vector")) == plain
         config = ServerConfig(port=0, workers=0, inline_threads=1)
         with ServerThread(config) as thread:
             for wire in ("json", "binary"):
                 client = ServiceClient(port=thread.port, wire=wire)
-                with pytest.raises(ServiceError) as failure:
-                    client.submit(self._payload(engine="vector"))
-                assert (failure.value.status, failure.value.code) == (400, "bad_field")
+                envelope = client.submit(self._payload(engine="vector"))
+                assert envelope == client.submit(self._payload())
+                assert envelope["ok"] and envelope["key"] == plain.key()

@@ -6,6 +6,7 @@ service, external callers) builds on.  This test pins
 * ``repro.api.__all__`` (the exported names),
 * the field names of every request dataclass and of ``Outcome``,
 * the error-code vocabulary and the exit-code contract,
+* the content address of one request of each kind,
 * the lazily re-exported names on the top-level ``repro`` package,
 * the ``py.typed`` marker (PEP 561 — the package ships its types).
 
@@ -69,19 +70,19 @@ API_ALL = [
 
 REQUEST_FIELDS = {
     api.SolveRequest: [
-        "parents", "weights", "memory", "algorithm", "timeout", "engine",
+        "parents", "weights", "memory", "algorithm", "timeout",
         "trace_schedule", "trace",
     ],
     api.PagingRequest: [
         "parents", "weights", "memory", "algorithm", "page_size",
-        "policies", "seed", "timeout", "engine", "trace",
+        "policies", "seed", "timeout", "trace",
     ],
     api.ExactRequest: [
         "parents", "weights", "memory", "max_states", "node_limit",
-        "timeout", "engine", "trace",
+        "timeout", "trace",
     ],
     api.BatchRequest: [
-        "trees", "algorithms", "bound", "memory", "engine", "forest",
+        "trees", "algorithms", "bound", "memory", "forest",
     ],
 }
 
@@ -142,6 +143,53 @@ class TestTopLevelReexports:
             assert "definitely_not_a_name" in str(exc)
         else:  # pragma: no cover - defends the lazy __getattr__ hook
             raise AssertionError("expected AttributeError")
+
+
+#: one request of each kind and the content address 1.2.0 gave it: a
+#: cached result is found again only while these stay put.
+_TREE = ((-1, 0, 0, 1, 1), (3, 4, 2, 5, 1))
+PINNED_KEYS = [
+    (
+        api.SolveRequest(
+            parents=_TREE[0], weights=_TREE[1], memory=9, algorithm="RecExpand"
+        ),
+        "f013ea4f30f535d84e77faf485516af735060518c105479ac467022822024cbd",
+    ),
+    (
+        api.PagingRequest(
+            parents=_TREE[0], weights=_TREE[1], memory=9, algorithm="OptMinMem",
+            page_size=2, policies=("belady", "lru"), seed=3,
+        ),
+        "460edf348fbe32889e381cdc7348871309f3552cc21e58240f6a15badea5840b",
+    ),
+    (
+        api.ExactRequest(
+            parents=_TREE[0], weights=_TREE[1], memory=9, max_states=1000,
+            node_limit=12,
+        ),
+        "ca1774fd15ea6b36056e6287254fe0b0c3a2e451e40c8391862b6e1a4a5b266d",
+    ),
+    (
+        api.BatchRequest(
+            trees=(_TREE, ((-1, 0), (2, 7))),
+            algorithms=("OptMinMem", "PostOrderMinIO"),
+            bound="Mmid",
+        ),
+        "4756562cecb212f72656de08fb342b697d2dded737b790d3a3f5a74d0aede1f5",
+    ),
+]
+
+
+class TestRequestKeysArePinned:
+    def test_keys_match_the_1_2_cache(self):
+        for request, key in PINNED_KEYS:
+            assert request.key() == key, type(request).__name__
+
+    def test_a_1_2_payload_keeps_its_key(self):
+        # a 1.x client still sends "engine"; it is ignored, key included
+        request, key = PINNED_KEYS[0]
+        payload = dict(request.to_payload(), engine="object")
+        assert api.parse_request(payload).key() == key
 
 
 class TestTypingMarker:

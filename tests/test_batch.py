@@ -180,14 +180,12 @@ class TestForestPath:
                 pb.pop("seconds")
                 assert pa == pb
 
-    def test_object_engine_field_is_ignored(self, monkeypatch):
-        """``engine="object"`` selects nothing: the forest path still runs,
-        and the payload equals the per-tree (``forest=False``) one."""
+    def test_forest_path_runs_for_a_figure_shard(self, monkeypatch):
+        """A default shard takes the forest path, and its payload equals
+        the per-tree (``forest=False``) one."""
         from repro.api import execution
 
         shard = shard_figure("fig4", "tiny")[0]
-        pinned = dataclasses.replace(shard, engine="object")
-        assert pinned.key() == shard.key()
         forest_runs = []
         real = execution._execute_batch_forest
         monkeypatch.setattr(
@@ -195,7 +193,7 @@ class TestForestPath:
             "_execute_batch_forest",
             lambda *args: forest_runs.append(1) or real(*args),
         )
-        payload = run_shard(pinned)
+        payload = run_shard(shard)
         assert forest_runs == [1]
         reference = run_shard(dataclasses.replace(shard, forest=False))
         assert forest_runs == [1]
@@ -325,10 +323,6 @@ class TestExecuteBatchParity:
         pairs = _synth_pairs([50, 90, 35], seed=41)
         for count in range(1, _VECTOR_MIN_TREES):
             self._assert_parity(_batch(pairs[:count] + [_NO_IO_REGIME[0]]))
-
-    def test_object_engine(self):
-        pairs = _synth_pairs([40, 64, 28, 52], seed=53)
-        self._assert_parity(_batch(pairs, engine="object"))
 
     def test_invalid_forest_traversal_is_unsolvable(self, monkeypatch):
         from repro.api import execution

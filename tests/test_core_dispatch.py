@@ -4,9 +4,9 @@
   random expansion trees equals the object simulator — the I/O function
   (in first-eviction order, which the RecExpand victim rules see), its
   volume, the peak, and the ``InfeasibleSchedule`` text;
-* a small :class:`TaskTree` never builds an ``ArrayTree`` and never
-  enters the object loops, while traced runs and tree protocol objects
-  without ``core_lists()`` still do.
+* a small :class:`TaskTree` or an :class:`ExpansionTree` never builds
+  an ``ArrayTree`` and never enters the object loops, while traced FiF
+  runs and child-key postorders still do.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import random
 
 import pytest
 
-from repro.algorithms import liu, postorder
-from repro.algorithms.liu import LiuSolver, min_peak_memory, opt_min_mem
+from repro.algorithms import postorder
+from repro.algorithms.liu import min_peak_memory, opt_min_mem
 from repro.algorithms.postorder import (
     postorder_min_io,
     postorder_min_mem,
@@ -26,7 +26,12 @@ from repro.core import simulator
 from repro.core.arraytree import ArrayTree
 from repro.core.expansion import ExpansionTree
 from repro.core.kernels import flatten_rope, liu_fill, liu_schedule, simulate_fif_core
-from repro.core.simulator import InfeasibleSchedule, _simulate_fif_object, simulate_fif
+from repro.core.simulator import (
+    InfeasibleSchedule,
+    _simulate_fif_object,
+    schedule_peak_memory,
+    simulate_fif,
+)
 from repro.core.tree import TaskTree
 
 
@@ -42,6 +47,18 @@ def _random_expansion_tree(rng: random.Random) -> ExpansionTree:
         if xt.weights[v] > 0:
             xt.expand(v, rng.randint(1, xt.weights[v]))
     return xt
+
+
+def _subtree_schedule(tree, root: int) -> list[int]:
+    """Liu's schedule of ``root``'s subtree, from a ``liu_fill`` over it."""
+    lists = tree.core_lists()
+    segs: list = [None] * tree.n
+    order = reversed(_subtree(tree, root))
+    liu_fill(lists.weights, lists.start, lists.cindex, order, segs)
+    schedule: list[int] = []
+    for _hill, _valley, nodes in segs[root]:
+        flatten_rope(nodes, schedule)
+    return schedule
 
 
 def _subtree(xt: ExpansionTree, root: int) -> list[int]:
@@ -89,6 +106,12 @@ def _object(tree, schedule, memory):
     return r.io, r.io_volume, r.peak_memory
 
 
+def _assert_root_first(xt: ExpansionTree) -> None:
+    pos = {v: i for i, v in enumerate(xt.topo)}
+    assert xt.topo[0] == xt.root and len(pos) == len(xt.topo) == xt.n
+    assert all(pos[xt.parents[v]] < pos[v] for v in range(xt.n) if v != xt.root)
+
+
 class TestSubtreeFif:
     def test_expansion_tree_lists_stay_current(self):
         rng = random.Random(3)
@@ -100,6 +123,14 @@ class TestSubtreeFif:
                 assert xt.cindex[xt.start[v] : xt.start[v + 1]] == xt.children[v]
             assert len(xt.start) == xt.n + 1
             assert xt.wbar == list(xt.as_task_tree().wbar)
+            # the tree is its own core view, with a current root-first
+            # order before and after a further splice
+            assert xt.core_lists() is xt
+            _assert_root_first(xt)
+            v = rng.randrange(xt.n)
+            if xt.weights[v] > 0:
+                xt.expand(v, xt.weights[v])
+                _assert_root_first(xt)
 
     def test_core_equals_object_on_random_expansion_trees(self):
         rng = random.Random(20170208)
@@ -108,7 +139,7 @@ class TestSubtreeFif:
             xt = _random_expansion_tree(rng)
             root = rng.randrange(xt.n)
             schedules = [
-                LiuSolver(xt).schedule(root),
+                _subtree_schedule(xt, root),
                 _random_subtree_schedule(rng, xt, root),
             ]
             lb = max(xt.wbar[v] for v in _subtree(xt, root))
@@ -127,13 +158,34 @@ class TestSubtreeFif:
         for _ in range(100):
             tree = _random_tree(rng, rng.randint(1, 60))
             root = rng.randrange(tree.n)
-            schedule = LiuSolver(tree).schedule(root)
+            schedule = _subtree_schedule(tree, root)
             memory = max(tree.wbar[v] for v in schedule) + rng.randint(0, 5)
             want = _outcome(lambda: _object(tree, schedule, memory))
             for view in (tree, ArrayTree.from_task_tree(tree)):
                 r = simulate_fif(view, schedule, memory)
                 got = list(r.io.items()), r.io_volume, r.peak_memory
                 assert got == want
+
+
+class TestExpansionTreeCores:
+    """An expanded tree runs the list cores and answers like a ``TaskTree``."""
+
+    def test_random_expanded_trees(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            xt = _random_expansion_tree(rng)
+            frozen = xt.as_task_tree()
+            schedule, peak = opt_min_mem(xt)
+            assert peak == min_peak_memory(frozen)
+            assert schedule_peak_memory(xt, schedule) == peak
+            lb = max(xt.wbar)
+            other = _random_subtree_schedule(rng, xt, xt.root)
+            for s in (schedule, other):
+                for memory in (None, lb, lb + rng.randint(0, 9)):
+                    want = _simulate_fif_object(xt, s, memory, False)
+                    got = simulate_fif(xt, s, memory)
+                    assert got == want
+                    assert list(got.io) == list(want.io)  # eviction order
 
 
 class TestLiuHillIsFifPeak:
@@ -187,11 +239,6 @@ def _forbid(*_args, **_kwargs):
     raise _ObjectPathEntered
 
 
-class _ForbiddenSolver:
-    def __init__(self, *_args, **_kwargs):
-        raise _ObjectPathEntered
-
-
 @pytest.fixture
 def object_paths_forbidden(monkeypatch):
     """Make every ArrayTree build and every object loop raise."""
@@ -199,7 +246,6 @@ def object_paths_forbidden(monkeypatch):
     monkeypatch.setattr(ArrayTree, "from_task_tree", _forbid)
     monkeypatch.setattr(postorder, "_best_postorder", _forbid)
     monkeypatch.setattr(simulator, "_simulate_fif_object", _forbid)
-    monkeypatch.setattr(liu, "LiuSolver", _ForbiddenSolver)
 
 
 def _small_tree() -> TaskTree:
@@ -223,11 +269,28 @@ class TestAutoStaysOnCores:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda t, m: opt_min_mem(ExpansionTree(t)),
-            lambda t, m: min_peak_memory(ExpansionTree(t)),
+            lambda xt, m: opt_min_mem(xt),
+            lambda xt, m: min_peak_memory(xt),
+            lambda xt, m: simulate_fif(xt, list(xt.base.postorder()), m),
+        ],
+    )
+    def test_expansion_trees_stay_on_cores(self, object_paths_forbidden, call):
+        tree = _small_tree()
+        memory = (tree.min_feasible_memory() + min_peak_memory(tree)) // 2
+        xt = ExpansionTree(tree)
+        call(xt, memory)
+        v = next(v for v in range(xt.n) if xt.weights[v] > 0)
+        xt.expand(v, 1)  # a splice: the next call rebuilds the topo list
+        call(xt, memory)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
             lambda t, m: postorder_with_child_key(t, m, "A-w"),
             lambda t, m: simulate_fif(t, list(t.postorder()), m, trace=True),
-            lambda t, m: simulate_fif(ExpansionTree(t), list(t.postorder()), m),
+            lambda t, m: simulate_fif(
+                ExpansionTree(t), list(t.postorder()), m, trace=True
+            ),
         ],
     )
     def test_tree_protocol_inputs_still_enter_them(

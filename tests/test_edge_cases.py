@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from repro.algorithms.liu import LiuSolver, opt_min_mem
+from repro.algorithms.liu import opt_min_mem
 from repro.algorithms.postorder import postorder_min_io, postorder_min_mem
 from repro.algorithms.rec_expand import full_rec_expand, rec_expand
 from repro.analysis.bounds import memory_bounds
+from repro.core.kernels import liu_segments
 from repro.core.simulator import fif_io_volume, fif_traversal, simulate_fif
 from repro.core.traversal import validate
 from repro.core.tree import TaskTree, chain_tree, star_tree
@@ -143,15 +144,14 @@ class TestDegenerateShapes:
 class TestLiuSegmentsEdge:
     def test_equal_weights_everywhere(self):
         tree = star_tree(5, [5, 5, 5])
-        solver = LiuSolver(tree)
-        segs = solver.segments()
-        assert segs[-1].valley == 5
+        segs = liu_segments(tree)
+        assert segs[-1][1] == 5  # the last valley is the root's output
 
     def test_segments_of_zero_weight_subtree(self):
         tree = chain_tree([0, 0])
-        segs = LiuSolver(tree).segments()
+        segs = liu_segments(tree)
         assert len(segs) == 1
-        assert segs[0].hill == 0
+        assert segs[0][0] == 0  # the only hill
 
     def test_postorder_minmem_equals_liu_on_chains(self):
         tree = chain_tree([3, 1, 4, 1, 5])

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.algorithms.liu import LiuSolver
+from repro.algorithms.liu import opt_min_mem
 from repro.analysis.bounds import memory_bounds
 from repro.datasets.synth import synth_instance
 from repro.parallel import priority_from_schedule, simulate_parallel
@@ -19,7 +19,7 @@ def _report(processors=3, bandwidth=0.0):
         bounds = memory_bounds(tree)
         if bounds.has_io_regime:
             break
-    order = LiuSolver(tree).schedule()
+    order = opt_min_mem(tree)[0]
     return simulate_parallel(
         tree,
         bounds.mid,

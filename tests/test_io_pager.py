@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.algorithms.liu import LiuSolver, min_peak_memory
+from repro.algorithms.liu import min_peak_memory, opt_min_mem
 from repro.core.simulator import InfeasibleSchedule, simulate_fif
 from repro.core.tree import TaskTree, chain_tree, star_tree
 from repro.io.pager import paged_io, page_policy_comparison
@@ -40,7 +40,7 @@ class TestBeladyMatchesNodeFiF:
     @given(tm=trees_with_memory(max_nodes=8, max_weight=9))
     def test_on_liu_schedules(self, tm):
         tree, memory = tm
-        schedule = LiuSolver(tree).schedule()
+        schedule, _peak = opt_min_mem(tree)
         node = simulate_fif(tree, schedule, memory)
         paged = paged_io(tree, schedule, memory, page_size=1, policy="belady")
         assert paged.write_units == node.io_volume

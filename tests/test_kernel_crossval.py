@@ -5,13 +5,16 @@ repository generates — uniform binary and plane trees, preferential
 attachment, nested-dissection-shaped, chains, stars, caterpillars,
 uniform random attachment with zero weights — and asserts that the list
 cores (run on an :class:`ArrayTree`) and the object reference
-implementations (``postorder._best_postorder``, ``LiuSolver``,
+implementations (``postorder._best_postorder``,
 ``simulator._simulate_fif_object``, called by name) are **byte
 identical** on all of them:
 
 * ``postorder_min_mem`` / ``postorder_min_io``: schedule, per-subtree
   storage ``S_i``, peak, predicted ``V_root``;
-* ``opt_min_mem`` (Liu's segment solver): schedule and peak;
+* ``opt_min_mem`` (Liu's segment solver, which has no object twin): the
+  same schedule and peak on a ``TaskTree`` and an ``ArrayTree``, a peak
+  equal to the rope-free ``liu_peak_core``'s and to the object FiF
+  peak of its own schedule;
 * the FiF simulator: the full I/O function (which node pays how much),
   total volume, and peak, on every schedule above, at several memory
   bounds across the I/O regime;
@@ -27,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.liu import LiuSolver, min_peak_memory, opt_min_mem
+from repro.algorithms.liu import min_peak_memory, opt_min_mem
 from repro.algorithms.postorder import (
     _best_postorder,
     postorder_min_io,
@@ -119,10 +122,12 @@ def _crossval_one(tree: TaskTree) -> None:
     mm_arr = postorder_min_mem(at)
     assert mm_obj == mm_arr
 
-    liu_obj = (LiuSolver(tree).schedule(), LiuSolver(tree).peak())
-    liu_arr = opt_min_mem(at)
-    assert liu_obj[0] == liu_arr[0]
-    assert liu_obj[1] == liu_arr[1]
+    liu_schedule, liu_peak = opt_min_mem(at)
+    assert opt_min_mem(tree) == (liu_schedule, liu_peak)
+    assert sorted(liu_schedule) == list(range(tree.n))
+    assert liu_peak == min_peak_memory(at)
+    unbounded = _simulate_fif_object(tree, liu_schedule, None, False)
+    assert unbounded.peak_memory == liu_peak
 
     for memory in _memory_grid(tree):
         if memory < tree.min_feasible_memory():
@@ -137,7 +142,7 @@ def _crossval_one(tree: TaskTree) -> None:
         assert io_obj.predicted_io == simulated
         assert io_arr.predicted_io == simulated
         _assert_simulations_match(tree, at, mm_obj.schedule, memory)
-        _assert_simulations_match(tree, at, liu_obj[0], memory)
+        _assert_simulations_match(tree, at, liu_schedule, memory)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

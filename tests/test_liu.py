@@ -7,9 +7,15 @@ import pytest
 from hypothesis import given, settings
 
 from repro.algorithms.brute_force import min_peak_brute
-from repro.algorithms.liu import LiuSolver, min_peak_memory, opt_min_mem
+from repro.algorithms.liu import min_peak_memory, opt_min_mem
 from repro.core.expansion import ExpansionTree
-from repro.core.kernels import liu_combine, liu_fill, liu_segments_core
+from repro.core.kernels import (
+    flatten_rope,
+    liu_combine,
+    liu_fill,
+    liu_segments,
+    liu_segments_core,
+)
 from repro.core.simulator import schedule_peak_memory
 from repro.core.tree import TaskTree, balanced_binary_tree, chain_tree, star_tree
 from repro.datasets.instances import figure_2b, figure_2c, figure_6, figure_7
@@ -63,12 +69,18 @@ class TestSmallExactValues:
             assert peak == depth + 1
 
 
+def _nodes(segs) -> list[int]:
+    """The execution order of ``(hill, valley, rope)`` segments."""
+    out: list[int] = []
+    for _hill, _valley, rope in segs:
+        flatten_rope(rope, out)
+    return out
+
+
 class TestSegments:
     def test_leaf_segment(self):
-        solver = LiuSolver(TaskTree([-1], [4]))
-        segs = solver.segments()
-        assert len(segs) == 1
-        assert (segs[0].hill, segs[0].valley) == (4, 4)
+        segs = liu_segments(TaskTree([-1], [4]))
+        assert [(hill, valley) for hill, valley, _rope in segs] == [(4, 4)]
 
     def test_canonical_invariants_random(self):
         import numpy as np
@@ -79,11 +91,10 @@ class TestSegments:
         for _ in range(50):
             n = int(rng.integers(1, 40))
             tree = random_plane_tree(n, rng).with_weights(random_weights(n, rng))
-            solver = LiuSolver(tree)
+            store = _kept_store(tree)
             for v in range(tree.n):
-                segs = solver.segments(v)
-                hills = [s.hill for s in segs]
-                valleys = [s.valley for s in segs]
+                hills = [hill for hill, _valley, _rope in store[v]]
+                valleys = [valley for _hill, valley, _rope in store[v]]
                 assert hills == sorted(hills, reverse=True)
                 assert valleys == sorted(valleys)
                 assert len(set(hills)) == len(hills)
@@ -93,15 +104,11 @@ class TestSegments:
 
     def test_segment_nodes_partition_subtree(self):
         tree = figure_2b().tree
-        solver = LiuSolver(tree)
-        nodes = [v for seg in solver.segments() for v in seg.node_list()]
-        assert sorted(nodes) == list(range(tree.n))
+        assert sorted(_nodes(liu_segments(tree))) == list(range(tree.n))
 
     def test_schedule_matches_segments(self):
         tree = figure_2b().tree
-        solver = LiuSolver(tree)
-        flat = [v for seg in solver.segments() for v in seg.node_list()]
-        assert solver.schedule() == flat
+        assert opt_min_mem(tree)[0] == _nodes(liu_segments(tree))
 
 
 class TestScheduleProperties:
@@ -134,48 +141,57 @@ class TestScheduleProperties:
         assert len(schedule) == n
 
 
+def _expand_and_resolve(xt: ExpansionTree, segs: list, v: int, amount: int) -> None:
+    """Expand ``v`` and re-solve the stale path above it, as RecExpand does.
+
+    A kept store's entries from the lowest changed node up to the root
+    are stale (or missing, for a splice's two new nodes); one
+    ``keep=True`` fill over that path replaces them and leaves every
+    other entry in place.
+    """
+    dirty = xt.expand(v, amount)
+    if dirty != v:  # a splice: v -> residual -> read-back (== dirty)
+        segs += (None, None)
+        dirty = xt.parents[v]
+    path = [dirty]
+    while xt.parents[path[-1]] != -1:
+        path.append(xt.parents[path[-1]])
+    liu_fill(xt.weights, xt.start, xt.cindex, path, segs, keep=True)
+
+
 class TestIncrementalSolve:
+    """RecExpand's incremental solve: a kept store, re-filled along a path."""
+
     def test_invalidate_then_recompute_matches_fresh(self):
-        tree = figure_6().tree
-        xt = ExpansionTree(tree)
-        solver = LiuSolver(xt)
-        before = solver.peak()
-        dirty = xt.expand(5, 2)  # node b of the figure
-        solver.invalidate_from(dirty)
-        incremental = solver.peak()
-        fresh = LiuSolver(xt).peak()
-        assert incremental == fresh
-        assert incremental <= before
+        xt = ExpansionTree(figure_6().tree)
+        segs = _kept_store(xt)
+        before = segs[xt.root][0][0]
+        _expand_and_resolve(xt, segs, 5, 2)  # node b of the figure
+        assert segs == _kept_store(xt)
+        assert segs[xt.root][0][0] <= before
 
     def test_invalidate_keeps_sibling_caches(self):
-        tree = figure_6().tree
-        xt = ExpansionTree(tree)
-        solver = LiuSolver(xt)
-        solver.peak()
-        cached_before = dict(solver._segs)
-        dirty = xt.expand(5, 2)
-        solver.invalidate_from(dirty)
-        # The untouched left branch (nodes 0..3) must still be cached.
+        xt = ExpansionTree(figure_6().tree)
+        segs = _kept_store(xt)
+        cached_before = list(segs)
+        _expand_and_resolve(xt, segs, 5, 2)
+        # The untouched left branch (nodes 0..3) keeps its entries.
         for v in (0, 1, 2, 3):
-            assert solver._segs[v] is cached_before[v]
-        # The ancestors of the expansion must be gone.
-        assert 7 not in solver._segs
+            assert segs[v] is cached_before[v]
+        # The ancestors of the expansion were re-solved.
+        assert segs[7] is not cached_before[7]
 
     def test_weight_reduction_invalidation(self):
-        tree = chain_tree([2, 6, 4])
-        xt = ExpansionTree(tree)
-        solver = LiuSolver(xt)
-        assert solver.peak() == 6
-        residual = xt.expand(1, 3)  # splice above node 1
-        solver.invalidate_from(residual)
-        p1 = solver.peak()
-        assert p1 == LiuSolver(xt).peak()
+        xt = ExpansionTree(chain_tree([2, 6, 4]))
+        segs = _kept_store(xt)
+        assert segs[xt.root][0][0] == 6
+        _expand_and_resolve(xt, segs, 1, 3)  # splice above node 1
+        assert segs == _kept_store(xt)
         # reduce the residual node further
         mid = xt.n - 2
-        dirty = xt.expand(mid, 1)
-        assert dirty == mid
-        solver.invalidate_from(dirty)
-        assert solver.peak() == LiuSolver(xt).peak()
+        _expand_and_resolve(xt, segs, mid, 1)
+        assert xt.n == 5  # a weight reduction, no splice
+        assert segs == _kept_store(xt)
 
 
 class TestTieBreakDeterminism:
@@ -206,7 +222,8 @@ def _fill_args(tree):
 def _kept_store(tree) -> list:
     """Every node's segments, from one unbroken ``keep=True`` pass."""
     segs: list = [None] * tree.n
-    assert liu_fill(*_fill_args(tree), tree.bottom_up(), segs, keep=True) is None
+    order = reversed(tree.core_lists().topo)
+    assert liu_fill(*_fill_args(tree), order, segs, keep=True) is None
     return segs
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from repro.algorithms.liu import LiuSolver
+from repro.algorithms.liu import opt_min_mem
 from repro.core.simulator import fif_io_volume
 from repro.core.tree import TaskTree, chain_tree, star_tree
 from repro.parallel import (
@@ -26,7 +26,7 @@ class TestSequentialReduction:
     @settings(max_examples=60)
     def test_one_proc_matches_fif(self, tree_memory):
         tree, memory = tree_memory
-        schedule = LiuSolver(tree).schedule()
+        schedule = opt_min_mem(tree)[0]
         priority = priority_from_schedule(schedule)
         report = simulate_parallel(tree, memory, 1, priority)
         assert report.order == schedule
@@ -36,7 +36,7 @@ class TestSequentialReduction:
     @settings(max_examples=40)
     def test_one_proc_makespan_is_total_duration_plus_nothing(self, tree_memory):
         tree, memory = tree_memory
-        schedule = LiuSolver(tree).schedule()
+        schedule = opt_min_mem(tree)[0]
         report = simulate_parallel(
             tree, memory, 1, priority_from_schedule(schedule)
         )
@@ -121,7 +121,7 @@ class TestValidationAndErrors:
     @settings(max_examples=50)
     def test_execution_always_complete_and_ordered(self, tree_memory, procs):
         tree, memory = tree_memory
-        priority = priority_from_schedule(LiuSolver(tree).schedule())
+        priority = priority_from_schedule(opt_min_mem(tree)[0])
         report = simulate_parallel(tree, memory, procs, priority)
         started = {e.node: e.start for e in report.events}
         ended = {e.node: e.end for e in report.events}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.algorithms.brute_force import min_io_brute
-from repro.algorithms.liu import LiuSolver, min_peak_memory
+from repro.algorithms.liu import min_peak_memory
 from repro.algorithms.rec_expand import (
     ExpansionLimitExceeded,
     full_rec_expand,

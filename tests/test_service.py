@@ -27,7 +27,7 @@ from repro.service import (
     ServiceError,
     parse_request,
 )
-from repro.service.protocol import ExactRequest, PagingRequest, SolveRequest
+from repro.api import ExactRequest, PagingRequest, SolveRequest
 
 
 TREE = figure_2b().tree
@@ -587,7 +587,7 @@ class TestLargeRequestTreePath:
         from repro.api.execution import AUTO_THRESHOLD
         from repro.core.tree import TaskTree
         from repro.datasets.synth import synth_instance
-        from repro.service.pool import build_tree
+        from repro.api import build_tree
 
         small = synth_instance(AUTO_THRESHOLD - 1, seed=3)
         large = synth_instance(AUTO_THRESHOLD, seed=3)
@@ -596,7 +596,7 @@ class TestLargeRequestTreePath:
 
     def test_build_tree_falls_back_beyond_int64(self):
         from repro.core.tree import TaskTree
-        from repro.service.pool import build_tree
+        from repro.api import build_tree
 
         n = 600
         parents = [-1] + [0] * (n - 1)
@@ -607,8 +607,7 @@ class TestLargeRequestTreePath:
         from repro.analysis.bounds import memory_bounds
         from repro.core.tree import TaskTree
         from repro.datasets.synth import synth_instance
-        from repro.service.pool import run_paging, run_solve
-        from repro.service.protocol import PagingRequest, SolveRequest
+        from repro.api import PagingRequest, SolveRequest, run_paging, run_solve
 
         tree = synth_instance(700, seed=11)
         bounds = memory_bounds(tree)
