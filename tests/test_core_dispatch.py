@@ -287,10 +287,11 @@ class TestAutoStaysOnCores:
         "call",
         [
             lambda t, m: postorder_with_child_key(t, m, "A-w"),
-            lambda t, m: simulate_fif(t, list(t.postorder()), m, trace=True),
+            lambda t, m: postorder_with_child_key(t, m, "input-order"),
             lambda t, m: simulate_fif(
                 ExpansionTree(t), list(t.postorder()), m, trace=True
             ),
+            lambda t, m: simulate_fif(t, list(t.postorder()), m, trace=True),
         ],
     )
     def test_tree_protocol_inputs_still_enter_them(
