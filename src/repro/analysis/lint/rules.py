@@ -315,8 +315,8 @@ class NoBlockingInAsyncRule(Rule):
     One blocking call inside the event loop stalls every pipelined
     connection at once.  Flags ``time.sleep``, bare ``open``,
     ``socket.*`` constructors, and direct ``ResultCache`` disk calls
-    (``…cache.get/put/peek``) when the *nearest* enclosing function is
-    ``async def`` — a sync helper nested inside (destined for
+    (``…cache.get/put/put_many/peek``) when the *nearest* enclosing
+    function is ``async def`` — a sync helper nested inside (destined for
     ``run_in_executor``) is fine, as is handing the bound method itself
     to ``loop.run_in_executor(None, self.cache.get, key)``.
     """
@@ -326,7 +326,7 @@ class NoBlockingInAsyncRule(Rule):
     scopes = ("repro.service",)
     node_types = (ast.Import, ast.ImportFrom, ast.Call)
 
-    _CACHE_ATTRS = frozenset({"get", "put", "peek"})
+    _CACHE_ATTRS = frozenset({"get", "put", "put_many", "peek"})
 
     def start_module(self, ctx: ModuleContext) -> None:
         self._time = _ImportAliases("time", ("sleep",))

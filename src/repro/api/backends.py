@@ -182,12 +182,14 @@ class _CachingBackend:
             # an invariant violation and must fail loudly, never silently
             # misattribute outcomes to requests
             for i, outcome in zip(misses, computed, strict=True):
-                # this branch only runs on a local-cache miss, so always
-                # write back — including results another cache (a warm
-                # server) served, which is how hits flow both ways
-                if outcome.ok and self.cache is not None:
-                    self.cache.put(outcome.key, outcome.result)
                 outcomes[i] = outcome
+            # these are local-cache misses, so always write back (in one
+            # append) — including results another cache (a warm server)
+            # served, which is how hits flow both ways
+            if self.cache is not None:
+                self.cache.put_many(
+                    [(o.key, o.result) for o in computed if o.ok]
+                )
         return [o for o in outcomes if o is not None]
 
     def _execute(self, requests: Sequence[Any]) -> list[Outcome]:

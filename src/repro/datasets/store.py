@@ -28,11 +28,14 @@ execution surface serves warm hits to all the others.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
-import itertools
 import json
 import os
 import pathlib
+import struct
+import threading
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -249,14 +252,73 @@ def cache_key_buffers(
     return h.hexdigest()
 
 
+#: a segment record's header: magic, key length, payload length, and the
+#: CRC32 of key + payload; the key and the payload follow it
+_RECORD = struct.Struct("<4sHII")
+#: 0xFF never occurs in a UTF-8 key or in ASCII JSON, so past a damaged
+#: record a scan finds the next record start by searching for it
+_MAGIC = b"\xffRC1"
+_SEGMENT_SUFFIX = ".seg"
+_SCAN_CHUNK = 1 << 16
+
+
+def _read_record(fh: Any, pos: int) -> tuple[str, int, int, int] | None:
+    """The record at byte ``pos`` of a segment as ``(key, offset,
+    length, crc)`` — ``offset``/``length`` span key + payload — or
+    ``None`` if it is damaged or not (yet) whole."""
+    fh.seek(pos)
+    head = fh.read(_RECORD.size)
+    if len(head) < _RECORD.size:
+        return None
+    magic, key_len, payload_len, crc = _RECORD.unpack(head)
+    if magic != _MAGIC:
+        return None
+    body = fh.read(key_len + payload_len)
+    if len(body) < key_len + payload_len or zlib.crc32(body) != crc:
+        return None
+    try:
+        key = body[:key_len].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    return key, pos + _RECORD.size, key_len + payload_len, crc
+
+
+def _next_record(fh: Any, pos: int) -> int | None:
+    """The start of the first whole record after byte ``pos``, if any."""
+    pos += 1
+    while True:
+        fh.seek(pos)
+        chunk = fh.read(_SCAN_CHUNK)
+        at = chunk.find(_MAGIC)
+        if at < 0:
+            if len(chunk) < _SCAN_CHUNK:
+                return None
+            pos += len(chunk) - len(_MAGIC) + 1
+        elif _read_record(fh, pos + at) is not None:
+            return pos + at
+        else:
+            pos += at + 1
+
+
 class ResultCache:
     """Content-addressed on-disk cache of completed experiment work units.
 
-    Each entry is one JSON file ``<root>/<k[:2]>/<k>.json`` (two-level
-    fanout keeps directories small at paper scale), where ``k`` is the
-    :func:`cache_key` of the unit's inputs.  Values are plain dictionaries;
-    the cache never interprets them.  Corrupt or truncated entries are
-    treated as misses and recomputed, never trusted.
+    Entries live in append-only segment files ``<root>/<pid>-<random>.seg``,
+    one per writer (a cache instance in one process; a forked child
+    opens its own).  Each record is a header — magic, key length,
+    payload length, CRC32 of key + payload — then the key (the
+    :func:`cache_key` of the unit's inputs), then the value's canonical
+    JSON (sorted keys).  Values are plain dictionaries; the cache never
+    interprets them.
+
+    Readers keep an in-memory index from key to record.  A key the
+    index lacks triggers a rescan of only the bytes segments have
+    gained since the last scan, so entries other processes append stay
+    visible.  A record whose CRC fails, or a torn tail, reads as a miss
+    and is recomputed, never trusted — the framing gives the atomicity
+    a write + rename would.  :meth:`put_many` writes a whole batch with
+    one ``os.write``, which is what keeps storage cost per batch rather
+    than per entry.
 
     The instance counts hits and misses (a ``get`` that finds nothing);
     :meth:`stats` is what the batch engine surfaces into the report JSON.
@@ -273,6 +335,15 @@ class ResultCache:
         self.misses = 0
         self._hit_counter = None  # registry mirrors, see bind_registry()
         self._miss_counter = None
+        # guards the index, the scan offsets and the writer's segment
+        self._lock = threading.Lock()
+        # key -> (segment name, offset, length, crc) of a record of it;
+        # offset and length span the key and the payload
+        self._index: dict[str, tuple[str, int, int, int]] = {}
+        # segment name -> (where its next scan starts, size last seen)
+        self._scanned: dict[str, tuple[int, int]] = {}
+        self._segment: Any = None  # this writer's open segment file
+        self._segment_pid = 0
 
     def bind_registry(self, registry) -> None:
         """Mirror hits/misses into a :class:`repro.obs.MetricsRegistry`.
@@ -289,59 +360,154 @@ class ResultCache:
             "cache_misses_total", "result-cache misses"
         )
 
-    def _path(self, key: str) -> pathlib.Path:
-        return self.root / key[:2] / f"{key}.json"
-
     def get(self, key: str) -> dict[str, Any] | None:
         """Return the cached value for ``key``, or ``None`` (a miss)."""
-        path = self._path(key)
-        try:
-            value = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+        value = self.peek(key)
+        if value is None:
             self.misses += 1
             if self._miss_counter is not None:
                 self._miss_counter.inc()
-            return None
-        self.hits += 1
-        if self._hit_counter is not None:
-            self._hit_counter.inc()
+        else:
+            self.hits += 1
+            if self._hit_counter is not None:
+                self._hit_counter.inc()
         return value
 
-    #: distinguishes temp files written by different threads of one process;
-    #: the pid in the name distinguishes processes.
-    _tmp_counter = itertools.count()
+    def peek(self, key: str) -> dict[str, Any] | None:
+        """:meth:`get` without moving the hit/miss counters."""
+        location = self._index.get(key)
+        if location is None:
+            with self._lock:
+                self._refresh()
+                location = self._index.get(key)
+            if location is None:
+                return None
+        value = self._read(key, location)
+        if value is None:
+            with self._lock:  # damaged since it was indexed: forget it
+                if self._index.get(key) == location:
+                    del self._index[key]
+        return value
 
     def put(self, key: str, value: Mapping[str, Any]) -> None:
-        """Store ``value`` under ``key`` (atomically: write + rename).
+        """Store ``value`` under ``key``; see :meth:`put_many`."""
+        self.put_many([(key, value)])
 
-        The temp name is unique per writer (pid + in-process counter):
-        with a shared suffix like ``.tmp``, two processes writing the
-        same key race — one renames the file away and the other's rename
-        fails, or worse, renames a half-written file into place.  Unique
-        temp names make concurrent writers of the same key commute
-        (last rename wins, every rename is of a fully written file).
+    def put_many(self, items: Iterable[tuple[str, Mapping[str, Any]]]) -> None:
+        """Append one record per ``(key, value)`` with a single write.
+
+        A short write raises ``OSError`` like any other write error;
+        the segment is then abandoned (its torn tail reads as a miss)
+        and the next write opens a fresh one.
         """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(
-            f".{path.name}.{os.getpid()}.{next(self._tmp_counter)}.tmp"
-        )
-        try:
-            tmp.write_text(
-                json.dumps(dict(value), sort_keys=True), encoding="utf-8"
+        parts: list[bytes] = []
+        records: list[tuple[str, int, int]] = []  # (key, length, crc)
+        for key, value in items:
+            key_bytes = key.encode("utf-8")
+            payload = json.dumps(dict(value), sort_keys=True).encode("utf-8")
+            crc = zlib.crc32(payload, zlib.crc32(key_bytes))
+            parts += (
+                _RECORD.pack(_MAGIC, len(key_bytes), len(payload), crc),
+                key_bytes,
+                payload,
             )
-            tmp.replace(path)
+            records.append((key, len(key_bytes) + len(payload), crc))
+        if not records:
+            return
+        data = b"".join(parts)
+        with self._lock:
+            segment = self._writer()
+            try:
+                written = segment.write(data)
+                if written != len(data):
+                    raise OSError(
+                        errno.EIO,
+                        f"short write: {written} of {len(data)} bytes",
+                        segment.name,
+                    )
+                # O_APPEND: the write landed just before the new position
+                pos = segment.tell() - written
+            except OSError:
+                self._segment = None
+                segment.close()
+                raise
+            name = os.path.basename(segment.name)
+            for key, length, crc in records:
+                self._index[key] = (name, pos + _RECORD.size, length, crc)
+                pos += _RECORD.size + length
+            self._scanned[name] = (pos, pos)
+
+    def _writer(self) -> Any:
+        """This writer's segment, opened on first use and after a fork."""
+        pid = os.getpid()
+        if self._segment is None or self._segment_pid != pid:
+            self.root.mkdir(parents=True, exist_ok=True)
+            path = self.root / f"{pid}-{os.urandom(4).hex()}{_SEGMENT_SUFFIX}"
+            self._segment = open(
+                path, "ab", buffering=0,
+                opener=lambda p, flags: os.open(p, flags | os.O_EXCL, 0o644),
+            )
+            self._segment_pid = pid
+        return self._segment
+
+    def _refresh(self) -> None:
+        """Index what every segment gained since the last scan."""
+        try:
+            entries = list(os.scandir(self.root))
+        except OSError:  # no cache yet, or not a directory: all misses
+            return
+        for entry in entries:
+            name = entry.name
+            if not name.endswith(_SEGMENT_SUFFIX):
+                continue
+            resume, seen = self._scanned.get(name, (0, 0))
+            with contextlib.suppress(OSError):  # deleted under us
+                size = entry.stat().st_size
+                if size > seen:
+                    self._scanned[name] = (self._scan(name, resume), size)
+
+    def _scan(self, name: str, pos: int) -> int:
+        """Index segment ``name`` from byte ``pos``; return where the
+        next scan starts (a torn tail may still be being written)."""
+        with open(self.root / name, "rb", buffering=_SCAN_CHUNK) as fh:
+            while True:
+                record = _read_record(fh, pos)
+                if record is None:
+                    after = _next_record(fh, pos)
+                    if after is None:
+                        return pos
+                    pos = after
+                    continue
+                key, offset, length, crc = record
+                self._index[key] = (name, offset, length, crc)
+                pos = offset + length
+
+    def _read(
+        self, key: str, location: tuple[str, int, int, int]
+    ) -> dict[str, Any] | None:
+        name, offset, length, crc = location
+        try:
+            fd = os.open(self.root / name, os.O_RDONLY)
+            try:
+                body = os.pread(fd, length, offset)
+            finally:
+                os.close(fd)
         except OSError:
-            with contextlib.suppress(OSError):
-                tmp.unlink(missing_ok=True)
-            raise
+            return None
+        key_bytes = key.encode("utf-8")
+        if zlib.crc32(body) != crc or not body.startswith(key_bytes):
+            return None
+        try:
+            return json.loads(body[len(key_bytes):])
+        except ValueError:
+            return None
 
     def stats(self) -> dict[str, int]:
         """Hit/miss counters since construction, for report provenance."""
         return {"hits": self.hits, "misses": self.misses}
 
     def __len__(self) -> int:
-        """Number of entries currently on disk."""
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        """Number of distinct keys currently on disk."""
+        with self._lock:
+            self._refresh()
+            return len(self._index)

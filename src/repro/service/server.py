@@ -38,8 +38,8 @@ Four mechanisms do the heavy lifting:
   populates the cache for the retry).
 * **Write-back off the dispatch slot** — a batch frees its dispatch slot
   as soon as the pool returns, so the workers start the next batch
-  while this one's entries are written to the cache concurrently; each
-  request is answered once *its own* entry is on disk.  At most
+  while this one's entries are appended to the cache in one write; the
+  batch's requests are answered once that write is done.  At most
   ``pool.concurrency`` batches write back at once, so a slow disk
   still backs up into the admission queue.
 
@@ -105,6 +105,10 @@ BATCHES_PER_WORKER = 2
 
 #: an admission-queue entry: (request, enqueue perf_counter, timings|None)
 _Entry = tuple[Request, float, dict[str, float] | None]
+
+#: a frame the fast path decoded but could not answer, handed on to the
+#: pipelined path: (request, start perf_counter, timings|None)
+_Decoded = tuple[Request, float, dict[str, float] | None]
 
 _REASONS = {
     200: "OK",
@@ -286,9 +290,9 @@ class ServiceMetrics:
         if self.enabled:
             self._memo_hits.inc()
 
-    def inc_cache_write_errors(self) -> None:
+    def inc_cache_write_errors(self, amount: int = 1) -> None:
         if self.enabled:
-            self._cache_write_errors.inc()
+            self._cache_write_errors.inc(amount)
 
     def record_latency(self, seconds: float) -> None:
         if self.enabled:
@@ -562,55 +566,64 @@ class ServiceServer:
             self._batch_slots.release()
             holds_batch_slot = False
             try:
-                await asyncio.gather(*(
-                    self._finish_request(entry, envelope, t_batch)
-                    for entry, envelope in zip(batch, envelopes)
-                ))
+                await self._finish_batch(batch, envelopes, t_batch)
             finally:
                 self._writeback_slots.release()
         finally:
             if holds_batch_slot:
                 self._batch_slots.release()
 
-    async def _finish_request(
-        self, entry: _Entry, envelope: dict[str, Any], t_batch: float
+    async def _finish_batch(
+        self,
+        batch: list[_Entry],
+        envelopes: list[dict[str, Any]],
+        t_batch: float,
     ) -> None:
-        """Write one computed entry back, then answer its waiters.
+        """Write the batch's computed entries back, then answer its waiters.
 
-        The reply waits for its own entry only: a 200 still means "on
-        disk", while the batch's other entries are written concurrently.
-        Whatever the write-back does, the future is resolved and the key
-        leaves the in-flight table — a stranded future would hold its
-        request (and every identical one after it) until the deadline.
+        One executor call appends every ok entry of the batch, and the
+        replies wait for it: a 200 still means "on disk".  Whatever the
+        write-back does, every future is resolved and its key leaves the
+        in-flight table — a stranded future would hold its request (and
+        every identical one after it) until the deadline.
         """
-        request, enqueued_at, timings = entry
-        key = request.key()
+        keys = [request.key() for request, _, _ in batch]
         try:
-            if envelope.get("ok") and self.cache is not None:
+            if self.cache is not None:
                 # timings never reach the cache: stage breakdowns are
                 # provenance of *this* execution, not of the result
-                self._memo_put(key, envelope["result"])
-                try:
-                    # off the loop: a slow disk stalls this write-back,
-                    # not every open connection
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, self.cache.put, key, envelope["result"]
-                    )
-                except Exception:
-                    # a full disk (or a broken cache) must not take the
-                    # service down; the answer is still correct
-                    self.metrics.inc_cache_write_errors()
-            if timings is not None and envelope.get("ok"):
-                merged = dict(envelope.get("timings") or {})
-                merged.update(timings)
-                # the admission wait only: the wait of a batch queued in
-                # the executor behind the running one is in no stage
-                merged["queue"] = t_batch - enqueued_at
-                envelope = dict(envelope, timings=merged)
+                items = [
+                    (key, envelope["result"])
+                    for key, envelope in zip(keys, envelopes)
+                    if envelope.get("ok")
+                ]
+                for key, value in items:
+                    self._memo_put(key, value)
+                if items:
+                    try:
+                        # off the loop: a slow disk stalls this
+                        # write-back, not every open connection
+                        await asyncio.get_running_loop().run_in_executor(
+                            None, self.cache.put_many, items
+                        )
+                    except Exception:
+                        # a full disk (or a broken cache) must not take
+                        # the service down; the answers are still correct
+                        self.metrics.inc_cache_write_errors(len(items))
         finally:
-            future = self._inflight.pop(key, None)
-            if future is not None and not future.done():
-                future.set_result(envelope)
+            for key, (_, enqueued_at, timings), envelope in zip(
+                keys, batch, envelopes
+            ):
+                if timings is not None and envelope.get("ok"):
+                    merged = dict(envelope.get("timings") or {})
+                    merged.update(timings)
+                    # the admission wait only: the wait of a batch queued
+                    # in the executor behind the running one is in no stage
+                    merged["queue"] = t_batch - enqueued_at
+                    envelope = dict(envelope, timings=merged)
+                future = self._inflight.pop(key, None)
+                if future is not None and not future.done():
+                    future.set_result(envelope)
 
     # ------------------------------------------------------------------ #
     # request handling
@@ -639,60 +652,69 @@ class ServiceServer:
         )
         return await self._submit_request(request, t0, timings)
 
-    async def _submit_wire(self, body: bytes) -> tuple[int, dict[str, Any]]:
+    async def _submit_wire(
+        self, body: bytes, decoded: _Decoded | None = None
+    ) -> tuple[int, dict[str, Any]]:
         """The binary fast path: frame -> trusted tree -> typed request.
 
         One vectorised validation inside :func:`request_from_frame`
         replaces JSON parsing and the per-element type checks; from the
         typed request on, the lifecycle (dedup, cache, queue, workers)
         is byte-for-byte the JSON path's, so outcomes and cache entries
-        are interchangeable between encodings.
+        are interchangeable between encodings.  ``decoded`` is the
+        frame :meth:`_fast_submit` already decoded, if it did.
         """
         self.metrics.inc_received(binary=True)
-        t0 = time.perf_counter()
-        try:
-            request = request_from_frame(body)
-        except ProtocolError as exc:
-            self.metrics.inc_errors()
-            return HTTP_STATUS[exc.code], error_envelope(exc.code, exc.message)
-        timings = (
-            {"decode": time.perf_counter() - t0}
-            if getattr(request, "trace", None)
-            else None
-        )
-        return await self._submit_request(request, t0, timings)
+        if decoded is None:
+            t0 = time.perf_counter()
+            try:
+                request = request_from_frame(body)
+            except ProtocolError as exc:
+                self.metrics.inc_errors()
+                return HTTP_STATUS[exc.code], error_envelope(exc.code, exc.message)
+            timings = (
+                {"decode": time.perf_counter() - t0}
+                if getattr(request, "trace", None)
+                else None
+            )
+            decoded = (request, t0, timings)
+        return await self._submit_request(*decoded)
 
     def _fast_submit(
         self, body: bytes, content_type: str | None, *, binary: bool, close: bool
-    ) -> tuple[bytes, bool] | None:
+    ) -> tuple[tuple[bytes, bool] | None, _Decoded | None]:
         """A fully synchronous answer for frame requests the memo holds.
 
-        Returns the rendered response, or ``None`` to send the request
-        down the ordinary pipelined path (which re-decodes — cheap next
-        to the compute a memo miss implies).  Skipping the per-request
-        task, semaphore and executor machinery roughly halves the
-        loop's cost per warm hit, which is most of a pipelined burst.
+        Returns ``(rendered, None)`` on a memo hit.  Otherwise the
+        request goes down the ordinary pipelined path, and the second
+        item hands it the frame decoded here (``None`` if nothing was
+        decoded), so no frame is decoded twice.  Skipping the
+        per-request task, semaphore and executor machinery roughly
+        halves the loop's cost per warm hit, which is most of a
+        pipelined burst.
         """
         if not self._memo or media_type(content_type) != WIRE_CONTENT_TYPE:
-            return None
+            return None, None
         t0 = time.perf_counter()
+        decoded = None
         key = self._body_keys.get(body)
         if key is None:
             try:
                 request = request_from_frame(body)
             except ProtocolError:
-                return None  # the full path renders the error (and counts it)
+                return None, None  # the full path renders the error (and counts it)
             if getattr(request, "trace", None):
                 # traced requests take the full path, which produces the
                 # stage breakdown (and is what tracing opts into paying)
-                return None
+                return None, (request, t0, {"decode": time.perf_counter() - t0})
+            decoded = (request, t0, None)
             key = request.key()
             self._body_keys[bytes(body)] = key
             while len(self._body_keys) > self.config.memo_entries:
                 self._body_keys.popitem(last=False)
         value = self._memo_get(key)
         if value is None:
-            return None
+            return None, decoded
         self.metrics.inc_received(binary=True)
         self.metrics.inc_completed()
         self.metrics.record_latency(time.perf_counter() - t0)
@@ -704,7 +726,7 @@ class ServiceServer:
             ok_envelope(value, key=key, cached=True),
             binary=binary,
             close=close,
-        )
+        ), None
 
     def _memo_get(self, key: str) -> dict[str, Any] | None:
         value = self._memo.get(key)
@@ -986,7 +1008,7 @@ class ServiceServer:
                     ))
                     break
                 if path == "/v1/submit" and method == "POST":
-                    fast = self._fast_submit(
+                    fast, decoded = self._fast_submit(
                         body, headers.get("content-type"),
                         binary=binary, close=close,
                     )
@@ -1000,7 +1022,7 @@ class ServiceServer:
                     responses.put_nowait(asyncio.create_task(
                         self._pipelined_submit(
                             body, headers.get("content-type"), pipeline,
-                            binary=binary, close=close,
+                            decoded, binary=binary, close=close,
                         )
                     ))
                     if close:
@@ -1090,12 +1112,7 @@ class ServiceServer:
             return value
         if self.cache is None:
             return None
-        try:
-            return json.loads(
-                self.cache._path(key).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            return None
+        return self.cache.peek(key)
 
     def _route_simple(self, method: str, path: str) -> tuple[int, dict[str, Any]]:
         if path == "/healthz" and method == "GET":
@@ -1128,6 +1145,7 @@ class ServiceServer:
         body: bytes,
         content_type: str | None,
         pipeline: asyncio.Semaphore,
+        decoded: _Decoded | None = None,
         *,
         binary: bool,
         close: bool,
@@ -1136,7 +1154,7 @@ class ServiceServer:
         try:
             received = media_type(content_type)
             if received == WIRE_CONTENT_TYPE:
-                status, envelope = await self._submit_wire(body)
+                status, envelope = await self._submit_wire(body, decoded)
             elif received in ("", JSON_CONTENT_TYPE, "text/json"):
                 status, envelope = await self._submit(body)
             else:

@@ -8,6 +8,10 @@ async def handle(cache, key):
     return cache.get(key)
 
 
+async def write_back(self, items):
+    self.cache.put_many(items)
+
+
 async def read_body(path):
     with open(path) as fh:
         return fh.read()

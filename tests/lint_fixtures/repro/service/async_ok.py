@@ -9,6 +9,10 @@ async def handle(loop, cache, key):
     return await loop.run_in_executor(None, cache.get, key)
 
 
+async def write_back(self, loop, items):
+    await loop.run_in_executor(None, self.cache.put_many, items)
+
+
 def sync_helper(cache, key):
     # nearest enclosing function is sync (executor-bound helper): legal
     return cache.get(key)

@@ -127,8 +127,10 @@ class TestCache:
     def test_corrupt_entry_is_recomputed(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_batch_counterexamples(cache=cache, fig2c_ks=(1,), fig2a_extensions=())
-        victim = next(tmp_path.glob("*/*.json"))
-        victim.write_text("{ truncated")
+        segment = next(tmp_path.glob("*.seg"))
+        data = bytearray(segment.read_bytes())
+        data[-2] ^= 0x01  # one byte of the last record's payload
+        segment.write_bytes(bytes(data))
         cache2 = ResultCache(tmp_path)
         out = run_batch_counterexamples(
             cache=cache2, fig2c_ks=(1,), fig2a_extensions=()

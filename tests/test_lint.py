@@ -41,7 +41,7 @@ def fixture(*parts: str) -> str:
 RULE_FIXTURES = [
     ("no-recursion", fixture("repro", "core", "recursion_bad.py"), 3),
     ("monotonic-clock", fixture("repro", "obs", "clock_bad.py"), 2),
-    ("no-blocking-in-async", fixture("repro", "service", "async_bad.py"), 3),
+    ("no-blocking-in-async", fixture("repro", "service", "async_bad.py"), 4),
     ("no-swallowed-exceptions", fixture("swallow_bad.py"), 2),
     ("cache-key-discipline", fixture("cache_key_bad.py"), 2),
     ("error-taxonomy", fixture("taxonomy_bad.py"), 1),

@@ -436,6 +436,22 @@ class TestServiceObservability:
         status, _, _ = _get(srv.port, "/dash/trace/" + "0" * 64)
         assert status == 404
 
+    def test_dashboard_trace_reads_disk_without_counting(self, dash_server):
+        srv, client = dash_server
+        envelope = client.submit({
+            "kind": "solve", "tree": TREE_DICT, "memory": 7,
+            "algorithm": "RecExpand", "trace_schedule": True,
+        })
+        server = srv.server
+        server._memo.clear()  # the entry is on disk only
+        before = (server.cache.stats(), server._metrics_body()["cache"])
+        status, content_type, raw = _get(
+            srv.port, f"/dash/trace/{envelope['key']}"
+        )
+        assert status == 200
+        assert content_type.startswith("image/svg+xml") and b"<svg" in raw
+        assert (server.cache.stats(), server._metrics_body()["cache"]) == before
+
     def test_dashboard_off_by_default(self):
         with ServerThread(ServerConfig(port=0, workers=0)) as srv:
             client = ServiceClient(port=srv.port)

@@ -746,10 +746,11 @@ class _SlowCache(ResultCache):
         self.events = events
         self.delay = delay
 
-    def put(self, key, value):
+    def put_many(self, items):
         time.sleep(self.delay)
-        super().put(key, value)
-        self.events.append(("written", key, time.perf_counter()))
+        super().put_many(items)
+        for key, _ in items:
+            self.events.append(("written", key, time.perf_counter()))
 
 
 class TestWriteBackOffDispatchSlot:
@@ -972,6 +973,35 @@ class TestValidateOnce:
         assert not hasattr(request, "validated_tree")
         assert "_validated_tree" not in request.__dict__
 
+    @pytest.mark.parametrize("extra", [{}, {"trace": "t-1"}], ids=["plain", "traced"])
+    def test_binary_request_is_decoded_once_while_the_memo_is_full(
+        self, tmp_path, monkeypatch, extra
+    ):
+        """The memo check decodes the frame; a miss must not decode it again."""
+        from repro.service import server as server_module
+
+        config = ServerConfig(
+            port=0, workers=0, inline_threads=1, cache_dir=str(tmp_path / "cache")
+        )
+        with ServerThread(config) as thread:
+            client = ServiceClient(port=thread.port, timeout=30.0, wire="binary")
+            assert client.wait_ready(15)
+            assert client.submit(_request(memory=6))["ok"] is True
+            assert thread.server._memo  # the next frame meets the fast path
+            calls = []
+            decode = server_module.request_from_frame
+
+            def counting(body):
+                calls.append(body)
+                return decode(body)
+
+            monkeypatch.setattr(server_module, "request_from_frame", counting)
+            envelope = client.submit(_request(memory=7, **extra))
+        assert envelope["ok"] is True and not envelope.get("cached")
+        assert len(calls) == 1
+        if extra:
+            assert "decode" in envelope["timings"]
+
 
 # --------------------------------------------------------------------- #
 # write-back failures and dead workers: answered, never stranded
@@ -981,7 +1011,7 @@ class TestValidateOnce:
 class _BrokenCache(ResultCache):
     """A cache whose writes fail with something other than OSError."""
 
-    def put(self, key, value):
+    def put_many(self, items):
         raise ValueError("cache backend is broken")
 
 

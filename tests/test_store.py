@@ -81,58 +81,207 @@ class TestRobustness:
         assert result.num_instances > 0
 
 
+def _entry(writer: int, iteration: int) -> dict:
+    """A value whose fields show whether it was read back whole."""
+    return {"writer": writer, "iteration": iteration, "pad": "x" * 3000}
+
+
+def _is_whole(value) -> bool:
+    return (
+        value is not None
+        and set(value) == {"writer", "iteration", "pad"}
+        and value["pad"] == "x" * 3000
+    )
+
+
+def _write_overlapping(root, writer: int, keys, rounds: int) -> None:
+    """Several threads of one process write every key, some per entry
+    and some per batch, through one shared cache instance."""
+    import threading
+
+    from repro.datasets.store import ResultCache
+
+    cache = ResultCache(root)
+    errors: list[BaseException] = []
+
+    def run(thread: int) -> None:
+        try:
+            for j in range(rounds):
+                if thread % 2:
+                    cache.put_many([(k, _entry(writer, j)) for k in keys])
+                else:
+                    for k in keys:
+                        cache.put(k, _entry(writer, j))
+        except BaseException as exc:  # pragma: no cover - failure detail
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
 class TestResultCacheConcurrentPut:
-    """Regression: ``put`` used one shared ``.tmp`` name per key, so two
-    concurrent writers of the same key raced on it (one renames the temp
-    file away, the other's rename explodes or publishes a torn write)."""
+    """Writers append to their own segments; readers see whole values."""
 
     def test_concurrent_writers_same_key_never_corrupt(self, tmp_path):
+        import multiprocessing
         import threading
 
         from repro.datasets.store import ResultCache
 
-        cache = ResultCache(tmp_path / "cache")
-        key = "ab" + "0" * 62
-        errors: list[Exception] = []
+        root = tmp_path / "cache"
+        keys = [f"{k:064x}" for k in range(6)]
+        child = multiprocessing.get_context("fork").Process(
+            target=_write_overlapping, args=(root, 1, keys, 20)
+        )
+        reader = ResultCache(root)
+        torn: list = []
+        done = threading.Event()
 
-        def writer(i: int) -> None:
-            try:
-                for j in range(30):
-                    cache.put(key, {"writer": i, "iteration": j})
-            except Exception as exc:  # pragma: no cover - failure detail
-                errors.append(exc)
+        def read() -> None:
+            while not done.is_set():
+                for k in keys:
+                    value = reader.get(k)
+                    if value is not None and not _is_whole(value):
+                        torn.append(value)  # pragma: no cover - failure detail
 
-        threads = [threading.Thread(target=writer, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        value = cache.get(key)
-        assert value is not None and value["writer"] in range(8)
-        assert not list((tmp_path / "cache").rglob("*.tmp"))
+        reading = threading.Thread(target=read)
+        child.start()
+        reading.start()
+        try:
+            _write_overlapping(root, 0, keys, 20)
+            child.join(60)
+        finally:
+            done.set()
+            reading.join(60)
+        assert child.exitcode == 0
+        assert not torn
+        assert len(list(root.glob("*.seg"))) == 2  # one per writer
+        fresh = ResultCache(root)
+        assert len(fresh) == len(keys)
+        for k in keys:
+            value = fresh.get(k)
+            assert _is_whole(value) and value["writer"] in (0, 1)
 
-    def test_unique_temp_names_across_calls(self, tmp_path, monkeypatch):
-        """The temp path must differ between calls even within one process."""
-        import pathlib
+
+class TestResultCacheSegments:
+    """The segment log: damage reads as a miss, and writers stay apart."""
+
+    KEYS = [f"{k:064x}" for k in range(1, 5)]
+
+    def _segment(self, root):
+        (segment,) = root.glob("*.seg")
+        return segment
+
+    def test_torn_tail_misses_and_the_next_put_reads_back(self, tmp_path):
+        import json
+        import os
 
         from repro.datasets.store import ResultCache
 
+        k1, k2, k3, k4 = self.KEYS
+        cache = ResultCache(tmp_path)
+        cache.put_many([(k1, _entry(0, 1)), (k2, _entry(0, 2)), (k3, _entry(0, 3))])
+        segment = self._segment(tmp_path)
+        payload = len(json.dumps(_entry(0, 3), sort_keys=True))
+        # cut the last record in the middle of its payload
+        os.truncate(segment, segment.stat().st_size - payload // 2)
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(k3) is None
+        assert fresh.get(k1) == _entry(0, 1) and fresh.get(k2) == _entry(0, 2)
+        assert cache.get(k3) is None  # its writer indexed it before the cut
+        # the next records land after the torn one: a small one, which
+        # ends before the torn record's declared end, then k3 again
+        cache.put(k4, {"small": 1})
+        cache.put(k3, _entry(0, 3))
+        for reader in (cache, fresh, ResultCache(tmp_path)):
+            assert reader.get(k4) == {"small": 1}
+            assert reader.get(k3) == _entry(0, 3)
+            assert reader.get(k1) == _entry(0, 1)
+        assert len(ResultCache(tmp_path)) == 4
+
+    def test_flipped_payload_byte_reads_as_a_miss(self, tmp_path):
+        from repro.datasets.store import ResultCache
+
+        k1, k2, k3, _ = self.KEYS
+        cache = ResultCache(tmp_path)
+        for i, k in enumerate((k1, k2, k3)):
+            cache.put(k, _entry(0, i))
+        segment = self._segment(tmp_path)
+        data = bytearray(segment.read_bytes())
+        # one "x" of k2's pad: the JSON still parses, only the CRC knows
+        middle = len(data) // 2
+        assert data[middle] == ord("x")
+        data[middle] = ord("y")
+        segment.write_bytes(bytes(data))
+        for reader in (cache, ResultCache(tmp_path)):
+            assert reader.get(k2) is None
+            assert reader.get(k1) == _entry(0, 0)
+            assert reader.get(k3) == _entry(0, 2)
+        cache.put(k2, _entry(0, 1))  # recomputed and written again
+        assert ResultCache(tmp_path).get(k2) == _entry(0, 1)
+
+    def test_forked_child_writes_its_own_segment(self, tmp_path):
+        import os
+
+        from repro.datasets.store import ResultCache
+
+        k1, k2, k3, _ = self.KEYS
+        cache = ResultCache(tmp_path)
+        cache.put(k1, {"by": "parent"})
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            code = 1
+            try:
+                cache.put(k2, {"by": "child"})
+                code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        cache.put(k3, {"by": "parent"})
+        segments = sorted(p.name for p in tmp_path.glob("*.seg"))
+        assert len(segments) == 2
+        assert sum(name.startswith(f"{pid}-") for name in segments) == 1
+        for reader in (cache, ResultCache(tmp_path)):
+            assert reader.get(k1) == {"by": "parent"}
+            assert reader.get(k2) == {"by": "child"}
+            assert reader.get(k3) == {"by": "parent"}
+
+    def test_second_instance_sees_entries_appended_after_its_miss(self, tmp_path):
+        from repro.datasets.store import ResultCache
+
+        k1, k2, _, _ = self.KEYS
+        writer, reader = ResultCache(tmp_path), ResultCache(tmp_path)
+        assert reader.get(k1) is None  # nothing on disk yet
+        writer.put(k1, {"v": 1})
+        assert reader.get(k2) is None
+        writer.put_many([(k2, {"v": 2})])
+        assert reader.get(k1) == {"v": 1}
+        assert reader.get(k2) == {"v": 2}
+        assert reader.stats() == {"hits": 2, "misses": 2}
+
+    def test_peek_moves_no_counter(self, tmp_path):
+        from repro.datasets.store import ResultCache
+
+        k1, k2, _, _ = self.KEYS
+        ResultCache(tmp_path).put(k1, {"v": 1})
+        cache = ResultCache(tmp_path)
+        assert cache.peek(k1) == {"v": 1}
+        assert cache.peek(k2) is None
+        assert cache.stats() == {"hits": 0, "misses": 0}
+
+    def test_empty_batch_creates_no_segment(self, tmp_path):
+        from repro.datasets.store import ResultCache
+
         cache = ResultCache(tmp_path / "cache")
-        original = pathlib.Path.write_text
-        names: list[str] = []
-
-        def spy(self, *args, **kwargs):
-            names.append(self.name)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(pathlib.Path, "write_text", spy)
-        key = "cd" + "1" * 62
-        cache.put(key, {"v": 1})
-        cache.put(key, {"v": 2})
-        tmp_names = [n for n in names if n.endswith(".tmp")]
-        assert len(tmp_names) == 2
-        assert tmp_names[0] != tmp_names[1]
+        cache.put_many([])
+        assert not (tmp_path / "cache").exists()
+        assert len(cache) == 0
 
 
 class TestBufferDigestKeys:
