@@ -38,15 +38,17 @@ import json
 from collections import deque
 from typing import Any, Mapping
 
-from ..api.errors import ProtocolError
-from .client import ServiceError, _WIRE_UNSUPPORTED_CODES
+from .client import (
+    ServiceError,
+    _WIRE_UNSUPPORTED_CODES,
+    _parse_envelope,
+    _with_ambient_trace,
+)
 from .wire import (
     JSON_CONTENT_TYPE,
     WIRE_CONTENT_TYPE,
     WireEncodeError,
-    decode_response_frame,
     encode_request_frame,
-    media_type,
 )
 
 __all__ = ["AsyncServiceClient"]
@@ -186,7 +188,7 @@ class AsyncServiceClient:
                 if not entry.future.done():  # cancelled waiters just drain
                     try:
                         entry.future.set_result(
-                            self._parse_envelope(status, headers, raw)
+                            _parse_envelope(status, headers.get("content-type"), raw)
                         )
                     except ServiceError as exc:
                         entry.future.set_exception(exc)
@@ -324,34 +326,6 @@ class AsyncServiceClient:
         body = await reader.readexactly(length) if length else b""
         return status, headers, body
 
-    def _parse_envelope(
-        self, status: int, headers: dict[str, str], raw: bytes
-    ) -> dict[str, Any]:
-        if media_type(headers.get("content-type")) == WIRE_CONTENT_TYPE:
-            try:
-                envelope: Any = decode_response_frame(raw)
-            except ProtocolError as exc:
-                raise ServiceError(
-                    "transport",
-                    f"undecodable frame response (HTTP {status}): {exc.message}",
-                    status,
-                ) from exc
-        else:
-            try:
-                envelope = json.loads(raw)
-            except ValueError as exc:
-                raise ServiceError(
-                    "transport", f"non-JSON response (HTTP {status})", status
-                ) from exc
-        if isinstance(envelope, dict) and envelope.get("ok") is False:
-            error = envelope.get("error", {})
-            raise ServiceError(
-                str(error.get("code", "internal")),
-                str(error.get("message", "unknown error")),
-                status,
-            )
-        return envelope
-
     async def _roundtrip(self, raw: bytes) -> dict[str, Any]:
         conn = await self._acquire()
         loop = asyncio.get_running_loop()
@@ -389,12 +363,7 @@ class AsyncServiceClient:
         do not name their own, so the response envelope carries the
         per-stage timing breakdown.
         """
-        if "trace" not in request:
-            from ..obs.trace import current_trace_id
-
-            trace_id = current_trace_id()
-            if trace_id is not None:
-                request = dict(request, trace=trace_id)
+        request = _with_ambient_trace(request)
         if self._wire_ok:
             frame: bytes | None
             try:

@@ -73,6 +73,53 @@ def _tree_payload(tree: TaskTree | Mapping[str, Sequence[int]]) -> dict[str, Any
     return {"parents": list(tree["parents"]), "weights": list(tree["weights"])}
 
 
+def _with_ambient_trace(request: Mapping[str, Any]) -> Mapping[str, Any]:
+    """``request`` carrying the active :func:`repro.obs.trace_context` id.
+
+    A request that names its own ``trace`` keeps it; without an active
+    trace the request is returned unchanged.
+    """
+    if "trace" not in request:
+        from ..obs.trace import current_trace_id
+
+        trace_id = current_trace_id()
+        if trace_id is not None:
+            return dict(request, trace=trace_id)
+    return request
+
+
+def _parse_envelope(status: int, content_type: str | None, raw: bytes) -> Any:
+    """One response body (a frame or JSON) as its envelope.
+
+    An error envelope raises :class:`ServiceError` with its code and
+    the HTTP status; an undecodable body raises it as ``transport``.
+    """
+    if media_type(content_type) == WIRE_CONTENT_TYPE:
+        try:
+            envelope: Any = decode_response_frame(raw)
+        except ProtocolError as exc:
+            raise ServiceError(
+                "transport",
+                f"undecodable frame response (HTTP {status}): {exc.message}",
+                status,
+            ) from exc
+    else:
+        try:
+            envelope = json.loads(raw)
+        except ValueError as exc:
+            raise ServiceError(
+                "transport", f"non-JSON response (HTTP {status})", status
+            ) from exc
+    if isinstance(envelope, dict) and envelope.get("ok") is False:
+        error = envelope.get("error", {})
+        raise ServiceError(
+            str(error.get("code", "internal")),
+            str(error.get("message", "unknown error")),
+            status,
+        )
+    return envelope
+
+
 class ServiceClient:
     """Talk to one ``repro-ioschedule serve`` instance.
 
@@ -123,33 +170,10 @@ class ServiceClient:
                 response = conn.getresponse()
                 raw = response.read()
                 status = response.status
-                response_type = media_type(response.getheader("Content-Type"))
+                response_type = response.getheader("Content-Type")
             except (OSError, http.client.HTTPException) as exc:
                 raise ServiceError("transport", f"{type(exc).__name__}: {exc}") from exc
-            if response_type == WIRE_CONTENT_TYPE:
-                try:
-                    envelope: Any = decode_response_frame(raw)
-                except ProtocolError as exc:
-                    raise ServiceError(
-                        "transport",
-                        f"undecodable frame response (HTTP {status}): {exc.message}",
-                        status,
-                    ) from exc
-            else:
-                try:
-                    envelope = json.loads(raw)
-                except ValueError as exc:
-                    raise ServiceError(
-                        "transport", f"non-JSON response (HTTP {status})", status
-                    ) from exc
-            if isinstance(envelope, dict) and envelope.get("ok") is False:
-                error = envelope.get("error", {})
-                raise ServiceError(
-                    str(error.get("code", "internal")),
-                    str(error.get("message", "unknown error")),
-                    status,
-                )
-            return envelope
+            return _parse_envelope(status, response_type, raw)
         finally:
             conn.close()
 
@@ -169,12 +193,7 @@ class ServiceClient:
         its workers then stamp the response envelope with the
         per-stage timing breakdown.
         """
-        if "trace" not in request:
-            from ..obs.trace import current_trace_id
-
-            trace_id = current_trace_id()
-            if trace_id is not None:
-                request = dict(request, trace=trace_id)
+        request = _with_ambient_trace(request)
         if self._wire_ok:
             try:
                 frame = encode_request_frame(request)

@@ -1,16 +1,21 @@
 """The asyncio scheduling service: JSON over HTTP, stdlib only.
 
-Request lifecycle::
+Request lifecycle, the same for both encodings::
 
-    POST /v1/submit ── validate ── dedup ──► admission queue ──► dispatcher
-                          │          │                               │
-                       400 + code    │ identical in-flight?          │ ready set
-                                     │   await its future            ▼ (≤ max size)
-                                     │ result cache hit?          WorkerPool
-                                     │   answer immediately      (processes)
-                                     └ queue full? 429               │
-                                                     cache.put ◄─────┘
-                                                     resolve futures
+    POST /v1/submit
+      │
+    decode, once (frame or JSON) ───────────── 400/415 + code
+      │
+    untraced and in the memo? ──────────────── 200 now, in the connection
+      │                                        handler (no task, no executor)
+      │  one pipelined task from here on
+    identical request in flight? ───────────── await its future
+      │
+    memo or disk cache hit? ────────────────── 200
+      │
+    admission queue ── full? 429 ──► dispatcher ──► WorkerPool (processes)
+                                                         │
+                       cache.put_many, resolve futures ◄─┘
 
 Four mechanisms do the heavy lifting:
 
@@ -43,7 +48,10 @@ Four mechanisms do the heavy lifting:
   ``pool.concurrency`` batches write back at once, so a slow disk
   still backs up into the admission queue.
 
-Endpoints: ``POST /v1/submit``, ``GET /healthz``, ``GET /metrics``.
+Endpoints: ``POST /v1/submit``, ``GET /healthz``, ``GET /metrics``
+(the JSON shape, or Prometheus text under ``Accept: text/plain``), and
+``/dash`` with ``dashboard`` on.  The counters live in the server's own
+:class:`~repro.obs.MetricsRegistry` (``ServiceServer.registry``).
 
 Requests and envelopes are the typed model of :mod:`repro.api`: the
 server is one of three interchangeable backends (see
@@ -53,9 +61,10 @@ execution too.
 
 Two content types share ``/v1/submit`` (see :mod:`repro.service.wire`):
 JSON, and the length-framed binary protocol negotiated per request via
-``Content-Type`` / ``Accept``.  Either way a request is validated
-once, here — binary submissions straight off their int64 columns, with
-no JSON parse — and the typed request object is what the queue and the
+``Content-Type`` / ``Accept``.  :meth:`ServiceServer._decode` validates
+either once — binary submissions straight off their int64 columns, with
+no JSON parse — and counts it; from the typed request on, nothing
+depends on the encoding, and that object is what the queue and the
 workers carry on: a micro-batch reaches its worker process as one
 pickle of those objects, with their cached keys (see
 :mod:`repro.service.pool`).
@@ -73,14 +82,14 @@ import json
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from ..api.errors import HTTP_STATUS, ProtocolError
 from ..api.outcome import PROTOCOL_VERSION, error_envelope, ok_envelope
 from ..api.requests import ENGINE_VERSION, Request, parse_request
 from ..datasets.store import ResultCache
-from ..obs.metrics import Histogram, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from .pool import WorkerPool
 from .wire import (
     JSON_CONTENT_TYPE,
@@ -94,7 +103,6 @@ from .wire import (
 
 __all__ = [
     "ServerConfig",
-    "ServiceMetrics",
     "ServiceServer",
     "ServerThread",
     "running_server",
@@ -106,9 +114,38 @@ BATCHES_PER_WORKER = 2
 #: an admission-queue entry: (request, enqueue perf_counter, timings|None)
 _Entry = tuple[Request, float, dict[str, float] | None]
 
-#: a frame the fast path decoded but could not answer, handed on to the
-#: pipelined path: (request, start perf_counter, timings|None)
-_Decoded = tuple[Request, float, dict[str, float] | None]
+class _NoOp:
+    """What every metric the server counts into is with observability off."""
+
+    __slots__ = ()
+
+    def inc(self, amount: int | float = 1) -> None:
+        pass
+
+    def observe(self, value: float) -> None:
+        pass
+
+    def labels(self, **labels: Any) -> "_NoOp":
+        return self
+
+
+_NOOP = _NoOp()
+
+
+@dataclass(slots=True)
+class _Submit:
+    """One decoded ``/v1/submit`` body.
+
+    ``request`` is ``None`` only when the frame-bytes map recognised a
+    frame whose result the memo holds: the memo answers it, so it is
+    never decoded.  ``timings`` exists for traced requests only.
+    """
+
+    key: str
+    request: Request | None
+    t0: float  # perf_counter when the body started decoding
+    timings: dict[str, float] | None
+
 
 _REASONS = {
     200: "OK",
@@ -181,220 +218,6 @@ class ServerConfig:
     observability: bool = True
 
 
-class ServiceMetrics:
-    """The service's view over one :class:`~repro.obs.MetricsRegistry`.
-
-    Historically a bag of plain counters; now a facade that owns the
-    hot-path label resolution (child counters are resolved once, here)
-    and renders the registry into the legacy JSON ``/metrics`` shape.
-    The historical read attributes (``received``, ``computed``,
-    ``cache_hits``, ...) remain as properties, and latency percentiles
-    use the registry histogram's exact legacy formula, so existing
-    scrapers and tests see identical numbers.
-
-    With ``enabled=False`` every increment is a no-op — the baseline
-    the tracing-overhead benchmark compares the default against.
-    """
-
-    def __init__(
-        self, registry: MetricsRegistry | None = None, *, enabled: bool = True
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.enabled = enabled
-        self.started_at = self.registry.started_at  # wall clock, display only
-        r = self.registry
-        self._requests = r.counter(
-            "requests_total", "requests received, by submit encoding"
-        )
-        self._req_json = self._requests.labels(encoding="json")
-        self._req_binary = self._requests.labels(encoding="binary")
-        self._by_strategy = r.counter(
-            "requests_by_strategy_total", "admitted requests by algorithm"
-        )
-        self._completed = r.counter(
-            "requests_completed_total", "requests answered 200"
-        )
-        self._computed = r.counter(
-            "requests_computed_total", "requests that reached a worker"
-        )
-        self._batches = r.counter("batches_total", "micro-batches dispatched")
-        self._rejected = r.counter(
-            "requests_rejected_total", "429 queue_full rejections"
-        )
-        self._timeouts = r.counter(
-            "requests_timeout_total", "504 per-request deadline expiries"
-        )
-        self._errors = r.counter(
-            "requests_error_total", "validation + execution + internal errors"
-        )
-        self._deduped = r.counter(
-            "requests_deduped_total", "requests coalesced onto in-flight twins"
-        )
-        cache_hits = r.counter("cache_hits_total", "result-cache hits by tier")
-        self._memo_hits = cache_hits.labels(tier="memo")
-        self._disk_hits = cache_hits.labels(tier="disk")
-        self._cache_misses = r.counter(
-            "cache_misses_total", "result-cache misses"
-        )
-        self._cache_write_errors = r.counter(
-            "cache_write_errors_total", "result-cache writes that failed"
-        )
-        self._latency = r.histogram(
-            "solve_seconds", "request latency in seconds (bounded window)"
-        )
-        wire_bytes = r.counter(
-            "wire_bytes_total", "HTTP payload bytes, by direction"
-        )
-        self._rx_bytes = wire_bytes.labels(direction="rx")
-        self._tx_bytes = wire_bytes.labels(direction="tx")
-
-    # -- hot-path increments (each one guarded no-op when disabled) ---- #
-
-    def inc_received(self, *, binary: bool) -> None:
-        if self.enabled:
-            (self._req_binary if binary else self._req_json).inc()
-
-    def record_strategy(self, name: str) -> None:
-        if self.enabled:
-            self._by_strategy.labels(strategy=name).inc()
-
-    def inc_completed(self) -> None:
-        if self.enabled:
-            self._completed.inc()
-
-    def inc_computed(self, amount: int = 1) -> None:
-        if self.enabled:
-            self._computed.inc(amount)
-
-    def inc_batches(self) -> None:
-        if self.enabled:
-            self._batches.inc()
-
-    def inc_rejected(self) -> None:
-        if self.enabled:
-            self._rejected.inc()
-
-    def inc_timeouts(self) -> None:
-        if self.enabled:
-            self._timeouts.inc()
-
-    def inc_errors(self) -> None:
-        if self.enabled:
-            self._errors.inc()
-
-    def inc_deduped(self) -> None:
-        if self.enabled:
-            self._deduped.inc()
-
-    def inc_memo_hit(self) -> None:
-        if self.enabled:
-            self._memo_hits.inc()
-
-    def inc_cache_write_errors(self, amount: int = 1) -> None:
-        if self.enabled:
-            self._cache_write_errors.inc(amount)
-
-    def record_latency(self, seconds: float) -> None:
-        if self.enabled:
-            self._latency.observe(seconds)
-
-    def add_rx(self, nbytes: int) -> None:
-        if self.enabled and nbytes:
-            self._rx_bytes.inc(nbytes)
-
-    def add_tx(self, nbytes: int) -> None:
-        if self.enabled:
-            self._tx_bytes.inc(nbytes)
-
-    # -- the historical read attributes, now derived ------------------- #
-
-    @property
-    def received(self) -> int:
-        return self._req_json._value + self._req_binary._value
-
-    @property
-    def wire_requests(self) -> int:
-        return self._req_binary._value
-
-    @property
-    def completed(self) -> int:
-        return self._completed.value
-
-    @property
-    def computed(self) -> int:
-        return self._computed.value
-
-    @property
-    def batches(self) -> int:
-        return self._batches.value
-
-    @property
-    def rejected(self) -> int:
-        return self._rejected.value
-
-    @property
-    def timeouts(self) -> int:
-        return self._timeouts.value
-
-    @property
-    def errors(self) -> int:
-        return self._errors.value
-
-    @property
-    def deduped_inflight(self) -> int:
-        return self._deduped.value
-
-    @property
-    def cache_hits(self) -> int:
-        return self._memo_hits._value + self._disk_hits._value
-
-    @property
-    def cache_misses(self) -> int:
-        return self._cache_misses.value
-
-    #: the historical percentile formula, shared with the histogram
-    _percentile = staticmethod(Histogram.percentile)
-
-    def snapshot(self, *, queue_depth: int, inflight: int) -> dict[str, Any]:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            # monotonic: wall clock would jump (or go negative) on an
-            # NTP step; the recent-ring ``ts`` stays wall-clock on
-            # purpose (it is correlated with external logs)
-            "uptime_seconds": self.registry.uptime(),
-            "queue_depth": queue_depth,
-            "inflight": inflight,
-            "requests": {
-                "received": self.received,
-                "completed": self.completed,
-                "computed": self.computed,
-                "rejected": self.rejected,
-                "timeouts": self.timeouts,
-                "errors": self.errors,
-                "wire": self.wire_requests,
-                "deduped_inflight": self.deduped_inflight,
-                "by_encoding": {
-                    "json": self._req_json._value,
-                    "binary": self._req_binary._value,
-                },
-                "by_strategy": self._by_strategy.child_values(),
-            },
-            "batches": self.batches,
-            "cache": {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "memo_hits": self._memo_hits._value,
-                "disk_hits": self._disk_hits._value,
-                "write_errors": self._cache_write_errors.value,
-            },
-            "latency_ms": self._latency.summary(scale=1000.0),
-            "wire_bytes": {
-                "rx": self._rx_bytes._value,
-                "tx": self._tx_bytes._value,
-            },
-        }
-
-
 class ServiceServer:
     """The service itself; see the module docstring for the data flow.
 
@@ -426,17 +249,9 @@ class ServiceServer:
                 registry=self.registry,
             )
         self.pool = pool
-        self.metrics = ServiceMetrics(
-            self.registry, enabled=config.observability
-        )
+        self._bind_metrics(config.observability)
         if self.cache is not None and config.observability:
             self.cache.bind_registry(self.registry)
-        self.registry.gauge("queue_depth", "admission-queue depth").set_function(
-            lambda: self._queue.qsize() if self._queue is not None else 0
-        )
-        self.registry.gauge("inflight", "in-flight request keys").set_function(
-            lambda: len(self._inflight)
-        )
         self.port: int | None = None  # bound port, set by start()
         self._queue: asyncio.Queue[_Entry] | None = None
         self._inflight: dict[str, asyncio.Future] = {}
@@ -447,14 +262,74 @@ class ServiceServer:
         self._writeback_slots: asyncio.Semaphore | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._memo: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
-        # frame bytes -> request key: the frame encoding is canonical,
-        # so identical bytes are the same request — repeat frames skip
-        # the decode entirely (bounded alongside the memo)
-        self._body_keys: "OrderedDict[bytes, str]" = OrderedDict()
+        # frame bytes -> (request key, its strategy's counter): the
+        # frame encoding is canonical, so identical bytes are the same
+        # request — a repeat frame the memo answers is never decoded
+        # (bounded alongside the memo)
+        self._body_keys: "OrderedDict[bytes, tuple[str, Any]]" = OrderedDict()
         # bounded ring of recently answered requests, feeding the
         # dashboard's tables; only populated when the dashboard is on
         self._recent: deque[dict[str, Any]] = deque(maxlen=256)
         self._track_recent = config.dashboard
+
+    def _bind_metrics(self, enabled: bool) -> None:
+        """Register the server's metrics and resolve the hot path's children.
+
+        Every series exists whether or not ``enabled`` is set, so both
+        ``/metrics`` renderings keep their shape; with it unset, each
+        child the hot path counts into is :data:`_NOOP`, the baseline
+        the tracing-overhead benchmark compares against.
+        """
+        r = self.registry
+        requests = r.counter("requests_total", "requests received, by submit encoding")
+        cache_hits = r.counter("cache_hits_total", "result-cache hits by tier")
+        cache_hits.labels(tier="disk")  # counted by the ResultCache itself
+        r.counter("cache_misses_total", "result-cache misses")
+        wire_bytes = r.counter("wire_bytes_total", "HTTP payload bytes, by direction")
+        hot = (
+            requests.labels(encoding="json"),
+            requests.labels(encoding="binary"),
+            r.counter("requests_by_strategy_total", "admitted requests by algorithm"),
+            r.counter("requests_completed_total", "requests answered 200"),
+            r.counter("requests_computed_total", "requests that reached a worker"),
+            r.counter("batches_total", "micro-batches dispatched"),
+            r.counter("requests_rejected_total", "429 queue_full rejections"),
+            r.counter("requests_timeout_total", "504 per-request deadline expiries"),
+            r.counter(
+                "requests_error_total", "validation + execution + internal errors"
+            ),
+            r.counter(
+                "requests_deduped_total", "requests coalesced onto in-flight twins"
+            ),
+            cache_hits.labels(tier="memo"),
+            r.counter("cache_write_errors_total", "result-cache writes that failed"),
+            r.histogram("solve_seconds", "request latency in seconds (bounded window)"),
+            wire_bytes.labels(direction="rx"),
+            wire_bytes.labels(direction="tx"),
+        )
+        (
+            self._req_json,
+            self._req_binary,
+            self._by_strategy,
+            self._completed,
+            self._computed,
+            self._batches,
+            self._rejected,
+            self._timeouts,
+            self._errors,
+            self._deduped,
+            self._memo_hits,
+            self._cache_write_errors,
+            self._latency,
+            self._rx_bytes,
+            self._tx_bytes,
+        ) = hot if enabled else (_NOOP,) * len(hot)
+        r.gauge("queue_depth", "admission-queue depth").set_function(
+            lambda: self._queue.qsize() if self._queue is not None else 0
+        )
+        r.gauge("inflight", "in-flight request keys").set_function(
+            lambda: len(self._inflight)
+        )
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -555,8 +430,8 @@ class ServiceServer:
                 envelopes = [
                     error_envelope("internal", f"worker pool failure: {exc}")
                 ] * len(batch)
-            self.metrics.inc_batches()
-            self.metrics.inc_computed(len(batch))
+            self._batches.inc()
+            self._computed.inc(len(batch))
             # Hand the dispatch slot back before the write-back, so the
             # workers take the next batch while this one's entries go to
             # disk.  A write-back slot is taken first: at most
@@ -609,7 +484,7 @@ class ServiceServer:
                     except Exception:
                         # a full disk (or a broken cache) must not take
                         # the service down; the answers are still correct
-                        self.metrics.inc_cache_write_errors(len(items))
+                        self._cache_write_errors.inc(len(items))
         finally:
             for key, (_, enqueued_at, timings), envelope in zip(
                 keys, batch, envelopes
@@ -626,22 +501,54 @@ class ServiceServer:
                     future.set_result(envelope)
 
     # ------------------------------------------------------------------ #
-    # request handling
+    # request handling: decode once, then memo or the lifecycle
     # ------------------------------------------------------------------ #
 
-    async def _submit(self, body: bytes) -> tuple[int, dict[str, Any]]:
-        self.metrics.inc_received(binary=False)
+    def _decode(
+        self, body: bytes, content_type: str | None
+    ) -> _Submit | tuple[int, dict[str, Any]]:
+        """A submit body, decoded once, or its ``(status, error envelope)``.
+
+        A frame goes through :func:`request_from_frame` (one vectorised
+        validation, no JSON parse), a JSON body through
+        :func:`parse_request`; from the typed request on, the lifecycle
+        is the same for both encodings, so outcomes and cache entries
+        are interchangeable between them.  The request, its strategy
+        and a rejection are each counted here, once.
+        """
         t0 = time.perf_counter()
+        received = media_type(content_type)
         try:
-            obj = json.loads(body)
-        except ValueError:
-            self.metrics.inc_errors()
-            return 400, error_envelope("bad_json", "request body is not valid JSON")
-        try:
-            request = parse_request(obj)
+            if received == WIRE_CONTENT_TYPE:
+                self._req_binary.inc()
+                known = self._body_keys.get(body)
+                if known is not None and known[0] in self._memo:
+                    key, strategy = known
+                    strategy.inc()
+                    return _Submit(key, None, t0, None)
+                request = request_from_frame(body)
+            elif received in ("", JSON_CONTENT_TYPE, "text/json"):
+                self._req_json.inc()
+                try:
+                    obj = json.loads(body)
+                except ValueError:
+                    raise ProtocolError(
+                        "bad_json", "request body is not valid JSON"
+                    ) from None
+                request = parse_request(obj)
+            else:
+                raise ProtocolError(
+                    "unsupported_media_type",
+                    f"cannot decode a {received!r} body; send "
+                    f"{JSON_CONTENT_TYPE} or {WIRE_CONTENT_TYPE}",
+                )
         except ProtocolError as exc:
-            self.metrics.inc_errors()
+            self._errors.inc()
             return HTTP_STATUS[exc.code], error_envelope(exc.code, exc.message)
+        except Exception as exc:  # defence: a decoder bug must not drop the connection
+            return 500, error_envelope(
+                "internal", f"unexpected failure handling request: {exc}"
+            )
         # stage timings exist only for traced requests: untraced ones
         # never allocate the dict, keeping the no-trace overhead at one
         # attribute check
@@ -650,89 +557,24 @@ class ServiceServer:
             if getattr(request, "trace", None)
             else None
         )
-        return await self._submit_request(request, t0, timings)
-
-    async def _submit_wire(
-        self, body: bytes, decoded: _Decoded | None = None
-    ) -> tuple[int, dict[str, Any]]:
-        """The binary fast path: frame -> trusted tree -> typed request.
-
-        One vectorised validation inside :func:`request_from_frame`
-        replaces JSON parsing and the per-element type checks; from the
-        typed request on, the lifecycle (dedup, cache, queue, workers)
-        is byte-for-byte the JSON path's, so outcomes and cache entries
-        are interchangeable between encodings.  ``decoded`` is the
-        frame :meth:`_fast_submit` already decoded, if it did.
-        """
-        self.metrics.inc_received(binary=True)
-        if decoded is None:
-            t0 = time.perf_counter()
-            try:
-                request = request_from_frame(body)
-            except ProtocolError as exc:
-                self.metrics.inc_errors()
-                return HTTP_STATUS[exc.code], error_envelope(exc.code, exc.message)
-            timings = (
-                {"decode": time.perf_counter() - t0}
-                if getattr(request, "trace", None)
-                else None
-            )
-            decoded = (request, t0, timings)
-        return await self._submit_request(*decoded)
-
-    def _fast_submit(
-        self, body: bytes, content_type: str | None, *, binary: bool, close: bool
-    ) -> tuple[tuple[bytes, bool] | None, _Decoded | None]:
-        """A fully synchronous answer for frame requests the memo holds.
-
-        Returns ``(rendered, None)`` on a memo hit.  Otherwise the
-        request goes down the ordinary pipelined path, and the second
-        item hands it the frame decoded here (``None`` if nothing was
-        decoded), so no frame is decoded twice.  Skipping the
-        per-request task, semaphore and executor machinery roughly
-        halves the loop's cost per warm hit, which is most of a
-        pipelined burst.
-        """
-        if not self._memo or media_type(content_type) != WIRE_CONTENT_TYPE:
-            return None, None
-        t0 = time.perf_counter()
-        decoded = None
-        key = self._body_keys.get(body)
-        if key is None:
-            try:
-                request = request_from_frame(body)
-            except ProtocolError:
-                return None, None  # the full path renders the error (and counts it)
-            if getattr(request, "trace", None):
-                # traced requests take the full path, which produces the
-                # stage breakdown (and is what tracing opts into paying)
-                return None, (request, t0, {"decode": time.perf_counter() - t0})
-            decoded = (request, t0, None)
-            key = request.key()
-            self._body_keys[bytes(body)] = key
+        strategy = self._by_strategy.labels(
+            strategy=getattr(request, "algorithm", None) or request.kind
+        )
+        strategy.inc()
+        key = request.key()
+        if timings is None and received == WIRE_CONTENT_TYPE and self._memo:
+            # traced frames stay out: they must reach the lifecycle,
+            # which is what produces their stage breakdown
+            self._body_keys[body] = (key, strategy)
             while len(self._body_keys) > self.config.memo_entries:
                 self._body_keys.popitem(last=False)
-        value = self._memo_get(key)
-        if value is None:
-            return None, decoded
-        self.metrics.inc_received(binary=True)
-        self.metrics.inc_completed()
-        self.metrics.record_latency(time.perf_counter() - t0)
-        if self._track_recent:
-            self._record_recent(key, value, cached=True, deduped=False,
-                                elapsed=time.perf_counter() - t0)
-        return self._render(
-            200,
-            ok_envelope(value, key=key, cached=True),
-            binary=binary,
-            close=close,
-        ), None
+        return _Submit(key, request, t0, timings)
 
     def _memo_get(self, key: str) -> dict[str, Any] | None:
         value = self._memo.get(key)
         if value is not None:
             self._memo.move_to_end(key)
-            self.metrics.inc_memo_hit()
+            self._memo_hits.inc()
         return value
 
     def _memo_put(self, key: str, value: dict[str, Any]) -> None:
@@ -744,43 +586,46 @@ class ServiceServer:
         while len(self._memo) > cap:
             self._memo.popitem(last=False)
 
-    def _record_recent(
+    def _complete(
         self,
         key: str,
         value: dict[str, Any] | None,
+        t0: float,
         *,
         cached: bool,
         deduped: bool,
-        elapsed: float,
     ) -> None:
-        """Append one answered request to the dashboard's bounded ring."""
-        value = value or {}
-        self._recent.append({
-            "key": key,
-            "kind": value.get("kind"),
-            "algorithm": value.get("algorithm"),
-            "io_volume": value.get("io_volume"),
-            "cached": cached,
-            "deduped": deduped,
-            "elapsed_ms": elapsed * 1000.0,
-            "traced": "schedule_trace" in value,
-            "ts": time.time(),
-        })
+        """Account one 200: ``completed``, its latency and the dashboard ring."""
+        self._completed.inc()
+        elapsed = time.perf_counter() - t0
+        self._latency.observe(elapsed)
+        if self._track_recent:
+            value = value or {}
+            self._recent.append({
+                "key": key,
+                "kind": value.get("kind"),
+                "algorithm": value.get("algorithm"),
+                "io_volume": value.get("io_volume"),
+                "cached": cached,
+                "deduped": deduped,
+                "elapsed_ms": elapsed * 1000.0,
+                "traced": "schedule_trace" in value,
+                "ts": time.time(),
+            })
 
-    async def _submit_request(
-        self, request: Any, t0: float, timings: dict[str, float] | None = None
-    ) -> tuple[int, dict[str, Any]]:
-        key = request.key()
+    async def _submit_request(self, submit: _Submit) -> tuple[int, dict[str, Any]]:
+        """Dedup, cache and queue one decoded request; await its answer."""
+        key, request, t0, timings = (
+            submit.key, submit.request, submit.t0, submit.timings
+        )
+        assert request is not None  # only memo hits skip the decode
         timeout = request.timeout or self.config.request_timeout
         loop = asyncio.get_running_loop()
-        self.metrics.record_strategy(
-            getattr(request, "algorithm", None) or request.kind
-        )
 
         # 1) coalesce onto an identical in-flight computation
         existing = self._inflight.get(key)
         if existing is not None:
-            self.metrics.inc_deduped()
+            self._deduped.inc()
             return await self._await_result(
                 existing, key, timeout, t0, deduped=True
             )
@@ -811,13 +656,7 @@ class ServiceServer:
             if timings is not None:
                 timings["cache"] = time.perf_counter() - t_cache
             if value is not None:
-                self.metrics.inc_completed()
-                elapsed = time.perf_counter() - t0
-                self.metrics.record_latency(elapsed)
-                if self._track_recent:
-                    self._record_recent(
-                        key, value, cached=True, deduped=False, elapsed=elapsed
-                    )
+                self._complete(key, value, t0, cached=True, deduped=False)
                 return _resolve(
                     200,
                     ok_envelope(value, key=key, cached=True, timings=timings),
@@ -828,7 +667,7 @@ class ServiceServer:
         try:
             self._queue.put_nowait((request, time.perf_counter(), timings))
         except asyncio.QueueFull:
-            self.metrics.inc_rejected()
+            self._rejected.inc()
             # resolves the future too: coalesced waiters share the 429
             return _resolve(
                 429,
@@ -854,34 +693,99 @@ class ServiceServer:
             # computation — it still completes and populates the cache.
             envelope = await asyncio.wait_for(asyncio.shield(future), timeout)
         except asyncio.TimeoutError:
-            self.metrics.inc_timeouts()
+            self._timeouts.inc()
             return 504, error_envelope(
                 "timeout", f"request did not complete within {timeout:.3f}s"
             )
         if envelope.get("ok"):
-            self.metrics.inc_completed()
-            elapsed = time.perf_counter() - t0
-            self.metrics.record_latency(elapsed)
+            self._complete(
+                key,
+                envelope.get("result"),
+                t0,
+                cached=bool(envelope.get("cached")),
+                deduped=deduped,
+            )
             if deduped:
                 envelope = dict(envelope, deduped=True)
-            if self._track_recent:
-                self._record_recent(
-                    key,
-                    envelope.get("result"),
-                    cached=bool(envelope.get("cached")),
-                    deduped=deduped,
-                    elapsed=elapsed,
-                )
             return 200, envelope
-        self.metrics.inc_errors()
+        self._errors.inc()
         code = envelope.get("error", {}).get("code", "internal")
         return HTTP_STATUS.get(code, 500), envelope
 
+    async def _pipelined_submit(
+        self,
+        submit: _Submit,
+        pipeline: asyncio.Semaphore,
+        *,
+        binary: bool,
+        close: bool,
+    ) -> tuple[bytes, bool]:
+        """One submit the memo did not answer, to rendered bytes."""
+        try:
+            status, envelope = await self._submit_request(submit)
+        except asyncio.CancelledError:
+            raise
+        except Exception as exc:  # defence: a handler bug must not wedge the writer
+            status, envelope = 500, error_envelope(
+                "internal", f"unexpected failure handling request: {exc}"
+            )
+        finally:
+            pipeline.release()
+        if status == 200 and "timings" in envelope:
+            # traced requests opt into measuring their own encode: time a
+            # throwaway encode, then render the patched envelope (copied —
+            # coalesced waiters share the resolved envelope's timings)
+            t_encode = time.perf_counter()
+            if binary:
+                encode_response_frame(envelope)
+            else:
+                json.dumps(envelope)
+            timings = dict(envelope["timings"])
+            timings["encode"] = time.perf_counter() - t_encode
+            envelope = dict(envelope, timings=timings)
+        return self._render(status, envelope, binary=binary, close=close)
+
     def _metrics_body(self) -> dict[str, Any]:
-        queue_depth = self._queue.qsize() if self._queue is not None else 0
-        return self.metrics.snapshot(
-            queue_depth=queue_depth, inflight=len(self._inflight)
-        )
+        """The JSON ``GET /metrics`` shape, read from the registry."""
+        r = self.registry
+        encodings = r.counter("requests_total").child_values()
+        tiers = r.counter("cache_hits_total").child_values()
+        wire_bytes = r.counter("wire_bytes_total").child_values()
+
+        def count(name: str) -> int | float:
+            return r.counter(name).value
+
+        return {
+            "protocol": PROTOCOL_VERSION,
+            # monotonic: wall clock would jump (or go negative) on an
+            # NTP step; the recent-ring ``ts`` stays wall-clock on
+            # purpose (it is correlated with external logs)
+            "uptime_seconds": r.uptime(),
+            "queue_depth": self._queue.qsize() if self._queue is not None else 0,
+            "inflight": len(self._inflight),
+            "requests": {
+                "received": encodings["json"] + encodings["binary"],
+                "completed": count("requests_completed_total"),
+                "computed": count("requests_computed_total"),
+                "rejected": count("requests_rejected_total"),
+                "timeouts": count("requests_timeout_total"),
+                "errors": count("requests_error_total"),
+                "wire": encodings["binary"],
+                "deduped_inflight": count("requests_deduped_total"),
+                "by_encoding": encodings,
+                "by_strategy": r.counter("requests_by_strategy_total").child_values(),
+            },
+            "batches": count("batches_total"),
+            "cache": {
+                "hits": tiers["memo"] + tiers["disk"],
+                "misses": count("cache_misses_total"),
+                "memo_hits": tiers["memo"],
+                "disk_hits": tiers["disk"],
+                "write_errors": count("cache_write_errors_total"),
+            },
+            "latency_ms": r.histogram("solve_seconds").summary(scale=1000.0),
+            "wire_bytes": wire_bytes,
+        }
 
     # ------------------------------------------------------------------ #
     # minimal HTTP/1.1 plumbing (stdlib only; keep-alive + pipelining)
@@ -904,7 +808,7 @@ class ServiceServer:
     ) -> tuple[bytes, bool]:
         """Render a response whose payload bytes are already encoded
         (Prometheus text, dashboard HTML, trace SVG)."""
-        self.metrics.add_tx(len(payload))
+        self._tx_bytes.inc(len(payload))
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             f"Content-Type: {content_type}\r\n"
@@ -988,7 +892,7 @@ class ServiceServer:
                 if parsed is None:
                     break  # clean EOF between requests
                 method, path, headers, body, oversized = parsed
-                self.metrics.add_rx(len(body))
+                self._rx_bytes.inc(len(body))
                 close = (
                     keepalive <= 0
                     or headers.get("connection", "").strip().lower() == "close"
@@ -1008,31 +912,33 @@ class ServiceServer:
                     ))
                     break
                 if path == "/v1/submit" and method == "POST":
-                    fast, decoded = self._fast_submit(
-                        body, headers.get("content-type"),
-                        binary=binary, close=close,
-                    )
-                    if fast is not None:
-                        _enqueue_now(fast)
-                        if close:
-                            break
-                        continue
-                    # the pipelined path: handle concurrently, answer in order
-                    await pipeline.acquire()
-                    responses.put_nowait(asyncio.create_task(
-                        self._pipelined_submit(
-                            body, headers.get("content-type"), pipeline,
-                            decoded, binary=binary, close=close,
+                    submit = self._decode(body, headers.get("content-type"))
+                    if not isinstance(submit, _Submit):
+                        _enqueue_now(self._render(*submit, binary=binary, close=close))
+                    elif submit.timings is None and (
+                        value := self._memo_get(submit.key)
+                    ) is not None:
+                        # an untraced memo hit is answered here and now:
+                        # no task, semaphore or executor hop, which roughly
+                        # halves the loop's cost per warm pipelined hit
+                        self._complete(
+                            submit.key, value, submit.t0, cached=True, deduped=False
                         )
-                    ))
-                    if close:
-                        break
-                    continue
-                raw = self._route_raw(method, path, headers, close=close)
-                if raw is None:
-                    status, envelope = self._route_simple(method, path)
-                    raw = self._render(status, envelope, binary=False, close=close)
-                _enqueue_now(raw)
+                        _enqueue_now(self._render(
+                            200,
+                            ok_envelope(value, key=submit.key, cached=True),
+                            binary=binary, close=close,
+                        ))
+                    else:
+                        # the lifecycle: handled concurrently, answered in order
+                        await pipeline.acquire()
+                        responses.put_nowait(asyncio.create_task(
+                            self._pipelined_submit(
+                                submit, pipeline, binary=binary, close=close
+                            )
+                        ))
+                else:
+                    _enqueue_now(self._route(method, path, headers, close=close))
                 if close:
                     break
             responses.put_nowait(None)
@@ -1050,17 +956,30 @@ class ServiceServer:
                 writer.close()
                 await writer.wait_closed()
 
-    def _route_raw(
+    def _route(
         self, method: str, path: str, headers: dict[str, str], *, close: bool
-    ) -> tuple[bytes, bool] | None:
-        """Routes whose responses are not JSON envelopes: the Prometheus
-        exposition of ``/metrics`` (negotiated via ``Accept``) and the
-        dashboard's page and per-request schedule-trace SVGs.  Returns
-        ``None`` to fall through to :meth:`_route_simple`.
+    ) -> tuple[bytes, bool]:
+        """Every route but ``POST /v1/submit``, rendered.
+
+        ``GET /metrics`` answers the JSON shape, or the Prometheus
+        exposition when ``Accept`` names ``text/plain`` or
+        ``openmetrics``; the dashboard's page, data feed and
+        schedule-trace SVGs exist only when the dashboard is on.
         """
-        if method != "GET":
-            return None
-        if path == "/metrics":
+        if method == "GET" and path == "/healthz":
+            from .. import __version__ as repro_version
+
+            return self._render(200, {
+                "ok": True,
+                "protocol": PROTOCOL_VERSION,
+                "versions": {
+                    "repro": repro_version,
+                    "protocol": PROTOCOL_VERSION,
+                    "wire": WIRE_VERSION,
+                    "engine": ENGINE_VERSION,
+                },
+            }, binary=False, close=close)
+        if method == "GET" and path == "/metrics":
             accept = headers.get("accept", "")
             if "text/plain" in accept or "openmetrics" in accept:
                 text = self.registry.render_prometheus()
@@ -1070,22 +989,29 @@ class ServiceServer:
                     text.encode("utf-8"),
                     close=close,
                 )
-            return None
-        if not self.config.dashboard:
-            return None
-        from .dashboard import DASHBOARD_HTML, render_trace_svg
+            return self._render(200, self._metrics_body(), binary=False, close=close)
+        if method == "GET" and self.config.dashboard:
+            from .dashboard import DASHBOARD_HTML, dashboard_data, render_trace_svg
 
-        if path in ("/dash", "/dash/"):
-            return self._render_raw(
-                200,
-                "text/html; charset=utf-8",
-                DASHBOARD_HTML.encode("utf-8"),
-                close=close,
-            )
-        if path.startswith("/dash/trace/"):
-            key = path[len("/dash/trace/"):]
-            result = self._peek_result(key)
-            if result is None or "schedule_trace" not in result:
+            if path in ("/dash", "/dash/"):
+                return self._render_raw(
+                    200,
+                    "text/html; charset=utf-8",
+                    DASHBOARD_HTML.encode("utf-8"),
+                    close=close,
+                )
+            if path == "/dash/data":
+                return self._render(
+                    200, dashboard_data(self), binary=False, close=close
+                )
+            if path.startswith("/dash/trace/"):
+                key = path[len("/dash/trace/"):]
+                result = self._peek_result(key)
+                if result is not None and "schedule_trace" in result:
+                    svg = render_trace_svg(result, key)
+                    return self._render_raw(
+                        200, "image/svg+xml", svg.encode("utf-8"), close=close
+                    )
                 return self._render(
                     404,
                     error_envelope(
@@ -1096,11 +1022,13 @@ class ServiceServer:
                     binary=False,
                     close=close,
                 )
-            svg = render_trace_svg(result, key)
-            return self._render_raw(
-                200, "image/svg+xml", svg.encode("utf-8"), close=close
+        if path == "/v1/submit":
+            envelope = error_envelope(
+                "method_not_allowed", f"{method} not allowed on {path}"
             )
-        return None
+            return self._render(405, envelope, binary=False, close=close)
+        envelope = error_envelope("not_found", f"no endpoint {method} {path}")
+        return self._render(404, envelope, binary=False, close=close)
 
     def _peek_result(self, key: str) -> dict[str, Any] | None:
         """A cached result by key, *without* touching hit/miss counters —
@@ -1113,78 +1041,6 @@ class ServiceServer:
         if self.cache is None:
             return None
         return self.cache.peek(key)
-
-    def _route_simple(self, method: str, path: str) -> tuple[int, dict[str, Any]]:
-        if path == "/healthz" and method == "GET":
-            from .. import __version__ as repro_version
-
-            return 200, {
-                "ok": True,
-                "protocol": PROTOCOL_VERSION,
-                "versions": {
-                    "repro": repro_version,
-                    "protocol": PROTOCOL_VERSION,
-                    "wire": WIRE_VERSION,
-                    "engine": ENGINE_VERSION,
-                },
-            }
-        if path == "/metrics" and method == "GET":
-            return 200, self._metrics_body()
-        if path == "/dash/data" and method == "GET" and self.config.dashboard:
-            from .dashboard import dashboard_data
-
-            return 200, dashboard_data(self)
-        if path == "/v1/submit":
-            return 405, error_envelope(
-                "method_not_allowed", f"{method} not allowed on {path}"
-            )
-        return 404, error_envelope("not_found", f"no endpoint {method} {path}")
-
-    async def _pipelined_submit(
-        self,
-        body: bytes,
-        content_type: str | None,
-        pipeline: asyncio.Semaphore,
-        decoded: _Decoded | None = None,
-        *,
-        binary: bool,
-        close: bool,
-    ) -> tuple[bytes, bool]:
-        """One submit, from negotiation to rendered bytes (pipeline-safe)."""
-        try:
-            received = media_type(content_type)
-            if received == WIRE_CONTENT_TYPE:
-                status, envelope = await self._submit_wire(body, decoded)
-            elif received in ("", JSON_CONTENT_TYPE, "text/json"):
-                status, envelope = await self._submit(body)
-            else:
-                self.metrics.inc_errors()
-                status, envelope = 415, error_envelope(
-                    "unsupported_media_type",
-                    f"cannot decode a {received!r} body; send "
-                    f"{JSON_CONTENT_TYPE} or {WIRE_CONTENT_TYPE}",
-                )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # defence: a handler bug must not wedge the writer
-            status, envelope = 500, error_envelope(
-                "internal", f"unexpected failure handling request: {exc}"
-            )
-        finally:
-            pipeline.release()
-        if status == 200 and "timings" in envelope:
-            # traced requests opt into measuring their own encode: time a
-            # throwaway encode, then render the patched envelope (copied —
-            # coalesced waiters share the resolved envelope's timings)
-            t_encode = time.perf_counter()
-            if binary:
-                encode_response_frame(envelope)
-            else:
-                json.dumps(envelope)
-            timings = dict(envelope["timings"])
-            timings["encode"] = time.perf_counter() - t_encode
-            envelope = dict(envelope, timings=timings)
-        return self._render(status, envelope, binary=binary, close=close)
 
     async def _read_request(
         self, reader: asyncio.StreamReader

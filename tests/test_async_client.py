@@ -124,24 +124,33 @@ class TestPipelining:
         assert results[0]["key"] == parse_request(slow).key()
         assert results[1]["key"] == parse_request(fast).key()
 
-    def test_single_connection_pipelining_matches_fifo(self, server):
+    @pytest.mark.parametrize("wire", ["json", "binary"])
+    def test_single_connection_pipelining_matches_fifo(self, tmp_path, wire):
         # one connection: responses must pair with requests purely by
-        # FIFO order, over a burst large enough to interleave
+        # FIFO order, over a burst that interleaves memo hits (answered
+        # as they arrive) with misses (answered by the workers)
+        config = ServerConfig(
+            port=0, workers=0, inline_threads=2, cache_dir=str(tmp_path / "cache")
+        )
         requests = [_request(memory=6 + i) for i in range(16)]
+        warm = requests[::2]
         want = [parse_request(r).key() for r in requests]
 
-        async def run():
+        async def run(port):
             async with AsyncServiceClient(
-                port=server.port, max_connections=1
+                port=port, max_connections=1, wire=wire
             ) as client:
+                await asyncio.gather(*(client.submit(r) for r in warm))
                 envelopes = await asyncio.gather(
                     *(client.submit(r) for r in requests)
                 )
                 assert len(client._conns) <= 1
                 return envelopes
 
-        envelopes = _drive(run())
+        with ServerThread(config) as thread:
+            envelopes = _drive(run(thread.port))
         assert [e["key"] for e in envelopes] == want
+        assert [e["cached"] for e in envelopes] == [i % 2 == 0 for i in range(16)]
 
 
 class TestConnectionLifecycles:

@@ -34,6 +34,11 @@ TREE = figure_2b().tree
 TREE_DICT = TREE.to_dict()
 
 
+def _count(server, name):
+    """One counter of the server's registry (``GET /metrics`` reads the same)."""
+    return server.registry.counter(name).value
+
+
 def _request(**overrides):
     base = {"kind": "solve", "tree": TREE_DICT, "memory": 6, "algorithm": "RecExpand"}
     base.update(overrides)
@@ -278,6 +283,25 @@ class TestRoundTrip:
         assert err.value.code == "unknown_algorithm"
         assert err.value.status == 400
 
+    def test_a_body_the_decoder_chokes_on_is_a_500_not_a_dropped_connection(
+        self, server
+    ):
+        _, client = server
+        import http.client
+
+        # nested past json's recursion limit: RecursionError, not ValueError
+        body = b"[" * 100_000
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+        try:
+            conn.request("POST", "/v1/submit", body=body)
+            response = conn.getresponse()
+            assert response.status == 500
+            assert json.loads(response.read())["error"]["code"] == "internal"
+            conn.request("GET", "/healthz")  # the same keep-alive connection
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+
     def test_unsolvable_is_a_422(self, server):
         _, client = server
         # memory below the tree's minimal feasible bound
@@ -317,7 +341,22 @@ class TestDedupAndCache:
         assert first["cached"] is False
         assert second["cached"] is True
         assert second["result"] == first["result"]
-        assert srv.metrics.computed == 1
+        assert _count(srv, "requests_computed_total") == 1
+
+    @pytest.mark.parametrize("wire", ["json", "binary"])
+    def test_by_strategy_counts_every_admitted_request(self, tmp_path, wire):
+        """Memo hits count their strategy too, on either encoding."""
+        config = ServerConfig(
+            port=0, workers=0, inline_threads=1, cache_dir=str(tmp_path / "cache")
+        )
+        with ServerThread(config) as thread:
+            client = ServiceClient(port=thread.port, timeout=30.0, wire=wire)
+            assert client.wait_ready(15)
+            for _ in range(4):
+                client.solve(TREE, 6, algorithm="PostOrderMinIO")
+            metrics = client.metrics()
+        assert metrics["requests"]["by_strategy"] == {"PostOrderMinIO": 4}
+        assert metrics["cache"]["memo_hits"] == 3
 
     def test_unwritable_cache_is_counted_not_fatal(self, tmp_path):
         # a regular file where the cache directory should be: every put
@@ -358,8 +397,8 @@ class TestDedupAndCache:
         results = [e["result"] for e in envelopes]
         assert all(r == results[0] for r in results)
         # one computation served everybody: the rest were coalesced
-        assert srv.metrics.computed == 1
-        assert srv.metrics.deduped_inflight >= 1
+        assert _count(srv, "requests_computed_total") == 1
+        assert _count(srv, "requests_deduped_total") >= 1
         assert sum(1 for e in envelopes if e["deduped"]) >= 1
 
     def test_sixteen_concurrent_clients_zero_drops(self, server):
@@ -380,7 +419,7 @@ class TestDedupAndCache:
             t.join()
         assert not errors
         assert len(outcomes) == 16
-        assert srv.metrics.rejected == 0
+        assert _count(srv, "requests_rejected_total") == 0
         # every memory bound is a distinct request; all computed, none dropped
         offline = {6 + i: get_algorithm("RecExpand")(TREE, 6 + i).io_volume for i in range(16)}
         assert sorted(r["io_volume"] for r in outcomes) == sorted(offline.values())
@@ -417,7 +456,7 @@ class TestBackpressureAndTimeouts:
             assert succeeded, "the service must keep serving under overload"
             assert rejected, "a full queue must reject, not buffer unboundedly"
             assert all(e.code == "queue_full" and e.status == 429 for e in rejected)
-            assert thread.server.metrics.rejected == len(rejected)
+            assert _count(thread.server, "requests_rejected_total") == len(rejected)
 
     def test_deadline_returns_504_but_computation_completes(
         self, server, slow_algorithm
@@ -725,7 +764,7 @@ class TestPerRequestGuard:
             for t in [*busy, *threads]:
                 t.join(30)
             assert sizes == [1, 1, 2]
-            assert thread.server.metrics.batches == 3  # the pair shared one
+            assert _count(thread.server, "batches_total") == 3  # the pair shared one
         kind, good = outcomes["good"]
         assert kind == "ok" and good["ok"] is True
         kind, bad = outcomes["bad"]
@@ -886,7 +925,7 @@ class TestWorkConservingDispatch:
             for t in [*busy, *queued]:
                 t.join(30)
             assert sizes == [1, 1, 3]
-            assert thread.server.metrics.computed == 5
+            assert _count(thread.server, "requests_computed_total") == 5
 
     def test_pool_path_neither_parses_nor_rekeys(self, monkeypatch):
         import asyncio
