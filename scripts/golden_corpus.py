@@ -13,7 +13,9 @@ grid): the I/O volume plus sha256 digests of the schedule and of the
 I/O function, and for ``RecExpand``/``FullRecExpand`` the
 ``RecExpandResult`` counters.  It also pins all four victim rules and
 the while-loop caps 0, 1 and 4 on a subset, weights beyond int64, the paper's figure instances, and the
-``InfeasibleSchedule`` / ``ExpansionLimitExceeded`` messages.
+``InfeasibleSchedule`` / ``ExpansionLimitExceeded`` messages.  On the
+same subset it pins a digest of each strategy's schedule curve
+(:func:`repro.obs.schedule_trace`).
 
 ``tests/test_golden_corpus.py`` recomputes :func:`compute_corpus` and
 compares it with the committed file, so a solver rewrite that changes
@@ -73,7 +75,8 @@ def _memories(tree) -> list[int]:
     return [m for m in _crossval()._memory_grid(tree) if m >= lb]
 
 
-def _solve(tree, memory: int, strategy: str, **options) -> dict[str, Any]:
+def _run(tree, memory: int, strategy: str, **options):
+    """``(traversal, RecExpand counters)`` of one strategy's solve."""
     from repro.algorithms.rec_expand import full_rec_expand
     from repro.experiments.registry import get_algorithm
 
@@ -81,18 +84,19 @@ def _solve(tree, memory: int, strategy: str, **options) -> dict[str, Any]:
         if strategy == "RecExpand":
             options.setdefault("iteration_cap", 2)
         res = full_rec_expand(tree, memory, **options)
-        traversal = res.traversal
-        extra = {
+        assert res.io_volume == res.traversal.io_volume
+        return res.traversal, {
             "expanded_io": res.expanded_io,
             "residual_io": res.residual_io,
             "expansions": res.expansions,
             "iterations": res.iterations,
             "expanded_tree_size": res.expanded_tree_size,
         }
-        assert res.io_volume == traversal.io_volume
-    else:
-        traversal = get_algorithm(strategy)(tree, memory)
-        extra = {}
+    return get_algorithm(strategy)(tree, memory), {}
+
+
+def _solve(tree, memory: int, strategy: str, **options) -> dict[str, Any]:
+    traversal, extra = _run(tree, memory, strategy, **options)
     return {
         "io_volume": traversal.io_volume,
         "schedule": _digest(traversal.schedule),
@@ -131,6 +135,7 @@ def compute_corpus() -> dict[str, Any]:
     from repro.algorithms.rec_expand import VICTIM_RULES, full_rec_expand
     from repro.core.simulator import _simulate_fif_object, simulate_fif
     from repro.datasets import instances as paper
+    from repro.obs import schedule_trace
 
     cases = instances()
     grid = [_grid_record(label, tree) for label, tree in cases]
@@ -159,6 +164,20 @@ def compute_corpus() -> dict[str, Any]:
                     "label": label, "memory": memory, "cap": cap,
                     **_solve(tree, memory, "FullRecExpand", iteration_cap=cap),
                 })
+
+    # each strategy's schedule curve at each subset tree's mid memory
+    schedule_traces = []
+    for label, tree in subset:
+        memory = _memories(tree)[len(_memories(tree)) // 2]
+        for strategy in STRATEGIES:
+            traversal, _ = _run(tree, memory, strategy)
+            trace = schedule_trace(
+                tree.parents, tree.weights, traversal.schedule, traversal.io
+            )
+            schedule_traces.append({
+                "label": label, "memory": memory, "strategy": strategy,
+                "trace": hashlib.sha256(dumps(trace).encode()).hexdigest(),
+            })
 
     huge = [
         _grid_record(label + "/huge", _huge(tree))
@@ -206,6 +225,7 @@ def compute_corpus() -> dict[str, Any]:
         "grid": grid,
         "victims": victims,
         "caps": caps,
+        "schedule_traces": schedule_traces,
         "huge": huge,
         "figures": figures,
         "errors": errors,

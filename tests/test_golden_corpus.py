@@ -3,8 +3,8 @@
 The corpus was written by ``scripts/golden_corpus.py`` before the
 RecExpand family and the small-tree dispatch moved onto the list cores;
 every record (I/O volume, schedule and I/O digests, RecExpand counters,
-error messages) must come out identical.  Regenerate it only for an
-intended change of results.
+schedule-curve digests, error messages) must come out identical.
+Regenerate it only for an intended change of results.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ def corpora():
     return frozen, json.loads(gen.dumps(gen.compute_corpus()))
 
 
-@pytest.mark.parametrize("section", ["grid", "victims", "caps", "huge", "figures", "errors"])
+@pytest.mark.parametrize("section", [
+    "grid", "victims", "caps", "schedule_traces", "huge", "figures", "errors",
+])
 def test_section_matches_frozen_corpus(corpora, section):
     frozen, fresh = corpora
     assert len(fresh[section]) == len(frozen[section])
