@@ -87,7 +87,7 @@ from .core.traversal import InvalidTraversal, Traversal, is_postorder, validate
 from .core.tree import TaskTree, TreeError, balanced_binary_tree, chain_tree, star_tree
 from .io import PageMap, paged_io
 
-__version__ = "2.2.0"
+__version__ = "2.3.0"
 
 #: ``repro.api`` names served lazily through module ``__getattr__`` —
 #: available as ``repro.<name>`` without paying the import cost (the

@@ -35,9 +35,9 @@ from ..core.forest_kernels import (
     forest_validate,
 )
 from ..core.simulator import InfeasibleSchedule
+from ..core.trace import schedule_trace
 from ..core.traversal import InvalidTraversal, Traversal, validate
 from ..core.tree import TaskTree, TreeError
-from ..obs.schedtrace import schedule_trace
 from ..obs.trace import span, trace_context
 from .outcome import error_envelope, ok_envelope
 from .requests import (

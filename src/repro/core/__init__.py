@@ -1,5 +1,8 @@
 """Model substrate: trees, traversals, the FiF simulator and node expansion.
 
+A traversal's event stream and its one walk are :mod:`repro.core.trace`;
+timing is :mod:`repro.io.device`'s and :mod:`repro.parallel`'s.
+
 The core computations run on the list cores of :mod:`repro.core.kernels`
 over a tree's ``core_lists()``: a :class:`TaskTree`'s cached lists, an
 :class:`ArrayTree`'s columns, or an :class:`ExpansionTree`'s own lists.
@@ -10,7 +13,6 @@ traced FiF simulation and the child-key postorder.
 
 from .arraytree import ArrayTree, as_array_tree
 from .forest import ArrayForest
-from .execution import ExecutionReport, MachineModel, execute_traversal
 from .expansion import ExpansionTree, Role, expand_tree
 from .simulator import (
     InfeasibleSchedule,
@@ -47,7 +49,4 @@ __all__ = [
     "ExpansionTree",
     "Role",
     "expand_tree",
-    "MachineModel",
-    "ExecutionReport",
-    "execute_traversal",
 ]

@@ -8,6 +8,11 @@ to and resume from), and — crucially — provides an independent
 :func:`replay` that re-derives memory usage and I/O volume from the
 events alone, cross-checking the planner.
 
+The stream has one producer and one walk: :func:`traversal_trace` and
+:func:`schedule_trace` take their events from the same generator, and
+the schedule curve (also :func:`repro.obs.schedule_trace`) is the
+per-event record of :func:`replay`'s walk.
+
 Event order for a traversal: for each scheduled task, first the ``read``
 events restoring evicted parts of its inputs, then ``execute``, then the
 ``write`` event spilling :math:`\\tau(v)` of the fresh output (the paper
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .traversal import Traversal
 from .tree import TaskTree
@@ -31,6 +36,7 @@ __all__ = [
     "TraceEvent",
     "from_jsonl",
     "replay",
+    "schedule_trace",
     "to_jsonl",
     "traversal_trace",
 ]
@@ -58,18 +64,28 @@ class TraceEvent:
             raise ValueError(f"negative amount in {self!r}")
 
 
+def _stream(
+    children: Sequence[Sequence[int]],
+    weights: Sequence[int],
+    schedule: Iterable[int],
+    io: Sequence[int],
+) -> Iterator[tuple[str, int, int]]:
+    """A traversal's events as plain ``(kind, node, amount)`` tuples."""
+    for v in schedule:
+        inputs = 0
+        for c in children[v]:
+            inputs += weights[c]
+            if io[c]:
+                yield "read", c, io[c]
+        yield "execute", v, max(weights[v], inputs)
+        if io[v]:
+            yield "write", v, io[v]
+
+
 def traversal_trace(tree: TaskTree, traversal: Traversal) -> list[TraceEvent]:
     """The canonical event stream of a traversal (reads, execute, write)."""
-    events: list[TraceEvent] = []
-    io = traversal.io
-    for v in traversal.schedule:
-        for c in tree.children[v]:
-            if io[c]:
-                events.append(TraceEvent("read", c, io[c]))
-        events.append(TraceEvent("execute", v, tree.wbar[v]))
-        if io[v]:
-            events.append(TraceEvent("write", v, io[v]))
-    return events
+    events = _stream(tree.children, tree.weights, traversal.schedule, traversal.io)
+    return [TraceEvent(*event) for event in events]
 
 
 def to_jsonl(events: Iterable[TraceEvent]) -> str:
@@ -101,11 +117,18 @@ class TraceError(ValueError):
 
 @dataclass(frozen=True)
 class ReplayResult:
-    """Outcome of an independent replay of an event stream."""
+    """Outcome of an independent replay of an event stream.
+
+    ``memory[i]`` is the need checked at event ``i`` (the resident total
+    after a read or write, :math:`\\bar w_v` plus it at an execute);
+    ``cumulative_io[i]`` is the write volume after event ``i``.
+    """
 
     io_volume: int
     peak_memory: int
     schedule: tuple[int, ...]
+    memory: tuple[int, ...]
+    cumulative_io: tuple[int, ...]
 
 
 def replay(
@@ -128,74 +151,133 @@ def replay(
     TraceError
         on the first violated rule.
     """
-    n = tree.n
+    tuples = ((e.kind, e.node, e.amount) for e in events)
+    return _walk(tree.parents, tree.weights, tree.children, tuples, memory)
+
+
+def _walk(
+    parents: Sequence[int],
+    weights: Sequence[int],
+    children: Sequence[Sequence[int]],
+    events: Iterable[tuple[str, int, int]],
+    memory: int | None,
+) -> ReplayResult:
+    """:func:`replay` over ``(kind, node, amount)`` tuples."""
+    n = len(parents)
     executed = [False] * n
     written = [0] * n  # on-disk amount per output
     resident = [0] * n  # in-memory amount per active output
     resident_total = 0
     io_volume = 0
-    peak = 0
     schedule: list[int] = []
+    needs: list[int] = []
+    cumulative_io: list[int] = []
 
-    def check_capacity(need: int, context: str) -> None:
-        nonlocal peak
-        peak = max(peak, need)
-        if memory is not None and need > memory:
-            raise TraceError(f"{context}: {need} > M={memory}")
+    def fail(i: int, kind: str, v: int, message: str) -> TraceError:
+        return TraceError(f"event {i} ({kind} node {v}): {message}")
 
-    for i, ev in enumerate(events):
-        where = f"event {i} ({ev.kind} node {ev.node})"
-        if ev.kind == "execute":
-            v = ev.node
+    for i, (kind, v, amount) in enumerate(events):
+        if kind == "execute":
             if executed[v]:
-                raise TraceError(f"{where}: executed twice")
+                raise fail(i, kind, v, "executed twice")
             inputs = 0
-            for c in tree.children[v]:
+            for c in children[v]:
                 if not executed[c]:
-                    raise TraceError(f"{where}: child {c} not executed")
+                    raise fail(i, kind, v, f"child {c} not executed")
                 if written[c] != 0:
-                    raise TraceError(
-                        f"{where}: child {c} still has {written[c]} on disk"
-                    )
-                inputs += tree.weights[c]
+                    raise fail(i, kind, v, f"child {c} still has {written[c]} on disk")
+                inputs += weights[c]
                 resident_total -= resident[c]
                 resident[c] = 0
-            wbar = max(tree.weights[v], inputs)
-            check_capacity(wbar + resident_total, where)
+            # the transient footprint bounds the fresh output (wbar >= w_v)
+            need = max(weights[v], inputs) + resident_total
             executed[v] = True
             schedule.append(v)
-            resident[v] = tree.weights[v]
-            resident_total += tree.weights[v]
-            check_capacity(resident_total, where)
-        elif ev.kind == "write":
-            v = ev.node
+            resident[v] = weights[v]
+            resident_total += weights[v]
+        elif kind == "write":
             if not executed[v]:
-                raise TraceError(f"{where}: output does not exist yet")
-            if ev.amount > resident[v]:
-                raise TraceError(
-                    f"{where}: writes {ev.amount} but only {resident[v]} resident"
+                raise fail(i, kind, v, "output does not exist yet")
+            if amount > resident[v]:
+                raise fail(
+                    i, kind, v, f"writes {amount} but only {resident[v]} resident"
                 )
-            resident[v] -= ev.amount
-            resident_total -= ev.amount
-            written[v] += ev.amount
-            io_volume += ev.amount
+            resident[v] -= amount
+            resident_total -= amount
+            written[v] += amount
+            io_volume += amount
+            need = resident_total
         else:  # read
-            v = ev.node
-            if ev.amount > written[v]:
-                raise TraceError(
-                    f"{where}: reads {ev.amount} but only {written[v]} on disk"
+            if amount > written[v]:
+                raise fail(
+                    i, kind, v, f"reads {amount} but only {written[v]} on disk"
                 )
-            p = tree.parents[v]
+            p = parents[v]
             if p == -1 or executed[p]:
-                raise TraceError(f"{where}: consumer already executed (or root)")
-            written[v] -= ev.amount
-            resident[v] += ev.amount
-            resident_total += ev.amount
-            check_capacity(resident_total, where)
+                raise fail(i, kind, v, "consumer already executed (or root)")
+            written[v] -= amount
+            resident[v] += amount
+            resident_total += amount
+            need = resident_total
+        if memory is not None and need > memory:
+            raise fail(i, kind, v, f"{need} > M={memory}")
+        needs.append(need)
+        cumulative_io.append(io_volume)
 
     if not all(executed):
         missing = [v for v in range(n) if not executed[v]]
         raise TraceError(f"tasks never executed: {missing[:10]}")
     return ReplayResult(
-        io_volume=io_volume, peak_memory=peak, schedule=tuple(schedule)
+        io_volume=io_volume,
+        peak_memory=max(needs, default=0),
+        schedule=tuple(schedule),
+        memory=tuple(needs),
+        cumulative_io=tuple(cumulative_io),
     )
+
+
+#: one char per event kind in a schedule trace's ``kinds`` string
+_KIND_CHARS = {"read": "r", "execute": "x", "write": "w"}
+
+
+def schedule_trace(
+    parents: Sequence[int],
+    weights: Sequence[int],
+    schedule: Sequence[int],
+    io: Sequence[int],
+) -> dict[str, Any]:
+    """The event-indexed memory/I/O curve of one solved traversal.
+
+    :func:`replay`'s per-event curves, formatted for a solve result, from
+    the solver's outputs (``schedule``, and ``io`` index-aligned with the
+    tree): no re-solve and no tree object.  Returns::
+
+        {"version": 1,
+         "nodes":         [node id per event],
+         "kinds":         "rxwrx..."   (r=read, x=execute, w=write),
+         "memory":        [memory need at each event],
+         "cumulative_io": [write volume after each event],
+         "peak_memory":   max(memory),
+         "io_volume":     cumulative_io[-1]}
+
+    ``peak_memory`` is :func:`replay`'s, which matches the solver's
+    reported peak bit for bit.
+    """
+    parents = list(map(int, parents))
+    weights = list(map(int, weights))
+    children: list[list[int]] = [[] for _ in parents]
+    for v, p in enumerate(parents):
+        if p >= 0:
+            children[p].append(v)
+    io = list(map(int, io))
+    events = list(_stream(children, weights, map(int, schedule), io))
+    result = _walk(parents, weights, children, events, None)
+    return {
+        "version": 1,
+        "nodes": [v for _, v, _ in events],
+        "kinds": "".join([_KIND_CHARS[kind] for kind, _, _ in events]),
+        "memory": list(result.memory),
+        "cumulative_io": list(result.cumulative_io),
+        "peak_memory": result.peak_memory,
+        "io_volume": result.io_volume,
+    }

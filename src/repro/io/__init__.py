@@ -10,8 +10,9 @@ which can be moved from main memory to secondary storage when needed"
   FIFO, random, pessimal);
 * :mod:`repro.io.pager`    — a pinned-frame paging simulator executing a
   schedule at page granularity;
-* :mod:`repro.io.device`   — a seek+bandwidth disk timing model for the
-  resulting access traces.
+* :mod:`repro.io.device`   — the seek+bandwidth disk timing model, the
+  package's only device model: it prices these access traces, and a
+  traversal's read/write events at one unit per page.
 
 The key consistency theorem (tested): with page size 1 and the Belady
 policy, the pager's write volume equals the node-level FiF simulator's

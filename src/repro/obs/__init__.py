@@ -1,6 +1,6 @@
 """``repro.obs`` — the observability layer: metrics, spans, traces.
 
-Three small, dependency-free pieces shared by every execution surface:
+The pieces shared by every execution surface:
 
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
   of counters, gauges and bounded histograms, rendered as the
@@ -8,11 +8,13 @@ Three small, dependency-free pieces shared by every execution surface:
 * :mod:`repro.obs.trace` — contextvar-propagated span tracing: a
   request-scoped stage-timing breakdown that crosses the wire and the
   worker-process boundary via an optional ``trace`` request field;
-* :mod:`repro.obs.schedtrace` — per-request schedule traces: the
+* :func:`repro.obs.schedule_trace` — per-request schedule traces: the
   memory hill-valley curve and cumulative I/O of a solved traversal,
-  computed from kernel outputs behind the ``trace_schedule`` flag.
+  behind the ``trace_schedule`` flag.  It is a view of
+  :func:`repro.core.trace.replay`'s walk, re-exported here.
 """
 
+from ..core.trace import schedule_trace
 from .metrics import (
     Counter,
     Gauge,
@@ -21,7 +23,6 @@ from .metrics import (
     REGISTRY,
     get_registry,
 )
-from .schedtrace import schedule_trace
 from .trace import (
     MAX_TRACE_ID,
     Trace,

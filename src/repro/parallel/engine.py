@@ -77,6 +77,9 @@ def simulate_parallel(
 ) -> ParallelReport:
     """Run the priority-list parallel execution.
 
+    With ``processors=1`` and ``priority_from_schedule(sigma)`` this is the
+    timed sequential executor: it runs exactly ``sigma`` with FiF's I/O.
+
     Parameters
     ----------
     priority:

@@ -531,7 +531,7 @@ class ServiceServer:
                 self._req_json.inc()
                 try:
                     obj = json.loads(body)
-                except ValueError:
+                except (ValueError, RecursionError):  # too deep is malformed too
                     raise ProtocolError(
                         "bad_json", "request body is not valid JSON"
                     ) from None

@@ -22,6 +22,7 @@ FAST_EXAMPLES = [
     "counterexamples.py",
     "solver_pipeline.py",
     "paging_policies.py",
+    "out_of_core_execution.py",
 ]
 
 

@@ -283,17 +283,41 @@ class TestRoundTrip:
         assert err.value.code == "unknown_algorithm"
         assert err.value.status == 400
 
-    def test_a_body_the_decoder_chokes_on_is_a_500_not_a_dropped_connection(
-        self, server
-    ):
-        _, client = server
+    def test_a_body_nested_past_the_recursion_limit_is_bad_json(self, server):
+        srv, client = server
         import http.client
 
-        # nested past json's recursion limit: RecursionError, not ValueError
+        errors = _count(srv, "requests_error_total")
+        # json raises RecursionError here, not ValueError
         body = b"[" * 100_000
         conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
         try:
             conn.request("POST", "/v1/submit", body=body)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert json.loads(response.read())["error"]["code"] == "bad_json"
+            conn.request("GET", "/healthz")  # the same keep-alive connection
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+        assert _count(srv, "requests_error_total") == errors + 1
+        assert client.metrics()["requests"]["errors"] == errors + 1
+
+    def test_a_body_the_decoder_chokes_on_is_a_500_not_a_dropped_connection(
+        self, server, monkeypatch
+    ):
+        _, client = server
+        import http.client
+
+        from repro.service import server as server_module
+
+        def broken(obj):
+            raise RuntimeError("decoder bug")
+
+        monkeypatch.setattr(server_module, "parse_request", broken)
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+        try:
+            conn.request("POST", "/v1/submit", body=json.dumps(_request()))
             response = conn.getresponse()
             assert response.status == 500
             assert json.loads(response.read())["error"]["code"] == "internal"

@@ -20,7 +20,9 @@ from repro.core.trace import (
     to_jsonl,
     traversal_trace,
 )
+from repro.core.traversal import Traversal
 from repro.core.tree import chain_tree
+from repro.datasets.instances import figure_2b
 from repro.experiments.registry import get_algorithm
 
 from .conftest import trees_with_memory
@@ -80,6 +82,16 @@ class TestReplayAgreement:
         traversal = _traversal(tree, 100)
         result = replay(tree, traversal_trace(tree, traversal))
         assert result.peak_memory >= max(tree.wbar)
+
+        # figure 2(b), solved at M = 6: chain after chain, spilling the
+        # left chain's top output (node 3, w=3) until the root reads it
+        tree = figure_2b().tree
+        traversal = Traversal(tuple(range(9)), (0, 0, 0, 3, 0, 0, 0, 0, 0))
+        result = replay(tree, traversal_trace(tree, traversal))
+        #      x0 x1 x2 x3 w3 x4 x5 x6 x7 r3 x8
+        assert result.memory == (6, 6, 5, 5, 0, 6, 6, 5, 5, 6, 6)
+        assert result.cumulative_io == (0, 0, 0, 0, 3, 3, 3, 3, 3, 3, 3)
+        assert result.peak_memory == 6
 
 
 class TestReplayCatchesViolations:
