@@ -15,7 +15,12 @@ I/O function, and for ``RecExpand``/``FullRecExpand`` the
 the while-loop caps 0, 1 and 4 on a subset, weights beyond int64, the paper's figure instances, and the
 ``InfeasibleSchedule`` / ``ExpansionLimitExceeded`` messages.  On the
 same subset it pins a digest of each strategy's schedule curve
-(:func:`repro.obs.schedule_trace`).
+(:func:`repro.obs.schedule_trace`) and of the traced FiF steps of its
+schedule, and every child-ordering key of
+:func:`~repro.algorithms.postorder.postorder_with_child_key`.  For every
+grid tree it pins both best postorders: ``PostOrderMinMem``'s schedule
+and per-subtree storage ``S_i``, and at each grid memory
+``PostOrderMinIO``'s storage and predicted ``V_root``.
 
 ``tests/test_golden_corpus.py`` recomputes :func:`compute_corpus` and
 compares it with the committed file, so a solver rewrite that changes
@@ -30,6 +35,7 @@ import hashlib
 import json
 import pathlib
 import sys
+from dataclasses import astuple
 from typing import Any
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -105,6 +111,21 @@ def _solve(tree, memory: int, strategy: str, **options) -> dict[str, Any]:
     }
 
 
+def _postorder_record(label: str, tree) -> dict[str, Any]:
+    from repro.algorithms.postorder import postorder_min_io, postorder_min_mem
+
+    minmem = postorder_min_mem(tree)
+    min_io = {}
+    for m in _memories(tree):
+        result = postorder_min_io(tree, m)
+        min_io[str(m)] = [_digest(result.storage), result.predicted_io]
+    return {
+        "label": label,
+        "min_mem": _digest(list(minmem.schedule) + list(minmem.storage)),
+        "min_io": min_io,
+    }
+
+
 def _grid_record(label: str, tree) -> dict[str, Any]:
     return {
         "label": label,
@@ -132,6 +153,7 @@ def _error(fn) -> str:
 def compute_corpus() -> dict[str, Any]:
     """Every golden record, recomputed with the code on ``sys.path``."""
     from repro.algorithms.liu import opt_min_mem
+    from repro.algorithms.postorder import CHILD_ORDER_KEYS, postorder_with_child_key
     from repro.algorithms.rec_expand import VICTIM_RULES, full_rec_expand
     from repro.core.simulator import _simulate_fif_object, simulate_fif
     from repro.datasets import instances as paper
@@ -165,8 +187,26 @@ def compute_corpus() -> dict[str, Any]:
                     **_solve(tree, memory, "FullRecExpand", iteration_cap=cap),
                 })
 
-    # each strategy's schedule curve at each subset tree's mid memory
+    postorders = [_postorder_record(label, tree) for label, tree in cases]
+
+    # every child-ordering key of the postorder ablation, at each subset
+    # tree's mid memory
+    child_keys = []
+    for label, tree in subset:
+        memory = _memories(tree)[len(_memories(tree)) // 2]
+        for key in sorted(CHILD_ORDER_KEYS):
+            result = postorder_with_child_key(tree, memory, key)
+            child_keys.append({
+                "label": label, "memory": memory, "key": key,
+                "schedule": _digest(result.schedule),
+                "storage": _digest(result.storage),
+                "predicted_io": result.predicted_io,
+            })
+
+    # each strategy's schedule curve, and the traced FiF steps of its
+    # schedule, at each subset tree's mid memory
     schedule_traces = []
+    fif_steps = []
     for label, tree in subset:
         memory = _memories(tree)[len(_memories(tree)) // 2]
         for strategy in STRATEGIES:
@@ -177,6 +217,13 @@ def compute_corpus() -> dict[str, Any]:
             schedule_traces.append({
                 "label": label, "memory": memory, "strategy": strategy,
                 "trace": hashlib.sha256(dumps(trace).encode()).hexdigest(),
+            })
+            steps = simulate_fif(tree, traversal.schedule, memory, trace=True).steps
+            fif_steps.append({
+                "label": label, "memory": memory, "strategy": strategy,
+                "steps": hashlib.sha256(
+                    repr([astuple(step) for step in steps]).encode()
+                ).hexdigest(),
             })
 
     huge = [
@@ -226,6 +273,9 @@ def compute_corpus() -> dict[str, Any]:
         "victims": victims,
         "caps": caps,
         "schedule_traces": schedule_traces,
+        "fif_steps": fif_steps,
+        "postorders": postorders,
+        "child_keys": child_keys,
         "huge": huge,
         "figures": figures,
         "errors": errors,

@@ -3,7 +3,8 @@
 The corpus was written by ``scripts/golden_corpus.py`` before the
 RecExpand family and the small-tree dispatch moved onto the list cores;
 every record (I/O volume, schedule and I/O digests, RecExpand counters,
-schedule-curve digests, error messages) must come out identical.
+schedule-curve and traced-FiF digests, both best postorders and every
+child-ordering key, error messages) must come out identical.
 Regenerate it only for an intended change of results.
 """
 
@@ -36,6 +37,7 @@ def corpora():
 
 @pytest.mark.parametrize("section", [
     "grid", "victims", "caps", "schedule_traces", "huge", "figures", "errors",
+    "postorders", "child_keys", "fif_steps",
 ])
 def test_section_matches_frozen_corpus(corpora, section):
     frozen, fresh = corpora
@@ -48,4 +50,4 @@ def test_section_matches_frozen_corpus(corpora, section):
 
 
 def test_corpus_stays_small():
-    assert (ROOT / "tests" / "golden" / "corpus.json").stat().st_size < 300_000
+    assert (ROOT / "tests" / "golden" / "corpus.json").stat().st_size < 350_000
