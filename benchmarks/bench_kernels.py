@@ -1,136 +1,135 @@
-"""Kernel benchmark: the list cores on flat arrays vs the object references.
+"""Kernel benchmark: the list cores on flat arrays, against a tree build.
 
 What must hold (the kernel layer's acceptance bar):
 
-* on a 10^5-node instance the list cores on an ``ArrayTree`` are
-  at least ``KERNEL_SPEEDUP_MIN`` times faster than the object
-  references over the gated suite (construction, both best postorders,
-  the FiF simulation) — with byte-identical results, asserted here on
-  every call;
+* on a 10^5-node instance, the summed time of the gated list cores on
+  an ``ArrayTree`` (both best postorders and the FiF simulation) is at
+  most ``KERNEL_CORE_RATIO_MAX`` times the time of building the
+  ``TaskTree`` of the same columns, timed in the same run — every
+  answer checked against the paper's invariants on the way;
 * a 10^6-node chain (depth 10^6) solves end-to-end on the list cores
   without recursion tricks, in seconds.
 
-The object references are the cross-validation oracles, called by name
-(``postorder._best_postorder``, ``simulator._simulate_fif_object``):
-per-node structures throughout.  Liu's solver has one scalar
-implementation (:func:`repro.core.kernels.liu_combine`) and no object
-twin, so ``opt_min_mem`` is timed on the list core alone and reported
-below the gated TOTAL; its peak is checked against the rope-free
-:func:`~repro.core.kernels.liu_peak_core` and against the FiF peak of
-its own schedule.
+The ``TaskTree`` build is plain per-node Python of a stable size, so
+the ratio cancels the speed of the machine and flags a slowdown of the
+cores.  Rows run in interleaved rounds (every row once per round, the
+garbage collector off while a row runs), and the gate reads the median
+over rounds of each round's ratio, so a slow phase of a shared host
+hits both sides of it.  ``opt_min_mem`` (Liu's
+solver) and the ``ArrayTree`` build are reported, not gated.
 
 Writes ``benchmarks/out/kernel_speedup.txt`` with the per-kernel
-trajectory so EXPERIMENTS.md can quote it.
+medians so EXPERIMENTS.md can quote them.
 """
 
 from __future__ import annotations
 
+import gc
 import os
+import statistics
 import time
 
 from repro.algorithms.liu import min_peak_memory, opt_min_mem
-from repro.algorithms.postorder import (
-    _best_postorder,
-    postorder_min_io,
-    postorder_min_mem,
-)
+from repro.algorithms.postorder import postorder_min_io, postorder_min_mem
 from repro.core.arraytree import ArrayTree
-from repro.core.simulator import (
-    _simulate_fif_object,
-    schedule_peak_memory,
-    simulate_fif,
-)
+from repro.core.simulator import schedule_peak_memory, simulate_fif
+from repro.core.traversal import is_postorder
 from repro.core.tree import TaskTree
 from repro.datasets.synth import huge_instance, synth_instance
 
 N_HEADLINE = 100_000
 N_SMALL = 10_000
-#: the local acceptance bar: summed object-reference time over summed
-#: list-core time of the gated rows (build, both best postorders, FiF)
-#: at n = 10^5; ``opt_min_mem`` has no object twin and is not gated.
-#: Eight runs on a 2-vCPU container read 1.91-2.84x (median 2.47x), so
-#: 1.75 passes every one of them.  Shared CI runners time noisily, so
-#: the CI job lowers the *gate* via KERNEL_SPEEDUP_MIN while still
-#: publishing the measured trajectory as an artifact.
-MIN_SUITE_SPEEDUP = float(os.environ.get("KERNEL_SPEEDUP_MIN", "1.75"))
+#: rounds per run; every row is timed once per round
+ROUNDS = 7
+#: the gated rows, summed and divided by the TaskTree build
+GATED = ("postorder_min_mem", "postorder_min_io", "simulate_fif")
+#: the local acceptance bar on that ratio at n = 10^5.  Ten runs at the
+#: parent of this gate on a 2-vCPU container read 2.39-3.31 (median
+#: 2.74).  In the same runs the old gate (object references over list
+#: cores >= 1.75) flagged any core slowdown that would lift this ratio
+#: above 3.54-4.14, so 3.5 passes every run and flags at least what
+#: 1.75 flagged.  Shared CI runners time noisily, so the CI job raises
+#: the *bar* via KERNEL_CORE_RATIO_MAX while still publishing the
+#: medians as an artifact.
+MAX_CORE_RATIO = float(os.environ.get("KERNEL_CORE_RATIO_MAX", "3.5"))
 
 
-def _best_of(f, repeats=5):
-    best, result = float("inf"), None
-    for _ in range(repeats):
+def _timed(run) -> float:
+    """One call's seconds, with the collector run before and off during
+    it (as ``timeit`` does), so no row pays for another's garbage."""
+    gc.collect()
+    gc.disable()
+    try:
         t0 = time.perf_counter()
-        result = f()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+        run()
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
 
 
 def _suite(n: int, seed: int = 1):
-    """Time every kernel on both paths; assert exact result equality.
+    """Time every row in interleaved rounds; check every answer.
 
-    Returns the gated ``(name, object, array)`` rows and the list-core
-    time of ``opt_min_mem``.
+    Returns the per-row medians and the median over rounds of the
+    gated cores' summed time over the ``TaskTree`` build's.
     """
     base = synth_instance(n, seed=seed)
     parents, weights = list(base.parents), list(base.weights)
-    rows = []
+    arr = ArrayTree(parents, weights)
+    minmem = postorder_min_mem(arr)
+    lb = arr.min_feasible_memory()
+    memory = max(lb, (lb + minmem.peak_memory) // 2)
+    min_io = postorder_min_io(arr, memory)
 
-    t_obj, obj = _best_of(lambda: TaskTree(parents, weights))
-    t_arr, arr = _best_of(lambda: ArrayTree(parents, weights))
-    rows.append(("build", t_obj, t_arr))
-
-    t_obj, mm_obj = _best_of(lambda: _best_postorder(obj, None))
-    t_arr, mm_arr = _best_of(lambda: postorder_min_mem(arr))
-    assert mm_obj == mm_arr
-    rows.append(("postorder_min_mem", t_obj, t_arr))
-
-    lb = obj.min_feasible_memory()
-    memory = max(lb, (lb + mm_obj.peak_memory) // 2)
-    t_obj, io_obj = _best_of(lambda: _best_postorder(obj, memory))
-    t_arr, io_arr = _best_of(lambda: postorder_min_io(arr, memory))
-    assert io_obj == io_arr
-    rows.append(("postorder_min_io", t_obj, t_arr))
-
-    t_liu, (liu_schedule, liu_peak) = _best_of(lambda: opt_min_mem(arr))
-    assert liu_peak == min_peak_memory(obj) <= mm_obj.peak_memory
+    assert is_postorder(arr, minmem.schedule) and is_postorder(arr, min_io.schedule)
+    assert schedule_peak_memory(arr, minmem.schedule) == minmem.peak_memory
+    assert simulate_fif(arr, min_io.schedule, memory).io_volume == min_io.predicted_io
+    liu_schedule, liu_peak = opt_min_mem(arr)
+    assert liu_peak == min_peak_memory(arr) <= minmem.peak_memory
     assert schedule_peak_memory(arr, liu_schedule) == liu_peak
 
-    t_obj, f_obj = _best_of(
-        lambda: _simulate_fif_object(obj, io_obj.schedule, memory, False)
-    )
-    t_arr, f_arr = _best_of(lambda: simulate_fif(arr, io_arr.schedule, memory))
-    assert dict(f_obj.io) == dict(f_arr.io)
-    assert f_obj.io_volume == f_arr.io_volume
-    assert io_obj.predicted_io == f_arr.io_volume
-    rows.append(("simulate_fif", t_obj, t_arr))
-    return rows, t_liu
+    rows = {
+        "TaskTree build": lambda: TaskTree(parents, weights),
+        "ArrayTree build": lambda: ArrayTree(parents, weights),
+        "postorder_min_mem": lambda: postorder_min_mem(arr),
+        "postorder_min_io": lambda: postorder_min_io(arr, memory),
+        "simulate_fif": lambda: simulate_fif(arr, min_io.schedule, memory),
+        "opt_min_mem": lambda: opt_min_mem(arr),
+    }
+    times: dict[str, list[float]] = {name: [] for name in rows}
+    for _ in range(ROUNDS):
+        for name, run in rows.items():
+            times[name].append(_timed(run))
+    ratios = [
+        sum(times[name][r] for name in GATED) / times["TaskTree build"][r]
+        for r in range(ROUNDS)
+    ]
+    medians = {name: statistics.median(ts) for name, ts in times.items()}
+    return medians, statistics.median(ratios)
 
 
-def _render(n, rows, t_liu):
-    lines = [f"n = {n} (uniform random binary tree, weights in [1, 100])"]
-    lines.append(f"{'kernel':<20} {'object':>9} {'array':>9} {'speedup':>8}")
-    tot_obj = tot_arr = 0.0
-    for name, t_obj, t_arr in rows:
-        tot_obj += t_obj
-        tot_arr += t_arr
-        lines.append(f"{name:<20} {t_obj:>8.3f}s {t_arr:>8.3f}s {t_obj/t_arr:>7.2f}x")
-    lines.append(
-        f"{'TOTAL':<20} {tot_obj:>8.3f}s {tot_arr:>8.3f}s "
-        f"{tot_obj/tot_arr:>7.2f}x"
-    )
-    lines.append(
-        f"{'opt_min_mem':<20} {'-':>9} {t_liu:>8.3f}s  (list core only, not in TOTAL)"
-    )
-    return "\n".join(lines), tot_obj / tot_arr
+def _render(n, medians, ratio):
+    build = medians["TaskTree build"]
+    lines = [
+        f"n = {n} (uniform random binary tree, weights in [1, 100]), "
+        f"median of {ROUNDS} interleaved rounds"
+    ]
+    lines.append(f"{'row':<20} {'median':>9} {'/ build':>8}")
+    for name, seconds in medians.items():
+        mark = "  (gated)" if name in GATED else ""
+        lines.append(f"{name:<20} {seconds:>8.3f}s {seconds / build:>7.2f}x{mark}")
+    lines.append(f"{'gated cores / build':<20} {'':>9} {ratio:>7.2f}x  (median over rounds)")
+    return "\n".join(lines)
 
 
-def test_kernel_speedup_trajectory(emit):
+def test_kernel_core_ratio(emit):
     report = []
-    speedup_headline = None
+    headline = None
     for n in (N_SMALL, N_HEADLINE):
-        text, speedup = _render(n, *_suite(n))
-        report.append(text)
+        medians, ratio = _suite(n)
+        report.append(_render(n, medians, ratio))
         if n == N_HEADLINE:
-            speedup_headline = speedup
+            headline = ratio
 
     # Million-node chain: the shape no recursive/object pipeline survives.
     t0 = time.perf_counter()
@@ -147,8 +146,8 @@ def test_kernel_speedup_trajectory(emit):
     )
 
     emit("kernel_speedup", "\n\n".join(report))
-    assert speedup_headline is not None and speedup_headline >= MIN_SUITE_SPEEDUP, (
-        f"list cores only {speedup_headline:.2f}x over the kernel suite at "
-        f"n={N_HEADLINE}; the bar is {MIN_SUITE_SPEEDUP}x"
+    assert headline is not None and headline <= MAX_CORE_RATIO, (
+        f"the gated list cores took {headline:.2f}x the TaskTree build at "
+        f"n={N_HEADLINE}; the bar is {MAX_CORE_RATIO}x"
     )
     assert chain_seconds < 120.0
