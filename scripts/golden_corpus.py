@@ -155,7 +155,7 @@ def compute_corpus() -> dict[str, Any]:
     from repro.algorithms.liu import opt_min_mem
     from repro.algorithms.postorder import CHILD_ORDER_KEYS, postorder_with_child_key
     from repro.algorithms.rec_expand import VICTIM_RULES, full_rec_expand
-    from repro.core.simulator import _simulate_fif_object, simulate_fif
+    from repro.core.simulator import simulate_fif
     from repro.datasets import instances as paper
     from repro.obs import schedule_trace
 
@@ -258,8 +258,9 @@ def compute_corpus() -> dict[str, Any]:
         errors[label + "/fif"] = _error(
             lambda: simulate_fif(tree, schedule, lb - 1)
         )
+        # the traced run (its key dates from the object loop it used to take)
         errors[label + "/fif-object"] = _error(
-            lambda: _simulate_fif_object(tree, schedule, lb - 1, False)
+            lambda: simulate_fif(tree, schedule, lb - 1, trace=True)
         )
         errors[label + "/below-lb"] = _error(
             lambda: full_rec_expand(tree, lb - 1)

@@ -35,16 +35,20 @@ Segments carry the executed nodes as a *rope* (nested pairs, flattened on
 demand by :func:`repro.core.kernels.flatten_rope`) so that schedule
 extraction stays linear even on deep chains.
 
-The algebra lives once, in scalar code:
+The algebra lives once in scalar code (and once vectorised, in
+:mod:`repro.core.forest_kernels`):
 :func:`repro.core.kernels.liu_combine` solves one node from its
 children's ``(hill, valley, rope)`` tuples, and
 :func:`~repro.core.kernels.liu_fill` drives it bottom-up over CSR lists.
-:func:`opt_min_mem` and :func:`min_peak_memory` run those cores on the
-tree's ``core_lists()`` — every whole-tree solve, including the exact
-solver's and the Theorem 2 schedule recovery's — and the RecExpand
-heuristics drive ``liu_fill`` directly over the lists of an
+:func:`opt_min_mem` runs those cores on the tree's ``core_lists()`` —
+every whole-tree solve, including the exact solver's and the Theorem 2
+schedule recovery's — and the RecExpand heuristics drive ``liu_fill``
+directly over the lists of an
 :class:`~repro.core.expansion.ExpansionTree`, re-solving only the path
-above each expansion.
+above each expansion.  :func:`min_peak_memory` runs the rope-free
+:func:`~repro.core.kernels.liu_peak_core`, faster on large trees.
+``repro.core.kernels.liu_schedule`` and ``liu_peak`` are aliases of
+these two until 3.0.
 """
 
 from __future__ import annotations
@@ -63,7 +67,11 @@ def opt_min_mem(tree: TaskTree) -> tuple[list[int], int]:
     :class:`~repro.core.arraytree.ArrayTree` or an
     :class:`~repro.core.expansion.ExpansionTree`.
     """
-    return kernels.liu_schedule(tree)
+    segs = kernels.liu_segments(tree)
+    schedule: list[int] = []
+    for _hill, _valley, nodes in segs:
+        kernels.flatten_rope(nodes, schedule)
+    return schedule, segs[0][0]
 
 
 def min_peak_memory(tree: TaskTree) -> int:
@@ -71,4 +79,7 @@ def min_peak_memory(tree: TaskTree) -> int:
 
     Takes the same trees as :func:`opt_min_mem`.
     """
-    return kernels.liu_peak(tree)
+    lists = tree.core_lists()
+    return kernels.liu_peak_core(
+        len(lists.weights), lists.weights, lists.start, lists.cindex, lists.topo
+    )

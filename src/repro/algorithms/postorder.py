@@ -21,8 +21,12 @@ Two classic algorithms, both running in ``O(n log n)``:
   sorting pairs ``(x_j, y_j)`` by decreasing ``x_j - y_j`` minimises
   ``max_j (x_j + sum_{k<j} y_k)``.
 
-The predicted ``V_root`` must coincide with the FiF simulator's measure of
-the produced schedule — an invariant exercised by the test suite.
+Both run on one list core, :func:`repro.core.kernels.best_postorder`;
+:func:`postorder_with_child_key` passes it a different child rank.  The
+predicted ``V_root`` must coincide with the FiF simulator's measure of
+the produced schedule — an invariant the tests check on every
+cross-validation tree, next to enumeration of all postorders on small
+trees (Theorem 3) and the frozen golden corpus on large ones.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "postorder_min_io",
     "postorder_with_child_key",
     "CHILD_ORDER_KEYS",
-    "postorder_schedule_with_orders",
 ]
 
 
@@ -55,81 +58,22 @@ class PostorderResult:
     predicted_io: int
 
 
-def postorder_schedule_with_orders(
-    tree: TaskTree, child_order: list[list[int]]
-) -> list[int]:
-    """Emit the postorder defined by per-node children visit orders."""
-    return tree.postorder(lambda v: child_order[v])
-
-
 #: child-ordering keys for the ablation benchmarks.  Each maps
-#: (storage S_c, weight w_c, memory M) -> sort key; children are visited by
-#: *decreasing* key.  ``None`` means "keep the input order".
-CHILD_ORDER_KEYS = {
+#: (storage S_c, weight w_c, memory M) -> rank; children are visited by
+#: *decreasing* rank, ties in ascending id order.
+CHILD_ORDER_KEYS: dict[str, kernels.Rank] = {
     "A-w": lambda s, w, m: min(m, s) - w,  # the paper's PostOrderMinIO key
     "S-w": lambda s, w, m: s - w,  # Liu's MinMem key
     "A": lambda s, w, m: min(m, s),  # ignore the residue
     "-w": lambda s, w, m: -w,  # lightest residue first
-    "input-order": None,
+    "input-order": lambda s, w, m: 0,  # a constant rank keeps ascending ids
 }
 
 
-def _best_postorder(
-    tree: TaskTree, memory: int | None, key_fn=None
+def _core_result(
+    tree, memory: int | None, rank: kernels.Rank | None = None
 ) -> PostorderResult:
-    """The object reference: ``memory=None`` → MinMem keys, otherwise MinIO keys.
-
-    The tests compare the list core against it, and it is the path of
-    :func:`postorder_with_child_key`.
-
-    ``key_fn`` overrides the child-ordering key (ablations); the ``S_i``
-    and ``V_i`` recursions stay valid for *any* postorder, only the
-    optimality of the result depends on the key.
-    """
-    n = tree.n
-    weights = tree.weights
-    storage = [0] * n  # S_i
-    vio = [0] * n  # V_i (only meaningful when memory is not None)
-    child_order: list[list[int]] = [[] for _ in range(n)]
-
-    for v in tree.bottom_up():
-        kids = tree.children[v]
-        if not kids:
-            storage[v] = weights[v]
-            continue
-
-        if key_fn is not None:
-            key = lambda c: key_fn(storage[c], weights[c], memory)
-        elif memory is None:
-            key = lambda c: storage[c] - weights[c]
-        else:
-            key = lambda c: min(memory, storage[c]) - weights[c]
-        ordered = sorted(kids, key=lambda c: (-key(c), c))
-        child_order[v] = ordered
-
-        peak = weights[v]
-        worst_active = 0  # max_j (A_j + sum_{k<j} w_k)
-        prefix = 0
-        for c in ordered:
-            peak = max(peak, storage[c] + prefix)
-            if memory is not None:
-                worst_active = max(worst_active, min(memory, storage[c]) + prefix)
-            prefix += weights[c]
-        storage[v] = peak
-        if memory is not None:
-            vio[v] = max(0, worst_active - memory) + sum(vio[c] for c in kids)
-
-    schedule = postorder_schedule_with_orders(tree, child_order)
-    return PostorderResult(
-        schedule=tuple(schedule),
-        storage=tuple(storage),
-        peak_memory=storage[tree.root],
-        predicted_io=vio[tree.root],
-    )
-
-
-def _core_result(tree, memory: int | None) -> PostorderResult:
-    schedule, storage, vio = kernels.best_postorder(tree, memory)
+    schedule, storage, vio = kernels.best_postorder(tree, memory, rank)
     return PostorderResult(
         schedule=tuple(schedule),
         storage=tuple(storage),
@@ -143,7 +87,6 @@ def postorder_min_mem(tree: TaskTree) -> PostorderResult:
 
     Runs the list core, so ``tree`` must have ``core_lists()`` (a
     :class:`TaskTree` or an :class:`~repro.core.arraytree.ArrayTree`).
-    :func:`_best_postorder` is the object reference it is tested against.
     """
     return _core_result(tree, None)
 
@@ -168,13 +111,13 @@ def postorder_with_child_key(
 
     With ``key="A-w"`` this *is* ``POSTORDERMINIO``; the other keys exist
     to quantify how much Theorem 3's ordering matters (ablation benches).
+    Runs the list core with the key as its child rank; ``S_i`` and
+    ``predicted_io`` are exact for whatever postorder the key yields.
     """
     try:
-        key_fn = CHILD_ORDER_KEYS[key]
+        rank = CHILD_ORDER_KEYS[key]
     except KeyError:
         raise KeyError(
             f"unknown child order key {key!r}; available: {sorted(CHILD_ORDER_KEYS)}"
         ) from None
-    if key_fn is None:
-        key_fn = lambda s, w, m: 0  # stable sort keeps input order
-    return _best_postorder(tree, memory, key_fn)
+    return _core_result(tree, memory, rank)

@@ -141,47 +141,62 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_paging(args: argparse.Namespace) -> int:
-    from .io import HDD, estimate_time, paged_io
-
-    tree = _load_tree(args.tree)
-    schedule = get_algorithm(args.algorithm)(tree, args.memory).schedule
+def _print_paging(result: Mapping[str, Any]) -> None:
+    """Shared by ``paging`` (offline) and ``submit --kind paging``."""
     print(
-        f"schedule from {args.algorithm}; memory {args.memory}, "
-        f"page size {args.page_size}"
+        f"schedule from {result['algorithm']}; memory {result['memory']}, "
+        f"page size {result['page_size']}"
     )
     print(f"{'policy':<10} {'writes':>8} {'reads':>8} {'units':>8} {'est. time':>10}")
-    for policy in args.policy or ("belady", "lru", "random", "pessimal"):
-        res = paged_io(
-            tree,
-            schedule,
-            args.memory,
-            page_size=args.page_size,
-            policy=policy,
-            seed=args.seed,
-            trace=True,
-        )
-        t = estimate_time(res.events, HDD)
+    for row in result["policies"]:
         print(
-            f"{policy:<10} {res.write_pages:>8} {res.read_pages:>8} "
-            f"{res.write_units:>8} {t.seconds:>9.3f}s"
+            f"{row['policy']:<10} {row['write_pages']:>8} {row['read_pages']:>8} "
+            f"{row['write_units']:>8} {row['est_seconds']:>9.3f}s"
         )
+
+
+def _print_exact(result: Mapping[str, Any]) -> None:
+    """Shared by ``exact`` (offline) and ``submit --kind exact``; rows in
+    the paper's order (a served envelope's keys come back sorted)."""
+    from .experiments.registry import PAPER_ALGORITHMS
+
+    print(f"exact optimum : {result['certificate']}")
+    for name in PAPER_ALGORITHMS:
+        row = result["gaps"][name]
+        print(f"  {name:<16} io = {row['io_volume']:6d}   gap = {row['gap']:7.2%}")
+
+
+def _cmd_paging(args: argparse.Namespace) -> int:
+    from .api import LocalBackend, PagingRequest
+    from .api.requests import DEFAULT_PAGING_POLICIES
+
+    # built directly, not parsed, for the reason given in _cmd_solve
+    tree = _load_tree(args.tree)
+    request = PagingRequest(
+        parents=tree.parents,
+        weights=tree.weights,
+        memory=args.memory,
+        algorithm=args.algorithm,
+        page_size=args.page_size,
+        policies=tuple(args.policy or DEFAULT_PAGING_POLICIES),
+        seed=args.seed,
+    )
+    _print_paging(LocalBackend().submit(request).raise_for_error().result)
     return 0
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    from .algorithms.exact import exact_min_io
-    from .experiments.registry import PAPER_ALGORITHMS
+    from .api import ExactRequest, LocalBackend
 
     tree = _load_tree(args.tree)
-    result = exact_min_io(
-        tree, args.memory, max_states=args.max_states, node_limit=args.node_limit
+    request = ExactRequest(
+        parents=tree.parents,
+        weights=tree.weights,
+        memory=args.memory,
+        max_states=args.max_states,
+        node_limit=args.node_limit,
     )
-    print(f"exact optimum : {result.certificate()}")
-    for name in PAPER_ALGORITHMS:
-        io = get_algorithm(name)(tree, args.memory).io_volume
-        gap = (args.memory + io) / (args.memory + result.io_volume) - 1.0
-        print(f"  {name:<16} io = {io:6d}   gap = {gap:7.2%}")
+    _print_exact(LocalBackend().submit(request).raise_for_error().result)
     return 0
 
 
@@ -318,9 +333,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"dashboard on http://{config.host}:{config.port}/dash", flush=True
         )
     try:
-        server.run()
+        server.run()  # returns on SIGTERM
     except KeyboardInterrupt:
-        print("\nshutting down")
+        print()
+    print("shutting down")
     return 0
 
 
@@ -412,20 +428,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             )
             print(f"stage timings : {stages}")
     elif args.kind == "paging":
-        print(
-            f"schedule from {result['algorithm']}; memory {result['memory']}, "
-            f"page size {result['page_size']}"
-        )
-        print(f"{'policy':<10} {'writes':>8} {'reads':>8} {'units':>8} {'est. time':>10}")
-        for row in result["policies"]:
-            print(
-                f"{row['policy']:<10} {row['write_pages']:>8} {row['read_pages']:>8} "
-                f"{row['write_units']:>8} {row['est_seconds']:>9.3f}s"
-            )
+        _print_paging(result)
     else:  # exact
-        print(f"exact optimum : {result['certificate']}")
-        for name, row in result["gaps"].items():
-            print(f"  {name:<16} io = {row['io_volume']:6d}   gap = {row['gap']:7.2%}")
+        _print_exact(result)
     if outcome.cached:
         print("(served from result cache)", file=sys.stderr)
     return 0

@@ -48,26 +48,6 @@ class Role(IntEnum):
     READBACK = 2  # the output restored to full size before the parent runs
 
 
-class _ChildrenView:
-    """Read-only per-node children over CSR lists: ``view[v]`` is a new list."""
-
-    __slots__ = ("_start", "_cindex")
-
-    def __init__(self, start: list[int], cindex: list[int]):
-        self._start = start
-        self._cindex = cindex
-
-    def __len__(self) -> int:
-        return len(self._start) - 1
-
-    def __getitem__(self, v: int) -> list[int]:
-        start = self._start
-        return self._cindex[start[v] : start[v + 1]]
-
-    def __iter__(self):
-        return (self[v] for v in range(len(self)))
-
-
 class ExpansionTree:
     """A mutable task tree supporting repeated node expansions.
 
@@ -76,8 +56,7 @@ class ExpansionTree:
     lists, kept current with every expansion, so the tree is its own
     :meth:`core_lists` view: children are stored once, as the CSR lists
     ``start``/``cindex``, next to ``weights``, ``parents`` and ``wbar``;
-    ``topo`` is built on first use after each splice.  ``children`` is a
-    read-only per-node view over the CSR lists for the traced FiF loop.
+    ``topo`` is built on first use after each splice.
     """
 
     def __init__(self, tree: TaskTree):
@@ -88,7 +67,6 @@ class ExpansionTree:
         self.weights: list[int] = list(lists.weights)
         self.start: list[int] = list(lists.start)
         self.cindex: list[int] = list(lists.cindex)
-        self.children = _ChildrenView(self.start, self.cindex)
         self.wbar: list[int] = list(lists.wbar)
         self.root: int = tree.root
         self._topo: list[int] | None = None

@@ -2,10 +2,9 @@
 
 Each kernel runs across every member of a forest at once.  Two kinds of
 implementation back it, and both are byte-identical to the per-tree
-kernels (``kernels.best_postorder`` / ``liu_peak`` / ``liu_schedule`` /
-``simulate_fif``) on the member trees, enforced by the forest property
-tests (``tests/test_forest.py``) on top of the engine cross-validation
-harness:
+entry points (``kernels.best_postorder`` / ``min_peak_memory`` /
+``opt_min_mem`` / ``kernels.simulate_fif``) on the member trees,
+enforced by the forest property tests (``tests/test_forest.py``):
 
 * the **list cores** of :mod:`repro.core.kernels`, run over slices of
   the forest's concatenated columns (converted to lists once, cached on

@@ -7,53 +7,54 @@ CSR layout of :class:`~repro.core.tree.CoreLists` — which
 :class:`~repro.core.expansion.ExpansionTree` (its own lists) provide:
 
 * :func:`best_postorder` — the shared engine of ``POSTORDERMINMEM`` /
-  ``POSTORDERMINIO`` (Liu 1986 / Agullo 2008, Algorithm 1 of the paper);
-* :func:`liu_segments` / :func:`liu_schedule` / :func:`liu_peak` —
-  Liu's hill–valley segment solver (``OPTMINMEM``), whose one combine
-  step :func:`liu_combine` is driven bottom-up by :func:`liu_fill`;
+  ``POSTORDERMINIO`` (Liu 1986 / Agullo 2008, Algorithm 1 of the paper),
+  also run with the child ranks of the ordering ablation;
+* :func:`liu_segments` / :func:`liu_peak_core` — Liu's hill–valley
+  segment solver (``OPTMINMEM``), whose one combine step
+  :func:`liu_combine` is driven bottom-up by :func:`liu_fill`, and its
+  rope-free peak-only pass;
 * :func:`simulate_fif` — the Furthest-in-the-Future eviction simulator
-  (Theorem 1);
+  (Theorem 1), traced on request;
 * :func:`structure_stats` — one-pass shape statistics.
 
-These cores are the one execution path of every tree with
-``core_lists()``; there is no engine switch.  The postorder and FiF
-cores are **exactly equivalent** to their object references
-(``_best_postorder``, ``_simulate_fif_object``: same schedules, same
-``S_i``/``V_i``, same I/O function, same tie-breaking) — an invariant
-enforced by the randomized cross-validation harness in
-``tests/test_kernel_crossval.py``.  Liu's solver exists only here; the
-harness checks its peak against the rope-free :func:`liu_peak_core`
-and the FiF peak of its schedule, and the golden corpus pins its
-answers.  The
-difference is purely mechanical: no recursion anywhere (explicit int
-stacks, so 10^6-node and 10^6-deep trees are fine), no per-node object
-or closure allocation, plain-list scratch buffers, and child orderings
-realised by sorting slices of one flat buffer.
+Each is the one scalar implementation of its algorithm, run by every
+tree with ``core_lists()``; the vectorised twins of
+:mod:`repro.core.forest_kernels` are the only other copy.  The tests
+check the cores against what the paper proves (enumeration and the
+exact solver on small trees, the invariants of
+``tests/test_kernel_crossval.py`` on 200 random trees, the page-level
+Belady pager for FiF's volume) and against the frozen golden corpus.
+No recursion anywhere (explicit int stacks, so 10^6-node and
+10^6-deep trees are fine), no per-node object or closure allocation,
+and child orderings realised by sorting slices of one flat buffer.
 
 The modules under :mod:`repro.algorithms` wrap these cores behind the
 public APIs; use those entry points unless you need the raw tuples.
-
 Every algorithm is split into a ``*_core`` function operating on plain
 Python lists (node ids local to one tree) and a thin wrapper taking any
-tree with ``core_lists()``.  The cores are the single implementation
-shared with the forest layer (:mod:`repro.core.forest_kernels`), which
-slices the same lists out of concatenated many-tree buffers, and with
-the RecExpand heuristics, which run them on the growing lists of an
-:class:`~repro.core.expansion.ExpansionTree` — one implementation, so
-the per-tree, batched and incremental paths can never diverge.  For
-RecExpand, :func:`liu_fill` keeps the children's segments
-(``keep=True``, so a path can be re-solved above unchanged subtrees)
-and pauses at every node whose subtree peak exceeds the memory
-(``limit=M``, resumed through the same order iterator).
+tree with ``core_lists()``.  The forest layer slices the same lists out
+of concatenated many-tree buffers, and the RecExpand heuristics run the
+cores on the growing lists of an
+:class:`~repro.core.expansion.ExpansionTree`: for them, :func:`liu_fill`
+keeps the children's segments (``keep=True``, so a path can be
+re-solved above unchanged subtrees) and pauses at every node whose
+subtree peak exceeds the memory (``limit=M``, resumed through the same
+order iterator).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .arraytree import ArrayTree
+
+#: a child rank ``rank(S_j, w_j, M)`` for :func:`best_postorder`
+Rank = Callable[[int, int, int], int]
+#: one traced FiF step: ``(node, need_before, resident_after,
+#: evictions, reads)``, see :func:`simulate_fif_core`
+Step = tuple[int, int, int, tuple[tuple[int, int], ...], int]
 
 __all__ = [
     "best_postorder",
@@ -65,8 +66,6 @@ __all__ = [
     "liu_segments",
     "liu_fill",
     "liu_segments_core",
-    "liu_schedule",
-    "liu_peak",
     "liu_peak_core",
     "simulate_fif",
     "simulate_fif_core",
@@ -77,15 +76,19 @@ __all__ = [
 # best postorder (POSTORDERMINMEM / POSTORDERMINIO)
 # ----------------------------------------------------------------------
 def best_postorder(
-    tree, memory: int | None
+    tree, memory: int | None, rank: Rank | None = None
 ) -> tuple[list[int], list[int], list[int]]:
     """The optimal postorder under Liu's rearrangement lemma (Theorem 3).
 
     ``memory=None`` ranks children by ``S_j - w_j`` (MinMem),
-    otherwise by ``min(M, S_j) - w_j`` (MinIO).  Returns
+    otherwise by ``min(M, S_j) - w_j`` (MinIO).  Children are visited
+    by decreasing rank, ties in ascending id order.  Returns
     ``(schedule, storage, vio)`` with ``storage[v] = S_v`` and
-    ``vio[v] = V_v`` (all zeros in MinMem mode) — the exact quantities
-    of the object reference ``_best_postorder``.
+    ``vio[v] = V_v`` (all zeros in MinMem mode).
+
+    ``rank(S_j, w_j, M)`` replaces the MinIO rank (``memory`` must be
+    given).  The ``S_v`` and ``V_v`` recursions hold for any postorder;
+    only the optimality of the result depends on the rank.
     """
     lists = tree.core_lists()
     return best_postorder_core(
@@ -95,6 +98,7 @@ def best_postorder(
         list(lists.cindex),
         lists.topo,
         memory,
+        rank,
     )
 
 
@@ -105,6 +109,7 @@ def best_postorder_core(
     ordered: list[int],
     topo: Sequence[int],
     memory: int | None,
+    rank: Rank | None = None,
 ) -> tuple[list[int], list[int], list[int]]:
     """List-based engine of :func:`best_postorder` (local node ids).
 
@@ -117,6 +122,7 @@ def best_postorder_core(
     size = [1] * n  # subtree sizes, reused by the position-assignment pass
     key_get = key.__getitem__
     minmem = memory is None
+    ranked = rank is not None
 
     for v in reversed(topo):
         s = start[v]
@@ -125,7 +131,10 @@ def best_postorder_core(
         if s == e:
             storage[v] = w_v
             if not minmem:
-                key[v] = (w_v if w_v < memory else memory) - w_v
+                key[v] = (
+                    rank(w_v, w_v, memory) if ranked
+                    else (w_v if w_v < memory else memory) - w_v
+                )
             continue
         if e - s == 1:
             # Single child: no ordering decision, no loop.
@@ -140,13 +149,16 @@ def best_postorder_core(
                 # min(M, S_c) never exceeds M, so the child contributes
                 # no new I/O at v: V_v = V_c.
                 vio[v] = vio[c]
-                key[v] = (peak if peak < memory else memory) - w_v
+                key[v] = (
+                    rank(peak, w_v, memory) if ranked
+                    else (peak if peak < memory else memory) - w_v
+                )
             continue
         if e - s == 2:
             a = ordered[s]
             b = ordered[s + 1]
-            # A strict improvement swaps; a tie keeps ascending ids —
-            # the same (-key, id) order the object reference sorts by.
+            # A strict improvement swaps; a tie keeps ascending ids,
+            # like the stable sort below.
             if key[b] > key[a]:
                 ordered[s] = b
                 ordered[s + 1] = a
@@ -170,11 +182,14 @@ def best_postorder_core(
                     worst = a_a
                 over = worst - memory
                 vio[v] = (over if over > 0 else 0) + vio[a] + vio[b]
-                key[v] = (peak if peak < memory else memory) - w_v
+                key[v] = (
+                    rank(peak, w_v, memory) if ranked
+                    else (peak if peak < memory else memory) - w_v
+                )
             continue
         kids = ordered[s:e]  # ascending ids == TaskTree construction order
         # Stable reverse sort == sorting by (-key, id): ties keep the
-        # ascending-id order, exactly the object reference's tie-break.
+        # ascending-id order.
         kids.sort(key=key_get, reverse=True)
         ordered[s:e] = kids
 
@@ -208,7 +223,10 @@ def best_postorder_core(
             storage[v] = peak
             over = worst - memory
             vio[v] = (over if over > 0 else 0) + vsum
-            key[v] = (peak if peak < memory else memory) - w_v
+            key[v] = (
+                rank(peak, w_v, memory) if ranked
+                else (peak if peak < memory else memory) - w_v
+            )
         size[v] = sz
 
     # Emit the postorder defined by the ordered child slices: one
@@ -468,21 +486,16 @@ def liu_combine(v: int, w_v: int, kids: list[list]) -> list:
     return out
 
 
-def liu_schedule(tree) -> tuple[list[int], int]:
-    """``OPTMINMEM``: an optimal-peak schedule and its peak memory."""
-    segs = liu_segments(tree)
-    schedule: list[int] = []
-    for _hill, _valley, nodes in segs:
-        flatten_rope(nodes, schedule)
-    return schedule, segs[0][0]
+#: aliases of the Liu entry points of :mod:`repro.algorithms.liu`, until 3.0
+_LIU_ALIASES = {"liu_schedule": "opt_min_mem", "liu_peak": "min_peak_memory"}
 
 
-def liu_peak(tree) -> int:
-    """Minimum peak memory only — the rope-free fast path of the solver."""
-    lists = tree.core_lists()
-    return liu_peak_core(
-        len(lists.weights), lists.weights, lists.start, lists.cindex, lists.topo
-    )
+def __getattr__(name: str):
+    if name in _LIU_ALIASES:  # lazily: repro.algorithms imports this module
+        from ..algorithms import liu
+
+        return getattr(liu, _LIU_ALIASES[name])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def liu_peak_core(
@@ -492,7 +505,9 @@ def liu_peak_core(
     cindex: Sequence[int],
     topo: Sequence[int],
 ) -> int:
-    """List-based engine of :func:`liu_peak` (``topo[0]`` is the root)."""
+    """Minimum peak memory only: the rope-free engine of
+    :func:`~repro.algorithms.liu.min_peak_memory` (``topo[0]`` is the
+    root)."""
     segs: list[list[tuple[int, int]] | None] = [None] * n
 
     for v in reversed(topo):
@@ -567,18 +582,21 @@ def fif_stuck_message(step: int, v: int, excess: int, memory: int) -> str:
 
 
 def simulate_fif(
-    tree, schedule: Sequence[int], memory: int | None
+    tree,
+    schedule: Sequence[int],
+    memory: int | None,
+    steps: list[Step] | None = None,
 ) -> tuple[dict[int, int], int, int]:
     """FiF execution of ``schedule`` under bound ``memory``.
 
     Returns ``(io, io_volume, peak_memory)`` with ``io`` mapping only the
-    evicted nodes, in first-eviction order — exactly the object
-    simulator's accounting, including eviction order (the
-    lazily-cleaned max-heap on parent positions is byte-compatible).
-    ``schedule`` may cover a subtree only (see
-    :func:`simulate_fif_core`).  Raises
-    :class:`~repro.core.simulator.InfeasibleSchedule` exactly where the
-    object simulator would.
+    evicted nodes, in first-eviction order.  Whenever memory overflows,
+    the resident output whose parent runs furthest in the future is
+    evicted first (ties to the lower id).  ``schedule`` may cover a
+    subtree only (see :func:`simulate_fif_core`).  Raises
+    :class:`~repro.core.simulator.InfeasibleSchedule` when a step cannot
+    fit.  Given a ``steps`` list, appends one :data:`Step` per executed
+    node.
     """
     lists = tree.core_lists()
     return simulate_fif_core(
@@ -590,6 +608,7 @@ def simulate_fif(
         lists.wbar,
         schedule,
         memory,
+        steps,
     )
 
 
@@ -602,6 +621,7 @@ def simulate_fif_core(
     wbar: Sequence[int],
     schedule: Sequence[int],
     memory: int | None,
+    steps: list[Step] | None = None,
 ) -> tuple[dict[int, int], int, int]:
     """List-based engine of :func:`simulate_fif` (local node ids).
 
@@ -609,6 +629,12 @@ def simulate_fif_core(
     it — the subtree root's parent, like the tree root's missing one —
     sits at the horizon ``len(schedule)``, so its child's output is the
     furthest in the future of all.
+
+    ``steps``, when given, receives one ``(node, need_before,
+    resident_after, evictions, reads)`` tuple per executed node: the
+    need before any eviction, the memory in use right after the
+    execution, the ``(victim, amount)`` evictions in order, and the
+    volume read back for the node's inputs.
     """
     from .simulator import InfeasibleSchedule  # circular-safe: lazy
 
@@ -628,7 +654,8 @@ def simulate_fif_core(
 
     resident = [0] * n
     io = [0] * n
-    evicted: list[int] = []  # first-eviction order, as the object reference
+    evicted: list[int] = []  # first-eviction order
+    trail: list[tuple[int, int]] = []  # this step's evictions, when traced
     # The eviction heap is built lazily: newly active outputs accumulate
     # in ``pending`` and are folded in only when an eviction round
     # actually needs candidates.  Eviction-free execution (the common
@@ -700,10 +727,25 @@ def simulate_fif_core(
                 resident_total -= take
                 io_total += take
                 excess -= take
+                if steps is not None:
+                    trail.append((k, take))
             need = memory
         if need > peak:
             peak = need
 
+        if steps is not None:
+            reads = 0
+            for c in cindex[s:e]:
+                reads += io[c]
+            evictions = tuple(trail)
+            trail.clear()
+            steps.append((
+                v,
+                wbar_v + resident_total + sum(a for _k, a in evictions),
+                w_v + resident_total,
+                evictions,
+                reads,
+            ))
         resident[v] = w_v
         resident_total += w_v
         push_pending(v)

@@ -18,16 +18,17 @@ It simulates any tree with ``core_lists()`` — a
 outside the schedule: its output simply stays resident, which is
 harmless because the subtree root is always scheduled last).
 
-An untraced simulation runs the list core
-:func:`repro.core.kernels.simulate_fif_core`.  A traced one runs the
-object loop (:func:`_simulate_fif_object`, over ``weights``,
-``parents`` and ``children``), the only path that emits step traces and
-the reference the cross-validation tests compare the core against.
+Every simulation, traced or not, runs the one list core
+:func:`repro.core.kernels.simulate_fif_core`; a traced run passes it a
+list that receives one step record per executed node.  Its answers are
+checked against the frozen golden corpus (I/O functions in eviction
+order, traced steps), against the page-level Belady pager of
+:mod:`repro.io.pager` (the I/O volume), and against the exact solver on
+small trees (Theorem 1).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Protocol, Sequence
 
@@ -46,11 +47,9 @@ __all__ = [
 
 
 class TreeLike(Protocol):
-    """What the simulator reads: the CSR lists, and ``children`` when traced."""
+    """What the simulator reads: the weights and the CSR lists."""
 
     weights: Sequence[int]
-    parents: Sequence[int]
-    children: Sequence[Sequence[int]]
 
     def core_lists(self) -> Any: ...
 
@@ -100,8 +99,7 @@ def simulate_fif(
     Parameters
     ----------
     tree:
-        a tree with ``core_lists()``; a traced run also reads its
-        ``children``.
+        a tree with ``core_lists()``.
     schedule:
         the node ids to execute, in order.  Must be topological over the
         nodes it contains; every non-final node's parent must appear later
@@ -111,8 +109,6 @@ def simulate_fif(
         (no evictions — useful to measure the peak of a schedule).
     trace:
         record a :class:`StepTrace` per step (costs memory; off by default).
-        Untraced runs take :func:`repro.core.kernels.simulate_fif_core`,
-        traced runs the object loop; results are identical either way.
 
     Returns
     -------
@@ -126,99 +122,13 @@ def simulate_fif(
         if some step needs more than ``memory`` with every other active
         output fully evicted, i.e. ``wbar > M``.
     """
-    if not trace:
-        io, io_total, peak = kernels.simulate_fif(tree, schedule, memory)
-        return SimulationResult(io=io, io_volume=io_total, peak_memory=peak)
-    return _simulate_fif_object(tree, schedule, memory, trace)
-
-
-def _simulate_fif_object(
-    tree: TreeLike, schedule: Sequence[int], memory: int | None, trace: bool
-) -> SimulationResult:
-    """The object FiF loop: the reference, and the traced path."""
-    weights = tree.weights
-    parents = tree.parents
-    children = tree.children
-
-    pos: dict[int, int] = {v: t for t, v in enumerate(schedule)}
-    horizon = len(schedule)
-
-    resident: dict[int, int] = {}  # active node -> resident share (w_k - tau_k)
-    io: dict[int, int] = {}
-    # Eviction candidates ordered by decreasing parent position (FiF):
-    # a max-heap over sigma(parent(k)), lazily cleaned.
-    heap: list[tuple[int, int]] = []
-    resident_total = 0
-    io_total = 0
-    peak = 0
-    steps: list[StepTrace] = []
-
-    for t, v in enumerate(schedule):
-        inputs = 0
-        reads = 0
-        for c in children[v]:
-            inputs += weights[c]
-            reads += io.get(c, 0)
-            share = resident.pop(c, None)
-            if share is not None:
-                resident_total -= share
-        wbar_v = max(weights[v], inputs)
-
-        need = wbar_v + resident_total
-        evictions: list[tuple[int, int]] = []
-        if memory is not None and need > memory:
-            if wbar_v > memory:
-                raise InfeasibleSchedule(
-                    f"node {v} alone needs wbar={wbar_v} > M={memory}"
-                )
-            excess = need - memory
-            while excess > 0:
-                # Find the valid top of the lazy heap.
-                while heap:
-                    _, k = heap[0]
-                    if resident.get(k, 0) > 0:
-                        break
-                    heapq.heappop(heap)
-                if not heap:
-                    raise InfeasibleSchedule(
-                        f"step {t} (node {v}): nothing left to evict "
-                        f"but still {excess} over M={memory}"
-                    )
-                k = heap[0][1]
-                take = min(resident[k], excess)
-                resident[k] -= take
-                io[k] = io.get(k, 0) + take
-                if resident[k] == 0:
-                    heapq.heappop(heap)
-                resident_total -= take
-                io_total += take
-                excess -= take
-                evictions.append((k, take))
-            need = memory
-        if need > peak:
-            peak = need
-
-        if trace:
-            steps.append(
-                StepTrace(
-                    node=v,
-                    need_before=wbar_v + resident_total + sum(a for _, a in evictions),
-                    resident_after=weights[v] + resident_total,
-                    evictions=tuple(evictions),
-                    reads=reads,
-                )
-            )
-
-        # The output of v becomes active (until its parent runs).  A parent
-        # outside the schedule means "stays forever" — sorted last, which is
-        # also the correct FiF priority.
-        resident[v] = weights[v]
-        resident_total += weights[v]
-        parent_pos = pos.get(parents[v], horizon)
-        heapq.heappush(heap, (-parent_pos, v))
-
+    steps: list[kernels.Step] | None = [] if trace else None
+    io, io_total, peak = kernels.simulate_fif(tree, schedule, memory, steps)
     return SimulationResult(
-        io=io, io_volume=io_total, peak_memory=peak, steps=tuple(steps)
+        io=io,
+        io_volume=io_total,
+        peak_memory=peak,
+        steps=tuple(StepTrace(*step) for step in steps) if steps else (),
     )
 
 

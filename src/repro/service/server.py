@@ -79,6 +79,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import signal
 import threading
 import time
 from collections import OrderedDict, deque
@@ -372,15 +373,22 @@ class ServiceServer:
         self.pool.shutdown()
 
     def run(self) -> None:
-        """Blocking entry point (the CLI's ``serve``); Ctrl-C to stop."""
+        """Blocking entry point (the CLI's ``serve``) until Ctrl-C or SIGTERM.
+
+        Both :meth:`stop` the server, which shuts the worker pool down;
+        Ctrl-C then raises ``KeyboardInterrupt``, SIGTERM returns.
+        """
         _keep_read_buffers_on_the_heap()
 
         async def _main() -> None:
-            await self.start()
-            assert self._server is not None
+            terminated = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            loop.add_signal_handler(signal.SIGTERM, terminated.set)
             try:
-                await self._server.serve_forever()
+                await self.start()
+                await terminated.wait()
             finally:
+                loop.remove_signal_handler(signal.SIGTERM)
                 await self.stop()
 
         asyncio.run(_main())
@@ -546,6 +554,7 @@ class ServiceServer:
             self._errors.inc()
             return HTTP_STATUS[exc.code], error_envelope(exc.code, exc.message)
         except Exception as exc:  # defence: a decoder bug must not drop the connection
+            self._errors.inc()
             return 500, error_envelope(
                 "internal", f"unexpected failure handling request: {exc}"
             )
@@ -726,6 +735,7 @@ class ServiceServer:
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # defence: a handler bug must not wedge the writer
+            self._errors.inc()
             status, envelope = 500, error_envelope(
                 "internal", f"unexpected failure handling request: {exc}"
             )

@@ -138,13 +138,16 @@ class TestValidation:
 
     def test_huge_weight_falls_back_to_object_engine(self):
         # Beyond int64 the flat layout refuses, but the list cores run on
-        # the TaskTree's own lists (arbitrary precision), exactly like the
-        # object reference — the dispatch must not fail.
-        from repro.algorithms.postorder import _best_postorder, postorder_min_mem
+        # the TaskTree's own lists (arbitrary precision) — the dispatch
+        # must not fail, and the predicted peak is the schedule's own.
+        from repro.algorithms.postorder import postorder_min_mem
+        from repro.core.simulator import schedule_peak_memory
 
         tree = TaskTree([-1, 0], [2**70, 1])
         with pytest.raises(TreeError):
             ArrayTree.from_task_tree(tree)
         result = postorder_min_mem(tree)
         assert result.peak_memory == 2**70
-        assert result == _best_postorder(tree, None)
+        assert result.schedule == (1, 0)
+        assert result.storage == (2**70, 1)
+        assert schedule_peak_memory(tree, result.schedule) == result.peak_memory

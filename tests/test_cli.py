@@ -360,3 +360,78 @@ class TestStartupImports:
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.strip() == "[]"
+
+
+def _children(pid: int) -> set[int]:
+    import pathlib
+
+    out: set[int] = set()
+    for task in pathlib.Path(f"/proc/{pid}/task").iterdir():
+        out.update(int(c) for c in (task / "children").read_text().split())
+    return out
+
+
+def _alive(pid: int) -> bool:
+    import pathlib
+
+    try:
+        status = pathlib.Path(f"/proc/{pid}/status").read_text()
+    except FileNotFoundError:
+        return False
+    return "\nState:\tZ" not in status  # an exited, unreaped child is gone
+
+
+@pytest.mark.skipif(
+    not __import__("pathlib").Path("/proc/self/task").is_dir(),
+    reason="reads worker pids from /proc",
+)
+class TestServeShutdown:
+    def test_sigterm_stops_the_server_and_its_workers(self, tmp_path):
+        import os
+        import pathlib
+        import signal
+        import socket
+        import subprocess
+        import sys
+        import time
+
+        import repro
+        from repro.service.client import ServiceClient
+
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        stderr = tmp_path / "stderr.txt"
+        workers: set[int] = set()
+        with open(stderr, "w") as err:
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.cli", "serve",
+                    "--port", str(port), "--workers", "2", "--no-cache",
+                ],
+                stdout=subprocess.DEVNULL,
+                stderr=err,
+                cwd=tmp_path,
+                env=env,
+            )
+        try:
+            # the server answers once it listens, after the pool's warm-up
+            assert ServiceClient(port=port, timeout=5.0).wait_ready(60)
+            workers = _children(proc.pid)
+            assert len(workers) >= 2
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0, stderr.read_text()[-2000:]
+            deadline = time.monotonic() + 5
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            for pid in [proc.pid, *workers]:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait(timeout=10)

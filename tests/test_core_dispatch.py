@@ -1,34 +1,35 @@
 """The list cores behind the public APIs: subtree FiF equivalence and dispatch pins.
 
-* :func:`repro.core.kernels.simulate_fif_core` on *subtree* schedules of
-  random expansion trees equals the object simulator — the I/O function
-  (in first-eviction order, which the RecExpand victim rules see), its
+* :func:`repro.core.kernels.simulate_fif_core` on a *subtree* schedule
+  of a random expansion tree answers like FiF on that subtree built as
+  its own :class:`TaskTree` (ids mapped back) — the I/O function (in
+  first-eviction order, which the RecExpand victim rules see), its
   volume, the peak, and the ``InfeasibleSchedule`` text;
+* an :class:`ExpansionTree` answers like its ``as_task_tree()``;
 * a small :class:`TaskTree` or an :class:`ExpansionTree` never builds
-  an ``ArrayTree`` and never enters the object loops, while traced FiF
-  runs and child-key postorders still do.
+  an ``ArrayTree``, and traced FiF runs and child-key postorders run
+  the list cores too.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from repro.algorithms import postorder
 from repro.algorithms.liu import min_peak_memory, opt_min_mem
 from repro.algorithms.postorder import (
     postorder_min_io,
     postorder_min_mem,
     postorder_with_child_key,
 )
-from repro.core import simulator
+from repro.core import kernels
 from repro.core.arraytree import ArrayTree
 from repro.core.expansion import ExpansionTree
-from repro.core.kernels import flatten_rope, liu_fill, liu_schedule, simulate_fif_core
+from repro.core.kernels import flatten_rope, liu_fill, simulate_fif_core
 from repro.core.simulator import (
     InfeasibleSchedule,
-    _simulate_fif_object,
     schedule_peak_memory,
     simulate_fif,
 )
@@ -61,17 +62,22 @@ def _subtree_schedule(tree, root: int) -> list[int]:
     return schedule
 
 
-def _subtree(xt: ExpansionTree, root: int) -> list[int]:
+def _children(tree, v: int) -> list[int]:
+    lists = tree.core_lists()
+    return list(lists.cindex[lists.start[v] : lists.start[v + 1]])
+
+
+def _subtree(tree, root: int) -> list[int]:
     out = [root]
     for u in out:
-        out.extend(xt.children[u])
+        out.extend(_children(tree, u))
     return out
 
 
 def _random_subtree_schedule(rng: random.Random, xt: ExpansionTree, root: int):
     """A random topological order of ``root``'s subtree (root last)."""
     nodes = _subtree(xt, root)
-    remaining = {v: len(xt.children[v]) for v in nodes}
+    remaining = {v: len(_children(xt, v)) for v in nodes}
     ready = [v for v in nodes if remaining[v] == 0]
     schedule = []
     while ready:
@@ -101,9 +107,28 @@ def _core(xt, schedule, memory):
     )
 
 
-def _object(tree, schedule, memory):
-    r = _simulate_fif_object(tree, schedule, memory, False)
-    return r.io, r.io_volume, r.peak_memory
+def _standalone(tree, root: int, schedule, memory):
+    """FiF on ``root``'s subtree built as its own ``TaskTree``, ids mapped back.
+
+    Local ids follow the global ones in ascending order, so FiF's
+    tie-break between equal-priority outputs (the lower id) is the same
+    on both trees.
+    """
+    nodes = sorted(_subtree(tree, root))
+    local = {v: i for i, v in enumerate(nodes)}
+    sub = TaskTree(
+        [-1 if v == root else local[tree.parents[v]] for v in nodes],
+        [tree.weights[v] for v in nodes],
+    )
+    outcome = _outcome(
+        lambda: kernels.simulate_fif(sub, [local[v] for v in schedule], memory)
+    )
+    if outcome[0] == "infeasible":
+        return "infeasible", re.sub(
+            r"node (\d+)", lambda m: f"node {nodes[int(m.group(1))]}", outcome[1]
+        )
+    io, volume, peak = outcome
+    return [(nodes[k], a) for k, a in io], volume, peak
 
 
 def _assert_root_first(xt: ExpansionTree) -> None:
@@ -120,8 +145,10 @@ class TestSubtreeFif:
             # CSR over the expansion tree's own child order (a splice
             # keeps the replaced child's slot)
             for v in range(xt.n):
-                assert xt.cindex[xt.start[v] : xt.start[v + 1]] == xt.children[v]
+                kids = xt.cindex[xt.start[v] : xt.start[v + 1]]
+                assert all(xt.parents[c] == v for c in kids)
             assert len(xt.start) == xt.n + 1
+            assert len(xt.cindex) == xt.n - 1
             assert xt.wbar == list(xt.as_task_tree().wbar)
             # the tree is its own core view, with a current root-first
             # order before and after a further splice
@@ -132,7 +159,7 @@ class TestSubtreeFif:
                 xt.expand(v, xt.weights[v])
                 _assert_root_first(xt)
 
-    def test_core_equals_object_on_random_expansion_trees(self):
+    def test_core_equals_standalone_subtree_on_random_expansion_trees(self):
         rng = random.Random(20170208)
         compared = infeasible = evicting = 0
         for _ in range(300):
@@ -145,7 +172,7 @@ class TestSubtreeFif:
             lb = max(xt.wbar[v] for v in _subtree(xt, root))
             for schedule in schedules:
                 for memory in (None, max(1, lb - 1), lb, lb + rng.randint(0, 9)):
-                    want = _outcome(lambda: _object(xt, schedule, memory))
+                    want = _standalone(xt, root, schedule, memory)
                     got = _outcome(lambda: _core(xt, schedule, memory))
                     assert got == want
                     compared += 1
@@ -160,7 +187,7 @@ class TestSubtreeFif:
             root = rng.randrange(tree.n)
             schedule = _subtree_schedule(tree, root)
             memory = max(tree.wbar[v] for v in schedule) + rng.randint(0, 5)
-            want = _outcome(lambda: _object(tree, schedule, memory))
+            want = _standalone(tree, root, schedule, memory)
             for view in (tree, ArrayTree.from_task_tree(tree)):
                 r = simulate_fif(view, schedule, memory)
                 got = list(r.io.items()), r.io_volume, r.peak_memory
@@ -182,8 +209,8 @@ class TestExpansionTreeCores:
             other = _random_subtree_schedule(rng, xt, xt.root)
             for s in (schedule, other):
                 for memory in (None, lb, lb + rng.randint(0, 9)):
-                    want = _simulate_fif_object(xt, s, memory, False)
-                    got = simulate_fif(xt, s, memory)
+                    want = simulate_fif(frozen, s, memory, trace=True)
+                    got = simulate_fif(xt, s, memory, trace=True)
                     assert got == want
                     assert list(got.io) == list(want.io)  # eviction order
 
@@ -206,7 +233,7 @@ class TestLiuHillIsFifPeak:
                 for k in range(min(count, 4)):
                     rng = np.random.default_rng(BASE_SEED + f * 10_000 + b * 100 + k)
                     tree = _make_tree(family, int(rng.integers(lo, hi + 1)), rng)
-                    schedule, hill = liu_schedule(tree)
+                    schedule, hill = opt_min_mem(tree)
                     lists = tree.core_lists()
                     _io, volume, peak = simulate_fif_core(
                         tree.n, lists.weights, lists.parents, lists.start,
@@ -231,21 +258,32 @@ class TestLiuHillIsFifPeak:
                 assert (volume, peak) == (0, segs[r][0][0])
 
 
-class _ObjectPathEntered(AssertionError):
+class _ArrayTreeBuilt(AssertionError):
     pass
 
 
 def _forbid(*_args, **_kwargs):
-    raise _ObjectPathEntered
+    raise _ArrayTreeBuilt
 
 
 @pytest.fixture
-def object_paths_forbidden(monkeypatch):
-    """Make every ArrayTree build and every object loop raise."""
+def array_builds_forbidden(monkeypatch):
+    """Make every ArrayTree build raise."""
     monkeypatch.setattr(ArrayTree, "__init__", _forbid)
     monkeypatch.setattr(ArrayTree, "from_task_tree", _forbid)
-    monkeypatch.setattr(postorder, "_best_postorder", _forbid)
-    monkeypatch.setattr(simulator, "_simulate_fif_object", _forbid)
+
+
+@pytest.fixture
+def core_calls(monkeypatch):
+    """Count the calls into the postorder and FiF list cores."""
+    calls = {"best_postorder_core": 0, "simulate_fif_core": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(kernels, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
 
 
 def _small_tree() -> TaskTree:
@@ -253,7 +291,7 @@ def _small_tree() -> TaskTree:
 
 
 class TestAutoStaysOnCores:
-    def test_auto_never_converts_or_enters_object_loops(self, object_paths_forbidden):
+    def test_auto_never_converts_or_enters_object_loops(self, array_builds_forbidden):
         from repro.experiments.registry import get_algorithm
 
         tree = _small_tree()
@@ -274,7 +312,7 @@ class TestAutoStaysOnCores:
             lambda xt, m: simulate_fif(xt, list(xt.base.postorder()), m),
         ],
     )
-    def test_expansion_trees_stay_on_cores(self, object_paths_forbidden, call):
+    def test_expansion_trees_stay_on_cores(self, array_builds_forbidden, call):
         tree = _small_tree()
         memory = (tree.min_feasible_memory() + min_peak_memory(tree)) // 2
         xt = ExpansionTree(tree)
@@ -294,12 +332,12 @@ class TestAutoStaysOnCores:
             lambda t, m: simulate_fif(t, list(t.postorder()), m, trace=True),
         ],
     )
-    def test_tree_protocol_inputs_still_enter_them(
-        self, object_paths_forbidden, call
+    def test_traced_fif_and_child_keys_stay_on_cores(
+        self, array_builds_forbidden, core_calls, call
     ):
         tree = _small_tree()
-        with pytest.raises(_ObjectPathEntered):
-            call(tree, tree.min_feasible_memory())
+        call(tree, tree.min_feasible_memory())
+        assert sum(core_calls.values()) == 1
 
 
 class TestCoreListsAreShared:

@@ -26,7 +26,7 @@ class TestSpliceExpansion:
         assert xt.parents[1] == residual
         assert xt.parents[residual] == readback
         assert xt.parents[readback] == 0
-        assert xt.children[0] == [readback]
+        assert xt.cindex[xt.start[0] : xt.start[1]] == [readback]
         assert xt.role[residual] == Role.RESIDUAL
         assert xt.role[readback] == Role.READBACK
         assert xt.origin[residual] == xt.origin[readback] == 1
@@ -70,7 +70,7 @@ class TestSpliceExpansion:
         tree = star_tree(1, [2, 3, 4])
         xt = ExpansionTree(tree)
         xt.expand(2, 1)  # middle child
-        kids = xt.children[0]
+        kids = xt.cindex[xt.start[0] : xt.start[1]]
         assert kids[0] == 1 and kids[2] == 3
         assert xt.origin[kids[1]] == 2  # the readback replaced node 2 in place
 

@@ -34,6 +34,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.algorithms.liu import min_peak_memory, opt_min_mem
 from repro.core import kernels
 from repro.core import forest_kernels as fk
 from repro.core.arraytree import ArrayTree
@@ -84,7 +85,7 @@ def mems(ats):
     out = []
     for at in ats:
         lb = at.min_feasible_memory()
-        peak = kernels.liu_peak(at)
+        peak = min_peak_memory(at)
         out.append(max(max(1, lb), (lb + peak - 1) // 2))
     return out
 
@@ -213,14 +214,14 @@ class TestKernelEquivalence:
         bounds = fk.forest_memory_bounds(forest)
         for k, at in enumerate(ats):
             assert lbs[k] == at.min_feasible_memory()
-            assert peaks[k] == kernels.liu_peak(at)
+            assert peaks[k] == min_peak_memory(at)
             assert bounds[k] == (lbs[k], peaks[k])
 
     @pytest.mark.parametrize("vectorize", [False, True])
     def test_opt_min_mem(self, ats, forest, vectorize):
         out = fk.forest_opt_min_mem(forest, vectorize=vectorize)
         for k, (schedule, peak) in enumerate(out):
-            assert (schedule, peak) == kernels.liu_schedule(ats[k])
+            assert (schedule, peak) == opt_min_mem(ats[k])
 
     @pytest.mark.parametrize("vectorize", [False, True])
     def test_simulate_fif(self, ats, forest, mems, vectorize):
@@ -745,7 +746,7 @@ class TestLiuDepthCap:
     def _reference(forest):
         peaks, sched = [], []
         for k in range(forest.n_trees):
-            schedule, peak = kernels.liu_schedule(forest.tree(k))
+            schedule, peak = opt_min_mem(forest.tree(k))
             peaks.append(peak)
             sched.extend(schedule)
         return np.array(peaks, dtype=np.int64), np.array(sched, dtype=np.int64)

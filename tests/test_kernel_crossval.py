@@ -1,28 +1,29 @@
-"""Randomized cross-validation of the list cores against the object references.
+"""Randomized cross-validation of the list cores against the paper's invariants.
 
-A seeded fuzzer draws ~200 trees across every family and size band the
+A seeded fuzzer draws 200 trees across every family and size band the
 repository generates — uniform binary and plane trees, preferential
 attachment, nested-dissection-shaped, chains, stars, caterpillars,
-uniform random attachment with zero weights — and asserts that the list
-cores (run on an :class:`ArrayTree`) and the object reference
-implementations (``postorder._best_postorder``,
-``simulator._simulate_fif_object``, called by name) are **byte
-identical** on all of them:
+uniform random attachment with zero weights.  On each tree, at several
+memory bounds across the I/O regime, it runs ``postorder_min_mem``,
+``postorder_min_io``, ``opt_min_mem`` and the FiF simulator on the
+schedules they return, and asserts:
 
-* ``postorder_min_mem`` / ``postorder_min_io``: schedule, per-subtree
-  storage ``S_i``, peak, predicted ``V_root``;
-* ``opt_min_mem`` (Liu's segment solver, which has no object twin): the
-  same schedule and peak on a ``TaskTree`` and an ``ArrayTree``, a peak
-  equal to the rope-free ``liu_peak_core``'s and to the object FiF
-  peak of its own schedule;
-* the FiF simulator: the full I/O function (which node pays how much),
-  total volume, and peak, on every schedule above, at several memory
-  bounds across the I/O regime;
-* the paper's invariant: ``postorder_min_io``'s predicted ``V_root``
-  equals the FiF simulation of its schedule — on *both* paths.
+* a :class:`TaskTree` and the :class:`ArrayTree` of the same columns
+  give byte-identical answers (schedule, ``S_i``, peak, ``V_root``,
+  the I/O function in eviction order);
+* ``postorder_min_io``'s predicted ``V_root`` equals the FiF volume of
+  its schedule;
+* each postorder's predicted peak equals the unbounded FiF peak of its
+  schedule, and the schedule is a postorder;
+* Liu's top hill is the FiF peak of its own schedule;
+* every FiF traversal passes ``validate``;
+* ``io_lower_bound`` is at most every strategy's I/O.
 
-Exact equality (not "close") is the point: the list cores are the only
-path behind the public APIs, so any divergence is a bug.
+On the smallest band, the page-level Belady pager of
+:mod:`repro.io.pager` (page size 1) measures the same write volume as
+FiF.  Optimality itself is checked against enumeration on small trees
+(``test_theorems``, ``test_postorder``, ``test_liu``), and the exact
+answers on these trees are frozen in the golden corpus.
 """
 
 from __future__ import annotations
@@ -31,14 +32,18 @@ import numpy as np
 import pytest
 
 from repro.algorithms.liu import min_peak_memory, opt_min_mem
-from repro.algorithms.postorder import (
-    _best_postorder,
-    postorder_min_io,
-    postorder_min_mem,
-)
+from repro.algorithms.postorder import postorder_min_io, postorder_min_mem
+from repro.analysis.io_bounds import io_lower_bound
 from repro.core.arraytree import ArrayTree
-from repro.core.simulator import _simulate_fif_object, simulate_fif
+from repro.core.simulator import (
+    InfeasibleSchedule,
+    fif_traversal,
+    schedule_peak_memory,
+    simulate_fif,
+)
+from repro.core.traversal import is_postorder, validate
 from repro.core.tree import TaskTree
+from repro.io.pager import paged_io
 from repro.datasets.synth import (
     deep_random_tree,
     huge_chain,
@@ -106,43 +111,53 @@ def _memory_grid(tree: TaskTree) -> list[int]:
     return sorted({max(1, lb), max(1, mid), max(1, peak - 1), peak + 3})
 
 
-def _assert_simulations_match(tree, at, schedule, memory):
-    r_obj = _simulate_fif_object(tree, schedule, memory, False)
+def _fif(tree, at, schedule, memory):
+    """FiF on both tree views: byte-identical, and a valid traversal."""
+    r_tree = simulate_fif(tree, schedule, memory)
     r_arr = simulate_fif(at, schedule, memory)
-    assert dict(r_obj.io) == dict(r_arr.io)
-    assert r_obj.io_volume == r_arr.io_volume
-    assert r_obj.peak_memory == r_arr.peak_memory
-    return r_obj.io_volume
+    assert r_arr == r_tree
+    assert list(r_arr.io) == list(r_tree.io)  # eviction order
+    validate(tree, fif_traversal(tree, schedule, memory), memory)
+    return r_tree
 
 
-def _crossval_one(tree: TaskTree) -> None:
+def _assert_postorder(tree, result) -> None:
+    assert is_postorder(tree, result.schedule)
+    assert result.peak_memory == schedule_peak_memory(tree, result.schedule)
+    assert result.peak_memory == result.storage[tree.root]
+
+
+def _crossval_one(tree: TaskTree, *, pager: bool = False) -> None:
     at = ArrayTree.from_task_tree(tree)
 
-    mm_obj = _best_postorder(tree, None)
-    mm_arr = postorder_min_mem(at)
-    assert mm_obj == mm_arr
+    minmem = postorder_min_mem(tree)
+    assert postorder_min_mem(at) == minmem
+    _assert_postorder(tree, minmem)
+    assert minmem.predicted_io == 0
 
     liu_schedule, liu_peak = opt_min_mem(at)
     assert opt_min_mem(tree) == (liu_schedule, liu_peak)
     assert sorted(liu_schedule) == list(range(tree.n))
-    assert liu_peak == min_peak_memory(at)
-    unbounded = _simulate_fif_object(tree, liu_schedule, None, False)
-    assert unbounded.peak_memory == liu_peak
+    assert liu_peak == min_peak_memory(at) == min_peak_memory(tree)
+    assert liu_peak <= minmem.peak_memory
+    unbounded = simulate_fif(tree, liu_schedule, None)
+    assert (unbounded.io_volume, unbounded.peak_memory) == (0, liu_peak)
 
     for memory in _memory_grid(tree):
         if memory < tree.min_feasible_memory():
             continue
-        io_obj = _best_postorder(tree, memory)
-        io_arr = postorder_min_io(at, memory)
-        assert io_obj == io_arr
+        min_io = postorder_min_io(tree, memory)
+        assert postorder_min_io(at, memory) == min_io
+        _assert_postorder(tree, min_io)
 
-        # FiF equality on every schedule both paths produced, plus the
-        # headline invariant V_root == simulated volume on both paths.
-        simulated = _assert_simulations_match(tree, at, io_obj.schedule, memory)
-        assert io_obj.predicted_io == simulated
-        assert io_arr.predicted_io == simulated
-        _assert_simulations_match(tree, at, mm_obj.schedule, memory)
-        _assert_simulations_match(tree, at, liu_schedule, memory)
+        bound = io_lower_bound(tree, memory).value
+        for schedule in (min_io.schedule, minmem.schedule, liu_schedule):
+            volume = _fif(tree, at, schedule, memory).io_volume
+            assert bound <= volume
+            if pager:
+                paged = paged_io(tree, schedule, memory, page_size=1, policy="belady")
+                assert paged.write_pages == volume
+        assert min_io.predicted_io == _fif(tree, at, min_io.schedule, memory).io_volume
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -156,45 +171,48 @@ def test_engines_byte_identical(family):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(lo, hi + 1))
             tree = _make_tree(family, n, rng)
-            _crossval_one(tree)
+            _crossval_one(tree, pager=band_index == 0)
             instance += 1
     assert instance == sum(band for band, _ in SIZE_BANDS)
 
 
 def test_unbounded_memory_simulation_matches():
+    """With no bound, FiF evicts nothing and peaks at the postorder's ``S_root``."""
     rng = np.random.default_rng(7)
     tree = _make_tree("binary", 300, rng)
     at = ArrayTree.from_task_tree(tree)
-    schedule = _best_postorder(tree, None).schedule
-    r_obj = _simulate_fif_object(tree, schedule, None, False)
-    r_arr = simulate_fif(at, schedule, None)
-    assert r_obj.peak_memory == r_arr.peak_memory
-    assert r_obj.io_volume == r_arr.io_volume == 0
+    minmem = postorder_min_mem(tree)
+    r_tree = simulate_fif(tree, minmem.schedule, None)
+    r_arr = simulate_fif(at, minmem.schedule, None)
+    assert r_tree == r_arr
+    assert r_tree.io_volume == 0 and not r_tree.io
+    assert r_tree.peak_memory == minmem.peak_memory
 
 
 def test_infeasible_memory_raises_identically():
-    from repro.core.simulator import InfeasibleSchedule
-
     rng = np.random.default_rng(11)
     tree = _make_tree("plane", 60, rng)
     at = ArrayTree.from_task_tree(tree)
-    schedule = _best_postorder(tree, None).schedule
+    schedule = postorder_min_mem(tree).schedule
     too_small = tree.min_feasible_memory() - 1
     if too_small < 1:
         pytest.skip("tree with zero LB")
-    with pytest.raises(InfeasibleSchedule):
-        _simulate_fif_object(tree, schedule, too_small, False)
-    with pytest.raises(InfeasibleSchedule):
-        simulate_fif(at, schedule, too_small)
+    messages = []
+    for view in (tree, at):
+        with pytest.raises(InfeasibleSchedule) as err:
+            simulate_fif(view, schedule, too_small)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("node ") and f"> M={too_small}" in messages[0]
 
 
 def test_auto_dispatch_equals_forced_engines():
-    """The public entry point returns what the object reference and the
-    core on an ``ArrayTree`` return."""
+    """The public entry point answers the same on a ``TaskTree`` and on
+    the ``ArrayTree`` of its columns, with ``V_root`` equal to FiF's."""
     rng = np.random.default_rng(23)
     for n in (40, 700):
         tree = _make_tree("binary", n, rng)
         memory = max(1, (tree.min_feasible_memory() + min_peak_memory(tree)) // 2)
         auto = postorder_min_io(tree, memory)
-        assert auto == _best_postorder(tree, memory)
         assert auto == postorder_min_io(ArrayTree.from_task_tree(tree), memory)
+        assert auto.predicted_io == simulate_fif(tree, auto.schedule, memory).io_volume

@@ -259,6 +259,21 @@ class TestRoundTrip:
         )
         assert capsys.readouterr().out == offline_out
 
+    def test_cli_submit_exact_matches_cli_exact(self, server, tmp_path, capsys):
+        from repro.cli import main
+
+        _, client = server
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(json.dumps(TREE_DICT))
+        argv_tail = ["--tree", str(tree_file), "--memory", "6"]
+        assert main(["exact", *argv_tail]) == 0
+        offline_out = capsys.readouterr().out
+        assert (
+            main(["submit", "--port", str(client.port), "--kind", "exact", *argv_tail])
+            == 0
+        )
+        assert capsys.readouterr().out == offline_out
+
     def test_oversized_header_is_a_400_not_a_dropped_connection(self, server):
         _, client = server
         import http.client
@@ -306,7 +321,7 @@ class TestRoundTrip:
     def test_a_body_the_decoder_chokes_on_is_a_500_not_a_dropped_connection(
         self, server, monkeypatch
     ):
-        _, client = server
+        srv, client = server
         import http.client
 
         from repro.service import server as server_module
@@ -314,6 +329,7 @@ class TestRoundTrip:
         def broken(obj):
             raise RuntimeError("decoder bug")
 
+        errors = _count(srv, "requests_error_total")
         monkeypatch.setattr(server_module, "parse_request", broken)
         conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
         try:
@@ -325,6 +341,32 @@ class TestRoundTrip:
             assert conn.getresponse().status == 200
         finally:
             conn.close()
+        assert _count(srv, "requests_error_total") == errors + 1
+
+    def test_a_submit_that_raises_is_a_counted_500_on_a_live_connection(
+        self, server, monkeypatch
+    ):
+        srv, client = server
+        import http.client
+
+        async def broken(submit):
+            raise RuntimeError("submit bug")
+
+        errors = _count(srv, "requests_error_total")
+        monkeypatch.setattr(srv, "_submit_request", broken)
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+        try:
+            conn.request("POST", "/v1/submit", body=json.dumps(_request()))
+            response = conn.getresponse()
+            assert response.status == 500
+            body = json.loads(response.read())
+            assert body["error"]["code"] == "internal"
+            assert "submit bug" in body["error"]["message"]
+            conn.request("GET", "/healthz")  # the same keep-alive connection
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+        assert _count(srv, "requests_error_total") == errors + 1
 
     def test_unsolvable_is_a_422(self, server):
         _, client = server
