@@ -6,9 +6,7 @@ timing is :mod:`repro.io.device`'s and :mod:`repro.parallel`'s.
 The core computations run on the list cores of :mod:`repro.core.kernels`
 over a tree's ``core_lists()``: a :class:`TaskTree`'s cached lists, an
 :class:`ArrayTree`'s columns, or an :class:`ExpansionTree`'s own lists.
-Two object loops remain, for what the cores do not cover and as the
-references the cross-validation tests compare the cores against: the
-traced FiF simulation and the child-key postorder.
+Traced FiF runs and the child-key postorders run those cores too.
 """
 
 from .arraytree import ArrayTree, as_array_tree

@@ -20,8 +20,8 @@ CSR layout of :class:`~repro.core.tree.CoreLists` — which
 Each is the one scalar implementation of its algorithm, run by every
 tree with ``core_lists()``; the vectorised twins of
 :mod:`repro.core.forest_kernels` are the only other copy.  The tests
-check the cores against what the paper proves (enumeration and the
-exact solver on small trees, the invariants of
+check the cores against what the paper proves (brute-force oracles
+on small trees, the invariants of
 ``tests/test_kernel_crossval.py`` on 200 random trees, the page-level
 Belady pager for FiF's volume) and against the frozen golden corpus.
 No recursion anywhere (explicit int stacks, so 10^6-node and

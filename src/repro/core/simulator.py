@@ -23,8 +23,8 @@ Every simulation, traced or not, runs the one list core
 list that receives one step record per executed node.  Its answers are
 checked against the frozen golden corpus (I/O functions in eviction
 order, traced steps), against the page-level Belady pager of
-:mod:`repro.io.pager` (the I/O volume), and against the exact solver on
-small trees (Theorem 1).
+:mod:`repro.io.pager` (the I/O volume), and on small trees against
+other valid I/O functions of the same schedule (Theorem 1).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ view that :class:`~repro.core.arraytree.ArrayTree` and the mutable
 expansion trees of the RecExpand heuristic
 (:mod:`repro.core.expansion`) provide as well; the smaller "tree
 protocol" (``n``, ``root``, ``parent``, ``weights``, ``children``)
-serves the object loops and the analysis code.
+serves validation, the pager and the analysis code.
 """
 
 from __future__ import annotations

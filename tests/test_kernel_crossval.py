@@ -35,13 +35,8 @@ from repro.algorithms.liu import min_peak_memory, opt_min_mem
 from repro.algorithms.postorder import postorder_min_io, postorder_min_mem
 from repro.analysis.io_bounds import io_lower_bound
 from repro.core.arraytree import ArrayTree
-from repro.core.simulator import (
-    InfeasibleSchedule,
-    fif_traversal,
-    schedule_peak_memory,
-    simulate_fif,
-)
-from repro.core.traversal import is_postorder, validate
+from repro.core.simulator import InfeasibleSchedule, schedule_peak_memory, simulate_fif
+from repro.core.traversal import Traversal, is_postorder, validate
 from repro.core.tree import TaskTree
 from repro.io.pager import paged_io
 from repro.datasets.synth import (
@@ -117,7 +112,7 @@ def _fif(tree, at, schedule, memory):
     r_arr = simulate_fif(at, schedule, memory)
     assert r_arr == r_tree
     assert list(r_arr.io) == list(r_tree.io)  # eviction order
-    validate(tree, fif_traversal(tree, schedule, memory), memory)
+    validate(tree, Traversal(tuple(schedule), r_tree.io_list(tree.n)), memory)
     return r_tree
 
 
@@ -150,14 +145,14 @@ def _crossval_one(tree: TaskTree, *, pager: bool = False) -> None:
         assert postorder_min_io(at, memory) == min_io
         _assert_postorder(tree, min_io)
 
-        bound = io_lower_bound(tree, memory).value
-        for schedule in (min_io.schedule, minmem.schedule, liu_schedule):
-            volume = _fif(tree, at, schedule, memory).io_volume
-            assert bound <= volume
-            if pager:
+        schedules = (min_io.schedule, minmem.schedule, liu_schedule)
+        volumes = [_fif(tree, at, s, memory).io_volume for s in schedules]
+        assert min_io.predicted_io == volumes[0]
+        assert io_lower_bound(tree, memory).value <= min(volumes)
+        if pager:
+            for schedule, volume in zip(schedules, volumes):
                 paged = paged_io(tree, schedule, memory, page_size=1, policy="belady")
                 assert paged.write_pages == volume
-        assert min_io.predicted_io == _fif(tree, at, min_io.schedule, memory).io_volume
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -69,6 +69,17 @@ class TestSmallExactValues:
             assert peak == depth + 1
 
 
+def test_kernels_names_stay_aliases_of_the_public_entry_points():
+    # Documented aliases until 3.0; they must not become a second def.
+    from repro.core import kernels
+    from repro.core.kernels import liu_peak, liu_schedule
+
+    assert liu_schedule is opt_min_mem and liu_peak is min_peak_memory
+    assert kernels.liu_schedule is opt_min_mem
+    with pytest.raises(AttributeError):
+        kernels.liu_no_such_entry_point
+
+
 def _nodes(segs) -> list[int]:
     """The execution order of ``(hill, valley, rope)`` segments."""
     out: list[int] = []
