@@ -332,9 +332,11 @@ class TestAutoStaysOnCores:
             lambda t, m: simulate_fif(t, list(t.postorder()), m, trace=True),
         ],
     )
-    def test_traced_fif_and_child_keys_stay_on_cores(
+    def test_tree_protocol_inputs_still_enter_them(
         self, array_builds_forbidden, core_calls, call
     ):
+        """Child-key postorders and traced FiF enter the list cores: no
+        ``ArrayTree`` build and exactly one core call."""
         tree = _small_tree()
         call(tree, tree.min_feasible_memory())
         assert sum(core_calls.values()) == 1
