@@ -39,7 +39,9 @@ with FiF on the *original* tree.  This never costs more than the sum of
 expansions plus the residual FiF I/O on the expanded tree (the expanded
 execution is a witness for the original one with the same write volume,
 and FiF is optimal for a fixed schedule — Theorem 1); both accountings are
-returned so the invariant can be tested.
+returned so the invariant can be tested.  :func:`rec_expand_schedule`
+stops at the transposed schedule: the registry applies that FiF pass
+itself, so a many-tree caller runs it once for all its trees.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ __all__ = [
     "RecExpandResult",
     "full_rec_expand",
     "rec_expand",
+    "rec_expand_schedule",
     "VICTIM_RULES",
     "ExpansionLimitExceeded",
 ]
@@ -126,32 +129,15 @@ def _fif(tree, schedule, memory: int) -> tuple[dict[int, int], int, int]:
     )
 
 
-def full_rec_expand(
-    tree: TaskTree,
+def _expand(
+    tree,
     memory: int,
-    *,
-    iteration_cap: int | None = None,
-    max_total_iterations: int | None = None,
-    victim_rule: str = "parent-latest",
-) -> RecExpandResult:
-    """``FULLRECEXPAND`` (Algorithm 2); ``iteration_cap`` yields the variants.
-
-    Parameters
-    ----------
-    tree, memory:
-        the instance.  ``memory`` must be at least ``max wbar_i``.
-    iteration_cap:
-        per-node while-loop bound; ``None`` reproduces FULLRECEXPAND,
-        ``2`` reproduces RECEXPAND (use :func:`rec_expand`).
-    max_total_iterations:
-        global safety budget for the uncapped variant (default
-        ``50 * n + 1000``); exceeding it raises
-        :class:`ExpansionLimitExceeded` rather than looping unboundedly.
-    victim_rule:
-        which node to expand among those with ``tau > 0`` (see
-        :data:`VICTIM_RULES`); the paper's choice is ``"parent-latest"``.
-        The alternatives exist for the ablation benchmarks.
-    """
+    iteration_cap: int | None,
+    max_total_iterations: int | None,
+    victim_rule: str,
+):
+    """Algorithm 2's expansion loop: ``(expansion tree, root segments,
+    while-loop iterations)``."""
     if memory < tree.min_feasible_memory():
         raise ValueError(
             f"M={memory} below the minimal feasible memory "
@@ -213,7 +199,38 @@ def full_rec_expand(
             liu_fill(weights, start, cindex, path, segs, keep=True)
         iterations += done
 
-    top = segs[xt.root]
+    return xt, segs[xt.root], iterations
+
+
+def full_rec_expand(
+    tree: TaskTree,
+    memory: int,
+    *,
+    iteration_cap: int | None = None,
+    max_total_iterations: int | None = None,
+    victim_rule: str = "parent-latest",
+) -> RecExpandResult:
+    """``FULLRECEXPAND`` (Algorithm 2); ``iteration_cap`` yields the variants.
+
+    Parameters
+    ----------
+    tree, memory:
+        the instance.  ``memory`` must be at least ``max wbar_i``.
+    iteration_cap:
+        per-node while-loop bound; ``None`` reproduces FULLRECEXPAND,
+        ``2`` reproduces RECEXPAND (use :func:`rec_expand`).
+    max_total_iterations:
+        global safety budget for the uncapped variant (default
+        ``50 * n + 1000``); exceeding it raises
+        :class:`ExpansionLimitExceeded` rather than looping unboundedly.
+    victim_rule:
+        which node to expand among those with ``tau > 0`` (see
+        :data:`VICTIM_RULES`); the paper's choice is ``"parent-latest"``.
+        The alternatives exist for the ablation benchmarks.
+    """
+    xt, top, iterations = _expand(
+        tree, memory, iteration_cap, max_total_iterations, victim_rule
+    )
     final_schedule = _schedule(top)
     # Liu's root hill is the peak of final_schedule with nothing evicted:
     # at most M, FiF never evicts and the residual is exactly 0.
@@ -242,3 +259,18 @@ def rec_expand(tree: TaskTree, memory: int) -> RecExpandResult:
     within a few percent of ``FULLRECEXPAND`` on the SYNTH dataset.
     """
     return full_rec_expand(tree, memory, iteration_cap=2)
+
+
+def rec_expand_schedule(
+    tree: TaskTree, memory: int, *, iteration_cap: int | None = 2
+) -> list[int]:
+    """The schedule of :func:`full_rec_expand` alone, on the original nodes.
+
+    ``iteration_cap=2`` is ``RECEXPAND``'s, ``None`` ``FULLRECEXPAND``'s.
+    The registry derives the I/O function from it with FiF — the same
+    function :func:`full_rec_expand` reports — so a many-tree caller can
+    run that FiF pass once for all its trees.  Skips the residual FiF on
+    the expanded tree, which only the paper's accounting needs.
+    """
+    xt, top, _iterations = _expand(tree, memory, iteration_cap, None, "parent-latest")
+    return xt.restrict_schedule(_schedule(top))

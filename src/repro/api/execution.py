@@ -7,15 +7,19 @@ service's pool, or the batch engine's shard workers.  That sharing is
 the whole point: identical requests produce byte-identical payloads on
 every surface, so cache entries written by one are served by all.
 
-``build_tree`` picks the tree representation (object tree vs flat
-:class:`~repro.core.arraytree.ArrayTree`) by size — the kernel cores run
-on either; ``run_solve`` /
-``run_paging`` / ``run_exact`` mirror the corresponding CLI commands;
-``execute_request`` wraps any of them in the uniform envelope with
-content-derived RNG seeding; ``execute_batch`` solves a
-:class:`~repro.api.requests.BatchRequest` through the forest kernels
-(one :class:`~repro.core.forest.ArrayForest` per batch) with a
-byte-identical per-tree fallback.
+:func:`solve_forest` is the one solving function: it packs nothing
+itself but solves every member of an
+:class:`~repro.core.forest.ArrayForest`, each with its own strategy and
+memory bound — schedules from a forest sweep or the list cores, one FiF
+pass, one :func:`~repro.core.forest_kernels.forest_validate`.
+:func:`execute_batch` calls it once per strategy of a
+:class:`~repro.api.requests.BatchRequest`, :func:`execute_solves` once
+per service micro-batch, and :func:`run_solve` is its one-member case.
+``run_paging`` / ``run_exact`` mirror the corresponding CLI commands on
+a tree from :func:`build_tree`, which picks the representation (object
+tree vs flat :class:`~repro.core.arraytree.ArrayTree`) by size;
+``execute_request`` wraps any runner in the uniform envelope with
+content-derived RNG seeding.
 """
 
 from __future__ import annotations
@@ -23,14 +27,18 @@ from __future__ import annotations
 import random
 from typing import Any, Sequence
 
+import numpy as np
+
 from ..analysis.bounds import MemoryBounds, memory_bounds
 from ..core.arraytree import ArrayTree
 from ..core.forest import ArrayForest
 from ..core.forest_kernels import (
-    FOREST_STRATEGIES,
     ForestTraversals,
+    forest_fif_io,
     forest_liu_sweep,
+    forest_lower_bounds,
     forest_memory_bounds,
+    forest_sweep_pays,
     forest_traversals,
     forest_validate,
 )
@@ -55,9 +63,11 @@ __all__ = [
     "execute_batch",
     "execute_batch_request",
     "execute_request",
+    "execute_solves",
     "run_exact",
     "run_paging",
     "run_solve",
+    "solve_forest",
 ]
 
 #: :func:`build_tree` makes an :class:`~repro.core.arraytree.ArrayTree`
@@ -72,6 +82,10 @@ AUTO_THRESHOLD = 512
 #: propagate).  One definition, shared by every envelope-wrapping site.
 UNSOLVABLE_ERRORS = (InfeasibleSchedule, InvalidTraversal, ValueError, KeyError)
 
+#: the validation bound of a member that failed: above every need, so its
+#: placeholder traversal passes the shared check
+_NO_BOUND = 2**63 - 1
+
 
 def build_tree(parents: Any, weights: Any) -> TaskTree | ArrayTree:
     """The tree object a request executes on, when the caller passes none.
@@ -83,8 +97,6 @@ def build_tree(parents: Any, weights: Any) -> TaskTree | ArrayTree:
     the kernel cores run on the result.  Accepts Python sequences or
     numpy columns.
     """
-    import numpy as np
-
     if len(parents) >= AUTO_THRESHOLD:
         try:
             return ArrayTree(parents, weights)
@@ -99,13 +111,34 @@ def build_tree(parents: Any, weights: Any) -> TaskTree | ArrayTree:
 def run_solve(
     request: SolveRequest, *, tree: TaskTree | ArrayTree | None = None
 ) -> dict[str, Any]:
-    """Execute a ``solve`` request; mirrors ``repro-ioschedule solve``."""
+    """Execute a ``solve`` request; mirrors ``repro-ioschedule solve``.
+
+    The one-member case of :func:`solve_forest`.  A ``tree`` the caller
+    built — or the ``TaskTree`` of a tree the forest refuses (weights
+    beyond int64) — is solved alone instead: its registry strategy, then
+    :func:`~repro.core.traversal.validate`.
+    """
     from ..experiments.registry import get_algorithm
 
     if tree is None:
-        tree = build_tree(request.parents, request.weights)
+        try:
+            forest = ArrayForest.from_pairs([(request.parents, request.weights)])
+        except TreeError:
+            tree = build_tree(request.parents, request.weights)
+        else:
+            traversals, errors = solve_forest(
+                forest, [request.algorithm], [request.memory]
+            )
+            if errors:
+                raise errors[0]
+            return _solve_result(request, traversals[0])
     traversal = get_algorithm(request.algorithm)(tree, request.memory)
     validate(tree, traversal, request.memory)
+    return _solve_result(request, traversal)
+
+
+def _solve_result(request: SolveRequest, traversal: Traversal) -> dict[str, Any]:
+    """The result payload of a solved ``solve`` request."""
     result = {
         "kind": "solve",
         "algorithm": request.algorithm,
@@ -125,6 +158,116 @@ def run_solve(
         result["schedule_trace"] = trace
         result["peak_memory"] = trace["peak_memory"]
     return result
+
+
+def solve_forest(
+    forest: ArrayForest,
+    algorithms: Sequence[str],
+    memories: Sequence[int],
+    *,
+    seeds: Sequence[int] | None = None,
+) -> tuple[Sequence[Traversal], dict[int, Exception]]:
+    """Solve member ``k`` of ``forest`` with ``algorithms[k]`` under ``memories[k]``.
+
+    Every strategy is a schedule plus its FiF I/O function (Theorem 1),
+    checked against the paper's three validity conditions:
+
+    1. the schedules come from one forest sweep where one strategy
+       covers the whole forest and its sweep pays
+       (:func:`~repro.core.forest_kernels.forest_sweep_pays`), and
+       otherwise from each member's registry scheduler
+       (:data:`~repro.experiments.registry.SCHEDULERS`) on its list view
+       (:meth:`~repro.core.forest.ArrayForest.member`);
+    2. one FiF pass derives every member's I/O function;
+    3. one :func:`~repro.core.forest_kernels.forest_validate` checks
+       every member.
+
+    A member whose strategy has no scheduler (``Portfolio``, the
+    oracles, strategies registered at run time), or whose bound is below
+    its ``LB``, runs its registry strategy alone on
+    :meth:`~repro.core.forest.ArrayForest.tree` and is validated alone —
+    a one-tree solve, refusals included.  ``seeds[k]``, when given,
+    seeds :mod:`random` before member ``k``'s scheduler runs.
+
+    Returns ``(traversals, errors)``.  ``errors`` maps each failing
+    member to what a one-tree solve of it raises, in member order: first
+    the errors raised while solving (a member solved alone includes its
+    validation), then those of the shared validation.  ``traversals[k]``
+    is member ``k``'s checked traversal for every other member.
+    """
+    mems = list(memories)
+    lbs = forest_lower_bounds(forest)
+    errors: dict[int, Exception] = {}
+    algorithm = algorithms[0] if len(algorithms) else None
+    if (
+        all(a == algorithm for a in algorithms)
+        and all(m >= lb for m, lb in zip(mems, lbs))
+        and forest_sweep_pays(forest, algorithm)
+    ):
+        traversals: Sequence[Traversal] = forest_traversals(forest, algorithm, mems)
+        bounds = mems
+    else:
+        traversals, bounds = _solve_members(
+            forest, algorithms, mems, lbs, seeds, errors
+        )
+    try:
+        forest_validate(forest, traversals, bounds)
+    except InvalidTraversal:
+        # rare: find every failing member, with its own scalar message
+        for k in range(forest.n_trees):
+            if k not in errors:
+                try:
+                    validate(forest.tree(k), traversals[k], bounds[k])
+                except InvalidTraversal as exc:
+                    errors[k] = exc
+    return traversals, errors
+
+
+def _solve_members(
+    forest: ArrayForest,
+    algorithms: Sequence[str],
+    mems: list[int],
+    lbs: list[int],
+    seeds: Sequence[int] | None,
+    errors: dict[int, Exception],
+) -> tuple[ForestTraversals, list[int]]:
+    """Each member's schedule on its own, then one FiF pass for all.
+
+    Returns the traversal columns and the validation bounds; failing
+    members are recorded in ``errors`` and hold a valid placeholder (the
+    reversed BFS order, no I/O) under :data:`_NO_BOUND`.
+    """
+    from ..experiments.registry import SCHEDULERS, get_algorithm
+
+    off = forest.offsets.tolist()
+    schedule = np.empty(forest.total_nodes, dtype=np.int64)
+    fif_bounds: list[int | None] = [None] * forest.n_trees  # None: no I/O
+    bounds = list(mems)
+    alone: dict[int, Traversal] = {}
+    for k, (algorithm, memory) in enumerate(zip(algorithms, mems)):
+        a, b = off[k], off[k + 1]
+        if seeds is not None:
+            random.seed(seeds[k])
+        try:
+            scheduler = SCHEDULERS.get(algorithm) if memory >= lbs[k] else None
+            if scheduler is not None:
+                schedule[a:b] = scheduler(forest.member(k), memory)
+                fif_bounds[k] = memory
+                continue
+            tree = forest.tree(k)
+            traversal = get_algorithm(algorithm)(tree, memory)
+            validate(tree, traversal, memory)
+        except Exception as exc:
+            errors[k] = exc
+            schedule[a:b] = list(forest.member(k).bottom_up())
+            bounds[k] = _NO_BOUND
+            continue
+        alone[k] = traversal
+        schedule[a:b] = traversal.schedule
+    io = forest_fif_io(forest, schedule, fif_bounds)
+    for k, traversal in alone.items():
+        io[off[k] : off[k + 1]] = traversal.io
+    return ForestTraversals(forest.offsets.copy(), schedule, io), bounds
 
 
 def run_paging(
@@ -242,6 +385,81 @@ def execute_request(
         return ok_envelope(result, key=key, timings=trace.stages)
 
 
+def execute_solves(
+    requests: Sequence[Request], *, seed_rng: bool = True
+) -> list[dict[str, Any] | None]:
+    """The envelopes of a micro-batch's solve requests, from one forest.
+
+    Every untraced ``solve`` request whose tree
+    :class:`~repro.core.forest.ArrayForest` accepts becomes a member of
+    one forest, solved by one :func:`solve_forest` call; its envelope is
+    byte-identical to :func:`execute_request`'s, refusals included
+    (``unsolvable``, same text).  ``seed_rng`` seeds :mod:`random` from
+    each member's content address before its scheduler runs — the
+    contract of :func:`execute_request`.
+
+    An entry is ``None`` where this call gives no answer: other request
+    kinds, traced requests (their stage timings are their own), trees
+    the forest refuses, and solves that raised outside
+    :data:`UNSOLVABLE_ERRORS`.  The caller runs those one at a time.
+    """
+    out: list[dict[str, Any] | None] = [None] * len(requests)
+    forest, rows = _pack_solves(requests)
+    if forest is None:
+        return out
+    members = [requests[i] for i in rows]
+    keys = [request.key() for request in members]
+    traversals, errors = solve_forest(
+        forest,
+        [request.algorithm for request in members],
+        [request.memory for request in members],
+        seeds=[unit_seed(key) for key in keys] if seed_rng else None,
+    )
+    for k, (i, request, key) in enumerate(zip(rows, members, keys)):
+        exc = errors.get(k)
+        if exc is None:
+            out[i] = ok_envelope(_solve_result(request, traversals[k]), key=key)
+        elif isinstance(exc, UNSOLVABLE_ERRORS):
+            out[i] = error_envelope("unsolvable", f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def _pack_solves(
+    requests: Sequence[Request],
+) -> tuple[ArrayForest | None, list[int]]:
+    """One forest of the untraced solve requests' trees, and their indices.
+
+    A tree the forest refuses is left out (the caller runs it alone);
+    ``None`` when no request is left, or when the kept trees together
+    exceed the forest-wide weight budget.
+    """
+    rows = [
+        i
+        for i, request in enumerate(requests)
+        if request.kind == SolveRequest.kind
+        and getattr(request, "trace", None) is None
+    ]
+    pairs = [(requests[i].parents, requests[i].weights) for i in rows]
+    try:
+        forest = ArrayForest.from_pairs(pairs)
+    except TreeError:
+        kept = [(i, pair) for i, pair in zip(rows, pairs) if _forest_accepts(pair)]
+        rows = [i for i, _pair in kept]
+        try:
+            forest = ArrayForest.from_pairs([pair for _i, pair in kept])
+        except TreeError:
+            return None, []
+    return (forest if rows else None), rows
+
+
+def _forest_accepts(pair) -> bool:
+    try:
+        ArrayForest.from_pairs([pair])
+    except TreeError:
+        return False
+    return True
+
+
 def execute_batch_request(
     request: BatchRequest, *, seed_rng: bool = True
 ) -> dict[str, Any]:
@@ -258,8 +476,6 @@ def execute_batch_request(
     """
     key = request.key()
     if seed_rng:
-        import numpy as np
-
         seed = unit_seed(key)
         random.seed(seed)
         np.random.seed(seed)
@@ -281,13 +497,11 @@ def execute_batch(request: BatchRequest) -> dict[str, Any]:
     With ``request.forest`` set (the default) the batch solves through
     the forest layer: one :class:`~repro.core.forest.ArrayForest` packs
     all trees, the memory grid comes from one whole-forest bounds sweep,
-    every kernel-backed strategy runs as a forest batch, and one
-    :func:`~repro.core.forest_kernels.forest_validate` pass checks each
-    strategy's traversals; strategies without a forest kernel (the
-    RecExpand family) fall back to per-tree dispatch over the forest's
-    member views.  Both paths produce byte-identical payloads; trees
-    beyond the forest's int64 budgets (e.g. huge weights) take the
-    per-tree path.
+    and each strategy is one :func:`solve_forest` call — a forest sweep
+    where it pays, the list cores per tree otherwise, one FiF pass and
+    one :func:`~repro.core.forest_kernels.forest_validate` pass.  Both
+    paths produce byte-identical payloads; trees beyond the forest's
+    int64 budgets (e.g. huge weights) take the per-tree path.
     """
     from ..experiments.registry import get_algorithm
 
@@ -334,14 +548,13 @@ def _execute_batch_forest(
     """The forest execution path of :func:`execute_batch` (same columns out).
 
     Solves on the forest it is given: one Liu sweep serves both the
-    bounds and ``OptMinMem``, one :func:`forest_validate` pass checks
-    each strategy, and members are materialised only for strategies
-    without a forest kernel.  Kernel strategies stay in column form end
-    to end: their I/O volumes are summed from the I/O column
-    :func:`forest_validate` checked.
+    bounds and ``OptMinMem``, and one :func:`solve_forest` call per
+    strategy — one FiF pass, one :func:`forest_validate` — solves every
+    tree.  Kernel strategies stay in column form end to end: their I/O
+    volumes are summed from the I/O column :func:`forest_validate`
+    checked.  The first failing tree's error is raised, as a per-tree
+    loop would raise it.
     """
-    from ..experiments.registry import get_algorithm
-
     if request.memory is None:
         if "OptMinMem" in request.algorithms:
             forest_liu_sweep(forest)
@@ -360,13 +573,9 @@ def _execute_batch_forest(
     memories.extend(mems)
     sizes.extend(forest.sizes().tolist())
     for a in request.algorithms:
-        traversals: Sequence[Traversal]
-        if a in FOREST_STRATEGIES:
-            traversals = forest_traversals(forest, a, mems)
-        else:
-            solve = get_algorithm(a)
-            traversals = [solve(forest.tree(k), m) for k, m in enumerate(mems)]
-        forest_validate(forest, traversals, mems)
+        traversals, errors = solve_forest(forest, [a] * forest.n_trees, mems)
+        if errors:
+            raise next(iter(errors.values()))
         if isinstance(traversals, ForestTraversals):
             io[a].extend(traversals.io_volumes)  # summed from the checked io
         else:

@@ -51,9 +51,9 @@ from .arraytree import (
     _MAX_TOTAL_WEIGHT,
     as_array_tree,
 )
-from .tree import TaskTree, TreeError
+from .tree import CoreLists, TaskTree, TreeError
 
-__all__ = ["ArrayForest"]
+__all__ = ["ArrayForest", "ForestMember"]
 
 
 def _stable_argsort_ids(values: np.ndarray) -> np.ndarray:
@@ -70,9 +70,15 @@ def _stable_argsort_ids(values: np.ndarray) -> np.ndarray:
     return low[np.argsort(high, kind="stable")]
 
 
-#: vectorised BFS rounds before construction falls back to the C-level
-#: list BFS — bounds the numpy-call count on degenerate deep forests.
-_BFS_VECTOR_LEVELS = 1024
+#: :meth:`ArrayForest._topo_column` runs its level-synchronous numpy BFS
+#: when the forest's depth levels average at least this many nodes, and
+#: a list BFS per member otherwise.  A numpy level costs about 9 µs
+#: whatever its width and about 0.02 µs a node; the list BFS about
+#: 0.16 µs a node, so levels narrower than ~64 nodes favour the lists.
+#: On the ``batch`` units and the ``bench_forest`` corpus the levels win
+#: 1.5x and 4x; on one- to three-tree ``service_cold`` forests and on
+#: chains the lists win 3x and more (EXPERIMENTS.md).
+_BFS_MIN_LEVEL_WIDTH = 64
 
 
 class ArrayForest:
@@ -402,6 +408,18 @@ class ArrayForest:
         for k in range(self._n_trees):
             yield self.tree(k)
 
+    def member(self, k: int) -> "ForestMember":
+        """Member ``k`` as list slices of the forest's columns.
+
+        What the list cores read (``core_lists()``, ``n``, ``root``),
+        without an array copy per column: the forest converts its
+        columns to lists once (:meth:`_as_lists`) and every member
+        slices them.  :meth:`tree` is the full tree protocol.
+        """
+        if not 0 <= k < self._n_trees:
+            raise IndexError(f"tree {k} out of range [0, {self._n_trees})")
+        return ForestMember(self, k)
+
     def task_tree(self, k: int) -> TaskTree:
         """Member ``k`` as a :class:`TaskTree` (re-validates)."""
         off = self._offsets
@@ -535,48 +553,57 @@ class ArrayForest:
     def _topo_column(self) -> np.ndarray:
         """The concatenated canonical BFS topo orders (local ids), lazily.
 
-        Identical to what each member's ``ArrayTree`` stores.  The BFS
-        runs level-synchronously over the whole forest — one ragged
-        numpy gather per depth level — and the per-level order
-        restricted to any one tree is exactly that tree's FIFO BFS
-        order, so a stable sort by owning tree recovers every member's
-        canonical block.  Forests deeper than the vectorised round
-        budget (degenerate chains) finish on a C-level list BFS, which
-        is also exact.  Only per-tree consumers (:meth:`tree`, the loop
-        kernels, FiF) force this; the vectorised sweeps never do.
+        Identical to what each member's ``ArrayTree`` stores.  Two exact
+        methods, picked by the forest's shape:
+
+        * wide forests (levels averaging at least
+          :data:`_BFS_MIN_LEVEL_WIDTH` nodes) run the BFS
+          level-synchronously over the whole forest — one ragged numpy
+          gather per depth level — and the per-level order restricted to
+          any one tree is exactly that tree's FIFO BFS order, so a stable
+          sort by owning tree recovers every member's canonical block;
+        * every other forest (a few trees, deep or narrow ones) runs one
+          list BFS per member over the CSR lists, whose cost is per node
+          rather than per level.
+
+        Only per-tree consumers (:meth:`tree`, :meth:`member`, the loop
+        kernels) force this; the vectorised sweeps never do.
         """
         cached = self._topo_cache
         if cached is not None:
             return cached
         gcs, gci, _gpar, base, tree_of = self._globals()
-        total = self._total
         roots = self._roots_local + self._offsets[:-1]
-        order_parts = [roots]
-        frontier = roots
-        arange_cache = np.arange(total, dtype=np.int64)
-        for _ in range(_BFS_VECTOR_LEVELS):
-            s = gcs[frontier]
-            cnt = gcs[frontier + 1] - s
-            tot = int(cnt.sum())
-            if tot == 0:
-                frontier = frontier[:0]
-                break
-            starts = np.cumsum(cnt) - cnt
-            grp = np.repeat(np.arange(len(frontier), dtype=np.int64), cnt)
-            frontier = gci[s[grp] + (arange_cache[:tot] - starts[grp])]
-            order_parts.append(frontier)
-        if frontier.size:
+        if self._total < _BFS_MIN_LEVEL_WIDTH * (self.max_depth() + 1):
             gcs_l = gcs.tolist()
             gci_l = gci.tolist()
-            q = frontier.tolist()
-            for v in q:
-                s = gcs_l[v]
-                e = gcs_l[v + 1]
-                if s != e:
-                    q.extend(gci_l[s:e])
-            order_parts[-1] = np.asarray(q, dtype=np.int64)
-        order = np.concatenate(order_parts)
-        topo_global = order[np.argsort(tree_of[order], kind="stable")]
+            order_l: list[int] = []
+            for root in roots.tolist():
+                queue = [root]
+                for v in queue:
+                    s = gcs_l[v]
+                    e = gcs_l[v + 1]
+                    if s != e:
+                        queue.extend(gci_l[s:e])
+                order_l += queue
+            # members come out in forest order: slot blocks are node blocks
+            topo_global = np.asarray(order_l, dtype=np.int64)
+        else:
+            order_parts = [roots]
+            frontier = roots
+            arange_cache = np.arange(self._total, dtype=np.int64)
+            while True:
+                s = gcs[frontier]
+                cnt = gcs[frontier + 1] - s
+                tot = int(cnt.sum())
+                if tot == 0:
+                    break
+                starts = np.cumsum(cnt) - cnt
+                grp = np.repeat(np.arange(len(frontier), dtype=np.int64), cnt)
+                frontier = gci[s[grp] + (arange_cache[:tot] - starts[grp])]
+                order_parts.append(frontier)
+            order = np.concatenate(order_parts)
+            topo_global = order[np.argsort(tree_of[order], kind="stable")]
         self._topo_cache = topo_global - base[topo_global]
         return self._topo_cache
 
@@ -736,3 +763,42 @@ class ArrayForest:
             f"ArrayForest(n_trees={self._n_trees}, "
             f"total_nodes={self._total})"
         )
+
+
+class ForestMember:
+    """One forest member in the list layout of the kernel cores.
+
+    ``core_lists()`` returns :class:`~repro.core.tree.CoreLists` of
+    fresh list slices (local node ids); ``n``, ``root``,
+    :meth:`bottom_up` and :meth:`min_feasible_memory` complete what the
+    registry's schedulers read — Liu's solver, the best postorders and
+    the RecExpand heuristics, which copy the lists into an
+    :class:`~repro.core.expansion.ExpansionTree`.
+    """
+
+    __slots__ = ("n", "root", "_lists")
+
+    def __init__(self, forest: ArrayForest, k: int):
+        off, p, w, wb, topo, cs, ci = forest._as_lists()
+        a = off[k]
+        b = off[k + 1]
+        self.n = b - a
+        self._lists = CoreLists(
+            w[a:b],
+            p[a:b],
+            cs[a + k : b + k + 1],
+            ci[a - k : b - (k + 1)],
+            topo[a:b],
+            wb[a:b],
+        )
+        self.root = self._lists.topo[0]
+
+    def core_lists(self) -> CoreLists:
+        return self._lists
+
+    def bottom_up(self):
+        """Children before parents (the reversed canonical BFS order)."""
+        return reversed(self._lists.topo)
+
+    def min_feasible_memory(self) -> int:
+        return max(self._lists.wbar)

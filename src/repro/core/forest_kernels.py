@@ -22,15 +22,18 @@ a forest runs on the scalar core instead.  A cost model over the
 forest's depth histogram (:func:`_liu_cap`) picks the cap; one
 :func:`~repro.core.kernels.liu_fill` pass over the subtrees below it
 seeds the level sweep, which then runs only the wide levels above.
-Small forests and chain-deep ones get a low cap, so the sweep needs no
-tree-count or depth guard.  ``vectorize=False`` still forces the
-per-tree loop and ``vectorize=True`` the full level sweep, for tests and
-benchmarks.
+Small forests and chain-deep ones get a low cap, so the sweep is exact
+and safe at any size; below :data:`_LIU_SWEEP_MIN_TREES` trees it is
+still slower than the per-tree loop, which
+:func:`forest_sweep_pays` tells callers that choose per forest.
+``vectorize=False`` still forces the per-tree loop and
+``vectorize=True`` the full level sweep, for tests and benchmarks.
 
 Liu's sweep is memoised on the forest (:func:`_liu_memo`), so bounds
 and ``OptMinMem`` share one sweep.  :func:`forest_traversals` keeps its
 results in flat columns (:class:`ForestTraversals`): the kernels'
-schedule column feeds FiF directly, FiF's eviction array is the dense
+schedule column feeds FiF directly (:func:`forest_fif_io`, which any
+flat schedule column can use), FiF's eviction array is the dense
 I/O column, and :func:`forest_validate` checks the paper's validity
 conditions on those same columns in one pass, deferring to the scalar
 :func:`~repro.core.traversal.validate` for its messages.
@@ -70,8 +73,10 @@ __all__ = [
     "forest_min_peaks",
     "forest_memory_bounds",
     "forest_best_postorders",
+    "forest_fif_io",
     "forest_opt_min_mem",
     "forest_simulate_fif",
+    "forest_sweep_pays",
     "forest_traversals",
     "forest_validate",
 ]
@@ -127,14 +132,29 @@ def forest_lower_bounds(forest: ArrayForest) -> list[int]:
     return np.maximum.reduceat(forest._wbar, off[:-1]).tolist()
 
 
-#: best-postorder and FiF vectorised-path guards: below this many trees
-#: the batch cannot amortise the fixed numpy costs, and beyond this depth
+#: best-postorder vectorised-path guards: below this many trees the
+#: batch cannot amortise the fixed numpy costs, and beyond this depth
 #: the one-pass-per-level best-postorder sweep would degenerate on
-#: chain-shaped forests.  (Liu's sweep needs neither: its depth cap,
-#: :func:`_liu_cap`, leaves small and chain-deep forests on the scalar
-#: tail.)
+#: chain-shaped forests.
 _VECTOR_MIN_TREES = 4
 _VECTOR_MAX_DEPTH = 4096
+
+#: FiF's event sweep pays a fixed ~32 µs of numpy calls and then about
+#: 0.07 µs a node; the per-tree core pays ~6 µs a tree and ~0.35 µs a
+#: node.  Measured on one-tree forests the two meet near 100 nodes (96:
+#: 36 against 38 µs; 128: 45 against 40 µs; 1 024: 371 against 100 µs),
+#: and on forests of 8-node trees near 50 nodes in all, so the sweep
+#: runs from this many nodes, whatever the tree count (EXPERIMENTS.md).
+_FIF_VECTOR_MIN_NODES = 96
+
+#: Liu's capped sweep (:func:`_liu_vector`) against the per-tree
+#: list-core loop, per tree, on forests of ``service_cold`` trees
+#: (64–1 024 nodes): 619 against 476 µs at one tree, about even at 16,
+#: 456 against 477 µs at 32 and 362 against 477 µs at 64.  Below this
+#: many trees the per-tree cores are the cheaper choice, unless the
+#: forest already memoises a sweep's schedules (:func:`forest_sweep_pays`;
+#: EXPERIMENTS.md).
+_LIU_SWEEP_MIN_TREES = 32
 
 #: the best-postorder sweep emits its schedule top-down, one segmented
 #: cumsum per level, when the levels average at least this many nodes;
@@ -1165,7 +1185,7 @@ def _simulate_fif_vector(
 
 def _fif_vectorizable(forest: ArrayForest) -> bool:
     return (
-        forest.n_trees >= _VECTOR_MIN_TREES
+        forest.total_nodes >= _FIF_VECTOR_MIN_NODES
         and int(forest.sizes().max()) <= _VECTOR_MAX_FIF_STEPS
     )
 
@@ -1286,10 +1306,17 @@ class ForestTraversals(SequenceABC):
         )
 
 
-def _fif_io_column(
-    forest: ArrayForest, schedule: np.ndarray, mems
+def forest_fif_io(
+    forest: ArrayForest, schedule: np.ndarray, memories
 ) -> np.ndarray:
-    """FiF's dense I/O column for a flat schedule column (auto engine)."""
+    """FiF's dense I/O column for a flat schedule column, in one pass.
+
+    ``schedule`` holds one full-tree schedule per member (local ids, tree
+    ``k`` at ``offsets[k]:offsets[k+1]``); a member whose bound is
+    ``None`` gets no I/O.  The event sweep (:func:`_simulate_fif_vector`)
+    or the per-tree core loop runs, by node counts; both are exact.
+    """
+    mems = _memory_list(memories, forest.n_trees)
     if _fif_vectorizable(forest):
         return _simulate_fif_vector(forest, schedule, mems, peaks=False)[0]
     off = forest._offsets.tolist()
@@ -1332,7 +1359,28 @@ def forest_traversals(
         bound = mems if algorithm == "PostOrderMinIO" else None
         schedule = forest_best_postorders_flat(forest, bound)[0]
     return ForestTraversals(
-        forest.offsets.copy(), schedule, _fif_io_column(forest, schedule, mems)
+        forest.offsets.copy(), schedule, forest_fif_io(forest, schedule, mems)
+    )
+
+
+def forest_sweep_pays(forest: ArrayForest, algorithm: str) -> bool:
+    """Whether ``algorithm``'s whole-forest sweep beats its per-tree cores.
+
+    Liu's sweep (``OptMinMem``) pays once the forest memoises a sweep's
+    schedules, or from :data:`_LIU_SWEEP_MIN_TREES` trees; the best
+    postorders' level sweep under the guards of
+    :func:`forest_best_postorders`.  :func:`forest_traversals` is exact
+    either way — this only says which is cheaper.
+    """
+    if algorithm == "OptMinMem":
+        cached = forest._liu_cache
+        return (cached is not None and cached[1] is not None) or (
+            forest.n_trees >= _LIU_SWEEP_MIN_TREES
+        )
+    return (
+        algorithm in FOREST_STRATEGIES
+        and forest.n_trees >= _VECTOR_MIN_TREES
+        and forest.max_depth() <= _VECTOR_MAX_DEPTH
     )
 
 

@@ -266,11 +266,10 @@ def flatten_rope(rope, out: list[int]) -> None:
     append = out.append
     while stack:
         x = pop()
-        if type(x) is int:
-            append(x)
-        else:
+        while type(x) is not int:  # walk the left spine, park the rights
             push(x[1])
-            push(x[0])
+            x = x[0]
+        append(x)
 
 
 def liu_segments(tree) -> list[tuple[int, int, object]]:

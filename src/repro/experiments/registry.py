@@ -3,15 +3,20 @@
 Every strategy of the paper is exposed as ``f(tree, memory) -> Traversal``:
 the schedule is produced by the strategy, the I/O function is always the
 FiF-optimal one for that schedule (Theorem 1), so comparisons are fair.
+For the five polynomial strategies this is literal: each is its
+scheduler in :data:`SCHEDULERS` followed by
+:func:`~repro.core.simulator.fif_traversal`, here and nowhere else.
+:func:`repro.api.execution.solve_forest` runs the same schedulers on
+many trees and one FiF pass for all of them.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..algorithms.liu import opt_min_mem
 from ..algorithms.postorder import postorder_min_io, postorder_min_mem
-from ..algorithms.rec_expand import full_rec_expand, rec_expand
+from ..algorithms.rec_expand import rec_expand_schedule
 from ..core.simulator import fif_traversal
 from ..core.traversal import Traversal
 from ..core.tree import TaskTree
@@ -20,37 +25,71 @@ __all__ = [
     "ALGORITHMS",
     "ORACLES",
     "PAPER_ALGORITHMS",
+    "SCHEDULERS",
     "get_algorithm",
     "register_algorithm",
     "strategy_names",
 ]
 
 Strategy = Callable[[TaskTree, int], Traversal]
+#: ``f(tree, memory) -> schedule``; any tree with ``core_lists()``
+Scheduler = Callable[[TaskTree, int], Sequence[int]]
+
+
+def _schedule_opt_min_mem(tree: TaskTree, memory: int) -> list[int]:
+    return opt_min_mem(tree)[0]
+
+
+def _schedule_postorder_min_io(tree: TaskTree, memory: int) -> tuple[int, ...]:
+    return postorder_min_io(tree, memory).schedule
+
+
+def _schedule_postorder_min_mem(tree: TaskTree, memory: int) -> tuple[int, ...]:
+    return postorder_min_mem(tree).schedule
+
+
+def _schedule_rec_expand(tree: TaskTree, memory: int) -> list[int]:
+    return rec_expand_schedule(tree, memory)
+
+
+def _schedule_full_rec_expand(tree: TaskTree, memory: int) -> list[int]:
+    return rec_expand_schedule(tree, memory, iteration_cap=None)
+
+
+#: the schedulers of the polynomial strategies; each registry entry
+#: below is its scheduler followed by FiF
+SCHEDULERS: dict[str, Scheduler] = {
+    "OptMinMem": _schedule_opt_min_mem,
+    "PostOrderMinIO": _schedule_postorder_min_io,
+    "PostOrderMinMem": _schedule_postorder_min_mem,
+    "RecExpand": _schedule_rec_expand,
+    "FullRecExpand": _schedule_full_rec_expand,
+}
 
 
 def _opt_min_mem(tree: TaskTree, memory: int) -> Traversal:
     """``OPTMINMEM`` as a MinIO strategy (Section 4.4): Liu's schedule + FiF."""
-    return fif_traversal(tree, opt_min_mem(tree)[0], memory)
+    return fif_traversal(tree, _schedule_opt_min_mem(tree, memory), memory)
 
 
 def _postorder_min_io(tree: TaskTree, memory: int) -> Traversal:
     """``POSTORDERMINIO`` (Section 4.1): Agullo's best postorder + FiF."""
-    return fif_traversal(tree, postorder_min_io(tree, memory).schedule, memory)
+    return fif_traversal(tree, _schedule_postorder_min_io(tree, memory), memory)
 
 
 def _postorder_min_mem(tree: TaskTree, memory: int) -> Traversal:
     """``POSTORDERMINMEM``: peak-optimal postorder + FiF (extra baseline)."""
-    return fif_traversal(tree, postorder_min_mem(tree).schedule, memory)
+    return fif_traversal(tree, _schedule_postorder_min_mem(tree, memory), memory)
 
 
 def _rec_expand(tree: TaskTree, memory: int) -> Traversal:
-    """``RECEXPAND`` (Section 5, polynomial variant)."""
-    return rec_expand(tree, memory).traversal
+    """``RECEXPAND`` (Section 5, polynomial variant): its schedule + FiF."""
+    return fif_traversal(tree, _schedule_rec_expand(tree, memory), memory)
 
 
 def _full_rec_expand(tree: TaskTree, memory: int) -> Traversal:
-    """``FULLRECEXPAND`` (Algorithm 2, uncapped)."""
-    return full_rec_expand(tree, memory).traversal
+    """``FULLRECEXPAND`` (Algorithm 2, uncapped): its schedule + FiF."""
+    return fif_traversal(tree, _schedule_full_rec_expand(tree, memory), memory)
 
 
 def _portfolio(tree: TaskTree, memory: int) -> Traversal:

@@ -13,21 +13,29 @@ either
   backpressure deterministically and to see strategies registered at
   test time.
 
-Execution itself lives in :mod:`repro.api.execution` — the same
-``run_solve``/``run_paging``/``run_exact`` cores every backend shares —
-so a request computes byte-identical results here, in
-:class:`~repro.api.backends.LocalBackend`, and offline.  This module
-owns only the transport: one executor call carries one whole
-micro-batch (a single pickle round-trip instead of one per request);
-each request inside the batch is individually guarded, so one failing
-request yields one error envelope without poisoning its batch-mates.
+Execution itself lives in :mod:`repro.api.execution` — the same cores
+every backend shares — so a request computes byte-identical results
+here, in :class:`~repro.api.backends.LocalBackend`, and offline.  This
+module owns only the transport: one executor call carries one whole
+micro-batch (a single pickle round-trip instead of one per request),
+and each request inside the batch is individually guarded, so one
+failing request yields one error envelope without poisoning its
+batch-mates.
 
 What crosses the process boundary is the typed request objects
 themselves, pickled, validated once by the server, with their tuple
 columns and their cached content address: the worker never parses a
-request and never recomputes a key.  It builds each request's
-:class:`~repro.core.tree.TaskTree` exactly once — the constructor's
-structural checks are the worker-side guard — and solves on it.
+request and never recomputes a key.  A micro-batch's solve requests are
+solved together (:func:`~repro.api.execution.execute_solves`): their
+trees are packed into one :class:`~repro.core.forest.ArrayForest`, whose
+vectorised construction is the worker-side structural check, and one
+:func:`~repro.api.execution.solve_forest` call schedules every member,
+derives every I/O function with one FiF pass and validates them all in
+one pass.  Whatever that call does not answer — paging and exact
+requests, traced requests, a tree the forest refuses, a solve that
+failed internally — runs alone on a :class:`~repro.core.tree.TaskTree`,
+whose constructor is then the guard, so its envelope (``invalid_tree``
+and ``internal`` texts included) is the one a lone request gets.
 
 The server keeps up to two micro-batches per worker in flight, so a
 worker's next batch can already wait, pickled, in the executor while it
@@ -56,7 +64,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Mapping, Sequence
 
-from ..api.execution import execute_request
+from ..api.execution import execute_request, execute_solves
 from ..api.outcome import error_envelope
 from ..api.requests import Request, parse_request
 from ..core.tree import TaskTree, TreeError
@@ -70,8 +78,9 @@ def execute_payload(
     """Parse one wire payload and execute it; one envelope either way.
 
     The public parse-then-execute helper for callers holding a decoded
-    JSON body.  The pool itself never calls it: its batches carry
-    requests the server already parsed.
+    JSON body, answered as a one-request micro-batch.  The pool itself
+    never calls it: its batches carry requests the server already
+    parsed.
     """
     try:
         request = parse_request(payload)
@@ -80,16 +89,16 @@ def execute_payload(
         # ApiError.__str__ is "[code] message"; the envelope carries the
         # code separately, so ship the bare message
         return error_envelope(code, getattr(exc, "message", str(exc)))
-    return _execute_guarded(request, seed_rng)
+    return execute_many([request], seed_rng)[0]
 
 
 def _execute_guarded(request: Request, seed_rng: bool) -> dict[str, Any]:
     """:func:`execute_request` on a fresh ``TaskTree``, crash confined.
 
-    A tree the constructor refuses (only possible for a request built
-    without :func:`~repro.api.requests.parse_request`) is this request's
-    ``invalid_tree`` envelope.  Solver refusals are already
-    ``unsolvable`` envelopes; anything else (a strategy bug,
+    The one-request path.  A tree the constructor refuses (only possible
+    for a request built without :func:`~repro.api.requests.parse_request`)
+    is this request's ``invalid_tree`` envelope.  Solver refusals are
+    already ``unsolvable`` envelopes; anything else (a strategy bug,
     :class:`ExpansionLimitExceeded`, ...) becomes this request's own
     ``internal`` envelope instead of failing its whole micro-batch.
     """
@@ -106,8 +115,22 @@ def _execute_guarded(request: Request, seed_rng: bool) -> dict[str, Any]:
 def execute_many(
     requests: Sequence[Request], seed_rng: bool = True
 ) -> list[dict[str, Any]]:
-    """Worker entry point for one micro-batch; one envelope per request."""
-    return [_execute_guarded(request, seed_rng) for request in requests]
+    """Worker entry point for one micro-batch; one envelope per request.
+
+    The batch's solve requests are solved on one forest
+    (:func:`~repro.api.execution.execute_solves`); every request that
+    call leaves unanswered runs alone (:func:`_execute_guarded`).  Should
+    the shared call itself fail, every request runs alone, so each still
+    gets its own answer.
+    """
+    try:
+        envelopes = execute_solves(requests, seed_rng=seed_rng)
+    except Exception:
+        envelopes = [None] * len(requests)
+    return [
+        envelope if envelope is not None else _execute_guarded(request, seed_rng)
+        for request, envelope in zip(requests, envelopes)
+    ]
 
 
 #: Backoff between executor rebuilds: a rebuild within

@@ -110,6 +110,34 @@ class TestConstruction:
             for k, at in enumerate(ats):
                 _assert_same_buffers(f.tree(k), at)
 
+    @pytest.mark.parametrize("width", [0, 10**9], ids=["levels", "lists"])
+    def test_topo_column_is_each_members_bfs_order(self, trees, width, monkeypatch):
+        """Both topo methods give every member ``ArrayTree``'s order."""
+        from repro.core import forest as forest_module
+        from repro.datasets.synth import huge_instance
+
+        monkeypatch.setattr(forest_module, "_BFS_MIN_LEVEL_WIDTH", width)
+        chain = huge_instance("chain", 10**5, seed=1)
+        pairs = [(list(t.parents), list(t.weights)) for t in trees]
+        for batch in (pairs, pairs[:3], [(chain._parents, chain._weights)]):
+            f = ArrayForest.from_pairs(batch)
+            topo = f._topo_column()
+            off = f.offsets.tolist()
+            for k, (p, w) in enumerate(batch):
+                want = ArrayTree(p, w).topological_order()
+                assert topo[off[k] : off[k + 1]].tolist() == list(want), k
+
+    def test_member_views_are_the_core_lists(self, trees, ats, forest):
+        for k in (0, 7, NUM_TREES - 1):
+            member = forest.member(k)
+            lists = ats[k].core_lists()
+            assert member.core_lists() == tuple(
+                getattr(lists, field) for field in member.core_lists()._fields
+            )
+            assert (member.n, member.root) == (ats[k].n, ats[k].root)
+            assert member.min_feasible_memory() == ats[k].min_feasible_memory()
+            assert list(member.bottom_up()) == list(ats[k].bottom_up())
+
     def test_task_tree_members_round_trip(self, trees, forest):
         for k in (0, 7, NUM_TREES - 1):
             assert forest.task_tree(k) == trees[k]

@@ -686,6 +686,90 @@ class TestWorkerHandOff:
                 assert envelope["result"] == want
 
 
+class TestMicroBatchOnOneForest:
+    """A micro-batch solved on one forest answers each request exactly as
+    a one-request call does, refusals and fallbacks included."""
+
+    @staticmethod
+    def _requests():
+        from repro.analysis.bounds import memory_bounds
+        from repro.datasets.synth import synth_instance
+
+        def mid(tree):  # in [LB, Peak_incore), or LB without an I/O regime
+            bounds = memory_bounds(tree)
+            return max(bounds.lb, bounds.mid)
+
+        def solve(tree, memory, algorithm, **extra):
+            return SolveRequest(
+                parents=tree.parents, weights=tree.weights, memory=memory,
+                algorithm=algorithm, **extra,
+            )
+
+        out = []
+        strategies = (
+            "OptMinMem", "PostOrderMinIO", "PostOrderMinMem", "RecExpand",
+            "FullRecExpand", "Portfolio",
+        )
+        for i, algorithm in enumerate(strategies):
+            tree = synth_instance(40 + 30 * i, seed=70 + i)
+            out.append(solve(tree, mid(tree), algorithm))
+        tight = synth_instance(60, seed=90)
+        below_lb = tight.min_feasible_memory() - 1
+        out.append(solve(tight, below_lb, "OptMinMem"))  # M < LB: unsolvable
+        out.append(solve(tight, below_lb, "RecExpand"))
+        big = 2**70  # beyond int64: the forest refuses, a TaskTree solves
+        out.append(SolveRequest(
+            parents=(-1, 0, 0), weights=(big, big, big), memory=3 * big,
+            algorithm="PostOrderMinIO",
+        ))
+        traced = synth_instance(50, seed=91)
+        out.append(solve(traced, mid(traced), "RecExpand", trace="t-mb"))
+        out.append(solve(
+            traced, memory_bounds(traced).m1, "OptMinMem", trace_schedule=True
+        ))
+        return out
+
+    @staticmethod
+    def _bytes(envelope):
+        envelope = dict(envelope)
+        # a traced request's stage timings are wall-clock readings
+        stages = sorted(envelope.pop("timings", {}))
+        return json.dumps(envelope, sort_keys=True), stages
+
+    def test_mixed_batches_equal_one_request_calls(self):
+        import pickle
+
+        from repro.api import execute_request
+        from repro.service.pool import execute_many
+
+        requests = self._requests()
+        alone = [
+            self._bytes(execute_request(r, seed_rng=True)) for r in requests
+        ]
+        assert [json.loads(body)["ok"] for body, _stages in alone] == (
+            [True] * 6 + [False, False] + [True] * 3
+        )
+        assert alone[-2][1] == ["solve"]  # the traced request kept its timings
+        order = list(range(len(requests)))
+        for batch in (order, order[::-1], order[1::2], order[::2], [6, 0, 8, 7]):
+            shipped = pickle.loads(pickle.dumps([requests[i] for i in batch]))
+            got = [self._bytes(e) for e in execute_many(shipped, True)]
+            assert got == [alone[i] for i in batch], batch
+
+    def test_refusals_keep_their_text(self):
+        from repro.service.pool import execute_many
+
+        requests = self._requests()
+        envelopes = execute_many(requests, True)
+        for envelope in envelopes[6:8]:
+            assert envelope["error"]["code"] == "unsolvable"
+        assert envelopes[6]["error"]["message"].startswith("InfeasibleSchedule: ")
+        assert envelopes[7]["error"]["message"].startswith(
+            "ValueError: M="
+        )
+        assert "schedule_trace" in envelopes[10]["result"]
+
+
 class TestLargeRequestTreePath:
     def test_build_tree_switches_representation(self):
         from repro.core.arraytree import ArrayTree
