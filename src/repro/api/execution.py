@@ -86,6 +86,14 @@ UNSOLVABLE_ERRORS = (InfeasibleSchedule, InvalidTraversal, ValueError, KeyError)
 #: placeholder traversal passes the shared check
 _NO_BOUND = 2**63 - 1
 
+#: the most nodes :func:`execute_solves` packs into one forest.  The
+#: one-request path held one tree at a time; a micro-batch of large
+#: trees is solved a few trees at a time, so its working set stays near
+#: one large tree's.  ``service_cold``'s micro-batches (at most 16 trees
+#: of up to 1 024 nodes) fit in one forest, and the shared FiF pass and
+#: validation pay off from about a hundred nodes.
+_FOREST_MAX_NODES = 1 << 16
+
 
 def build_tree(parents: Any, weights: Any) -> TaskTree | ArrayTree:
     """The tree object a request executes on, when the caller passes none.
@@ -391,12 +399,14 @@ def execute_solves(
     """The envelopes of a micro-batch's solve requests, from one forest.
 
     Every untraced ``solve`` request whose tree
-    :class:`~repro.core.forest.ArrayForest` accepts becomes a member of
-    one forest, solved by one :func:`solve_forest` call; its envelope is
-    byte-identical to :func:`execute_request`'s, refusals included
-    (``unsolvable``, same text).  ``seed_rng`` seeds :mod:`random` from
-    each member's content address before its scheduler runs — the
-    contract of :func:`execute_request`.
+    :class:`~repro.core.forest.ArrayForest` accepts becomes a forest
+    member, and one :func:`solve_forest` call solves the forest; a batch
+    of trees beyond :data:`_FOREST_MAX_NODES` nodes in all is cut into
+    consecutive forests of at most that many (or one large tree each).
+    Each envelope is byte-identical to :func:`execute_request`'s,
+    refusals included (``unsolvable``, same text).  ``seed_rng`` seeds
+    :mod:`random` from each member's content address before its
+    scheduler runs — the contract of :func:`execute_request`.
 
     An entry is ``None`` where this call gives no answer: other request
     kinds, traced requests (their stage timings are their own), trees
@@ -404,9 +414,45 @@ def execute_solves(
     :data:`UNSOLVABLE_ERRORS`.  The caller runs those one at a time.
     """
     out: list[dict[str, Any] | None] = [None] * len(requests)
-    forest, rows = _pack_solves(requests)
-    if forest is None:
-        return out
+    rows: list[int] = []
+    nodes = 0
+    for i, request in enumerate(requests):
+        if (
+            request.kind != SolveRequest.kind
+            or getattr(request, "trace", None) is not None
+        ):
+            continue
+        n = len(request.parents)
+        if rows and nodes + n > _FOREST_MAX_NODES:
+            _solve_rows(requests, rows, seed_rng, out)
+            rows, nodes = [], 0
+        rows.append(i)
+        nodes += n
+    if rows:
+        _solve_rows(requests, rows, seed_rng, out)
+    return out
+
+
+def _solve_rows(
+    requests: Sequence[Request],
+    rows: list[int],
+    seed_rng: bool,
+    out: list[dict[str, Any] | None],
+) -> None:
+    """Solve ``requests[i]`` for ``i`` in ``rows`` on one forest into ``out``."""
+    pairs = [(requests[i].parents, requests[i].weights) for i in rows]
+    try:
+        forest = ArrayForest.from_pairs(pairs)
+    except TreeError:
+        # leave out the trees the forest refuses; the caller runs them alone
+        kept = [(i, pair) for i, pair in zip(rows, pairs) if _forest_accepts(pair)]
+        rows = [i for i, _pair in kept]
+        try:
+            forest = ArrayForest.from_pairs([pair for _i, pair in kept])
+        except TreeError:  # the forest-wide weight budget
+            return
+        if not rows:
+            return
     members = [requests[i] for i in rows]
     keys = [request.key() for request in members]
     traversals, errors = solve_forest(
@@ -421,35 +467,6 @@ def execute_solves(
             out[i] = ok_envelope(_solve_result(request, traversals[k]), key=key)
         elif isinstance(exc, UNSOLVABLE_ERRORS):
             out[i] = error_envelope("unsolvable", f"{type(exc).__name__}: {exc}")
-    return out
-
-
-def _pack_solves(
-    requests: Sequence[Request],
-) -> tuple[ArrayForest | None, list[int]]:
-    """One forest of the untraced solve requests' trees, and their indices.
-
-    A tree the forest refuses is left out (the caller runs it alone);
-    ``None`` when no request is left, or when the kept trees together
-    exceed the forest-wide weight budget.
-    """
-    rows = [
-        i
-        for i, request in enumerate(requests)
-        if request.kind == SolveRequest.kind
-        and getattr(request, "trace", None) is None
-    ]
-    pairs = [(requests[i].parents, requests[i].weights) for i in rows]
-    try:
-        forest = ArrayForest.from_pairs(pairs)
-    except TreeError:
-        kept = [(i, pair) for i, pair in zip(rows, pairs) if _forest_accepts(pair)]
-        rows = [i for i, _pair in kept]
-        try:
-            forest = ArrayForest.from_pairs([pair for _i, pair in kept])
-        except TreeError:
-            return None, []
-    return (forest if rows else None), rows
 
 
 def _forest_accepts(pair) -> bool:

@@ -27,7 +27,8 @@ themselves, pickled, validated once by the server, with their tuple
 columns and their cached content address: the worker never parses a
 request and never recomputes a key.  A micro-batch's solve requests are
 solved together (:func:`~repro.api.execution.execute_solves`): their
-trees are packed into one :class:`~repro.core.forest.ArrayForest`, whose
+trees are packed into one :class:`~repro.core.forest.ArrayForest` (a
+batch of large trees into a few, at most 65 536 nodes each), whose
 vectorised construction is the worker-side structural check, and one
 :func:`~repro.api.execution.solve_forest` call schedules every member,
 derives every I/O function with one FiF pass and validates them all in

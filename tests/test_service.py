@@ -736,11 +736,15 @@ class TestMicroBatchOnOneForest:
         stages = sorted(envelope.pop("timings", {}))
         return json.dumps(envelope, sort_keys=True), stages
 
-    def test_mixed_batches_equal_one_request_calls(self):
+    @pytest.mark.parametrize("max_nodes", [None, 100], ids=["one-forest", "cut"])
+    def test_mixed_batches_equal_one_request_calls(self, max_nodes, monkeypatch):
         import pickle
 
-        from repro.api import execute_request
+        from repro.api import execute_request, execution
         from repro.service.pool import execute_many
+
+        if max_nodes is not None:  # every forest then holds one or two trees
+            monkeypatch.setattr(execution, "_FOREST_MAX_NODES", max_nodes)
 
         requests = self._requests()
         alone = [
