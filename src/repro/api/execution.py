@@ -86,12 +86,14 @@ UNSOLVABLE_ERRORS = (InfeasibleSchedule, InvalidTraversal, ValueError, KeyError)
 #: placeholder traversal passes the shared check
 _NO_BOUND = 2**63 - 1
 
-#: the most nodes :func:`execute_solves` packs into one forest.  The
-#: one-request path held one tree at a time; a micro-batch of large
-#: trees is solved a few trees at a time, so its working set stays near
-#: one large tree's.  ``service_cold``'s micro-batches (at most 16 trees
-#: of up to 1 024 nodes) fit in one forest, and the shared FiF pass and
-#: validation pay off from about a hundred nodes.
+#: the most nodes :func:`execute_solves` packs into one forest.  A
+#: forest's working set grows by about 300 bytes a node, so an uncut
+#: micro-batch of 16 trees of 20 000 nodes raised the worker's peak RSS by
+#: 119 MB, where the one-request path added 16 MB.  At this budget the
+#: same batch added 32 MB, below the 44 MB one request of the service's
+#: 100 000-node limit adds on the one-request path; 2**17 added 52 MB.
+#: ``service_cold``'s micro-batches (at most 16 trees of up to 1 024
+#: nodes) fit in one forest.
 _FOREST_MAX_NODES = 1 << 16
 
 
@@ -408,10 +410,12 @@ def execute_solves(
     :mod:`random` from each member's content address before its
     scheduler runs — the contract of :func:`execute_request`.
 
-    An entry is ``None`` where this call gives no answer: other request
-    kinds, traced requests (their stage timings are their own), trees
-    the forest refuses, and solves that raised outside
-    :data:`UNSOLVABLE_ERRORS`.  The caller runs those one at a time.
+    A member that fails outside :data:`UNSOLVABLE_ERRORS` is its own
+    ``internal`` envelope.  An entry is ``None`` where this call gives no
+    answer: other request kinds, traced requests (their stage timings
+    are their own), and every row of a forest that refuses one of its
+    trees (weights beyond int64, say).  The caller runs those one at a
+    time.
     """
     out: list[dict[str, Any] | None] = [None] * len(requests)
     rows: list[int] = []
@@ -440,19 +444,12 @@ def _solve_rows(
     out: list[dict[str, Any] | None],
 ) -> None:
     """Solve ``requests[i]`` for ``i`` in ``rows`` on one forest into ``out``."""
-    pairs = [(requests[i].parents, requests[i].weights) for i in rows]
     try:
-        forest = ArrayForest.from_pairs(pairs)
+        forest = ArrayForest.from_pairs(
+            [(requests[i].parents, requests[i].weights) for i in rows]
+        )
     except TreeError:
-        # leave out the trees the forest refuses; the caller runs them alone
-        kept = [(i, pair) for i, pair in zip(rows, pairs) if _forest_accepts(pair)]
-        rows = [i for i, _pair in kept]
-        try:
-            forest = ArrayForest.from_pairs([pair for _i, pair in kept])
-        except TreeError:  # the forest-wide weight budget
-            return
-        if not rows:
-            return
+        return  # a tree beyond int64 (say): the caller runs every row alone
     members = [requests[i] for i in rows]
     keys = [request.key() for request in members]
     traversals, errors = solve_forest(
@@ -465,16 +462,9 @@ def _solve_rows(
         exc = errors.get(k)
         if exc is None:
             out[i] = ok_envelope(_solve_result(request, traversals[k]), key=key)
-        elif isinstance(exc, UNSOLVABLE_ERRORS):
-            out[i] = error_envelope("unsolvable", f"{type(exc).__name__}: {exc}")
-
-
-def _forest_accepts(pair) -> bool:
-    try:
-        ArrayForest.from_pairs([pair])
-    except TreeError:
-        return False
-    return True
+        else:
+            code = "unsolvable" if isinstance(exc, UNSOLVABLE_ERRORS) else "internal"
+            out[i] = error_envelope(code, f"{type(exc).__name__}: {exc}")
 
 
 def execute_batch_request(

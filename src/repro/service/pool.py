@@ -32,11 +32,12 @@ batch of large trees into a few, at most 65 536 nodes each), whose
 vectorised construction is the worker-side structural check, and one
 :func:`~repro.api.execution.solve_forest` call schedules every member,
 derives every I/O function with one FiF pass and validates them all in
-one pass.  Whatever that call does not answer — paging and exact
-requests, traced requests, a tree the forest refuses, a solve that
-failed internally — runs alone on a :class:`~repro.core.tree.TaskTree`,
-whose constructor is then the guard, so its envelope (``invalid_tree``
-and ``internal`` texts included) is the one a lone request gets.
+one pass; a member that fails gets its own ``unsolvable`` or
+``internal`` envelope.  Whatever that call does not answer — paging and
+exact requests, traced requests, the rows of a forest that refuses one
+of its trees — runs alone on a :class:`~repro.core.tree.TaskTree`, whose
+constructor is then the guard, so its envelope (``invalid_tree`` text
+included) is the one a lone request gets.
 
 The server keeps up to two micro-batches per worker in flight, so a
 worker's next batch can already wait, pickled, in the executor while it

@@ -736,6 +736,19 @@ class TestMicroBatchOnOneForest:
         stages = sorted(envelope.pop("timings", {}))
         return json.dumps(envelope, sort_keys=True), stages
 
+    #: indices into :meth:`_requests`
+    BELOW_LB = (6, 7)
+    BEYOND_INT64 = 8
+    TRACED = 9
+
+    @staticmethod
+    def _one_request_path(requests):
+        """Each request alone on a ``TaskTree``: the registry strategy and
+        the scalar ``validate``, no forest involved."""
+        from repro.service.pool import _execute_guarded
+
+        return [_execute_guarded(r, True) for r in requests]
+
     @pytest.mark.parametrize("max_nodes", [None, 100], ids=["one-forest", "cut"])
     def test_mixed_batches_equal_one_request_calls(self, max_nodes, monkeypatch):
         import pickle
@@ -747,26 +760,79 @@ class TestMicroBatchOnOneForest:
             monkeypatch.setattr(execution, "_FOREST_MAX_NODES", max_nodes)
 
         requests = self._requests()
-        alone = [
-            self._bytes(execute_request(r, seed_rng=True)) for r in requests
-        ]
+        alone = [self._bytes(e) for e in self._one_request_path(requests)]
         assert [json.loads(body)["ok"] for body, _stages in alone] == (
             [True] * 6 + [False, False] + [True] * 3
         )
-        assert alone[-2][1] == ["solve"]  # the traced request kept its timings
+        assert alone[self.TRACED][1] == ["solve"]  # it kept its timings
+        # run_solve's one-member forest answers as the TaskTree path does
+        assert [
+            self._bytes(execute_request(r, seed_rng=True)) for r in requests
+        ] == alone
         order = list(range(len(requests)))
         for batch in (order, order[::-1], order[1::2], order[::2], [6, 0, 8, 7]):
             shipped = pickle.loads(pickle.dumps([requests[i] for i in batch]))
             got = [self._bytes(e) for e in execute_many(shipped, True)]
             assert got == [alone[i] for i in batch], batch
 
+    def test_the_forest_answers_every_untraced_solve(self, monkeypatch):
+        from repro.api.execution import execute_solves
+        from repro.service import pool
+
+        requests = self._requests()
+        fits = [r for i, r in enumerate(requests) if i != self.BEYOND_INT64]
+        traced = fits.index(requests[self.TRACED])
+        alone = [self._bytes(e) for e in self._one_request_path(fits)]
+        envelopes = execute_solves(fits)
+        assert [i for i, e in enumerate(envelopes) if e is None] == [traced]
+        # a forest that refuses one of its trees answers none of its rows
+        assert execute_solves(requests) == [None] * len(requests)
+
+        ran_alone = []
+
+        def one_request_path(request, seed_rng):
+            ran_alone.append(request)
+            return {"ok": False, "error": {"code": "not-forest-solved"}}
+
+        monkeypatch.setattr(pool, "_execute_guarded", one_request_path)
+        got = [self._bytes(e) for e in pool.execute_many(fits, True)]
+        assert ran_alone == [fits[traced]]
+        assert got[:traced] + got[traced + 1 :] == alone[:traced] + alone[traced + 1 :]
+
+    def test_an_internal_failure_is_solved_once_and_answered_alone(
+        self, monkeypatch
+    ):
+        from repro.experiments import registry
+        from repro.service.pool import execute_many
+
+        calls = []
+
+        def broken(tree, memory):
+            calls.append(memory)
+            raise RuntimeError("scheduler bug")
+
+        monkeypatch.setitem(registry.SCHEDULERS, "PostOrderMinMem", broken)
+        monkeypatch.setattr(registry, "_schedule_postorder_min_mem", broken)
+        requests = [r for r in self._requests()[:6] if r.algorithm != "Portfolio"]
+        alone = [self._bytes(e) for e in self._one_request_path(requests)]
+        failing = [i for i, r in enumerate(requests) if r.algorithm == "PostOrderMinMem"]
+        assert len(failing) == 1 and len(calls) == 1
+        calls.clear()
+        envelopes = execute_many(requests, True)
+        assert len(calls) == 1  # solved once, not again on the TaskTree path
+        assert [self._bytes(e) for e in envelopes] == alone
+        assert envelopes[failing[0]]["error"] == {
+            "code": "internal", "message": "RuntimeError: scheduler bug"
+        }
+        assert all(e["ok"] for i, e in enumerate(envelopes) if i not in failing)
+
     def test_refusals_keep_their_text(self):
         from repro.service.pool import execute_many
 
         requests = self._requests()
         envelopes = execute_many(requests, True)
-        for envelope in envelopes[6:8]:
-            assert envelope["error"]["code"] == "unsolvable"
+        for i in self.BELOW_LB:
+            assert envelopes[i]["error"]["code"] == "unsolvable"
         assert envelopes[6]["error"]["message"].startswith("InfeasibleSchedule: ")
         assert envelopes[7]["error"]["message"].startswith(
             "ValueError: M="
