@@ -412,9 +412,9 @@ class ArrayForest:
         """Member ``k`` as list slices of the forest's columns.
 
         What the list cores read (``core_lists()``, ``n``, ``root``),
-        without an array copy per column: the forest converts its
-        columns to lists once (:meth:`_as_lists`) and every member
-        slices them.  :meth:`tree` is the full tree protocol.
+        converted from this member's slices of the forest's columns, so
+        only the members in use hold lists.  :meth:`tree` is the full
+        tree protocol.
         """
         if not 0 <= k < self._n_trees:
             raise IndexError(f"tree {k} out of range [0, {self._n_trees})")
@@ -769,7 +769,7 @@ class ForestMember:
     """One forest member in the list layout of the kernel cores.
 
     ``core_lists()`` returns :class:`~repro.core.tree.CoreLists` of
-    fresh list slices (local node ids); ``n``, ``root``,
+    fresh lists (local node ids); ``n``, ``root``,
     :meth:`bottom_up` and :meth:`min_feasible_memory` complete what the
     registry's schedulers read — Liu's solver, the best postorders and
     the RecExpand heuristics, which copy the lists into an
@@ -779,17 +779,16 @@ class ForestMember:
     __slots__ = ("n", "root", "_lists")
 
     def __init__(self, forest: ArrayForest, k: int):
-        off, p, w, wb, topo, cs, ci = forest._as_lists()
-        a = off[k]
-        b = off[k + 1]
+        a = int(forest._offsets[k])
+        b = int(forest._offsets[k + 1])
         self.n = b - a
         self._lists = CoreLists(
-            w[a:b],
-            p[a:b],
-            cs[a + k : b + k + 1],
-            ci[a - k : b - (k + 1)],
-            topo[a:b],
-            wb[a:b],
+            forest._weights[a:b].tolist(),
+            forest._parents[a:b].tolist(),
+            forest._child_start_col()[a + k : b + k + 1].tolist(),
+            forest._child_index_col()[a - k : b - (k + 1)].tolist(),
+            forest._topo_column()[a:b].tolist(),
+            forest._wbar[a:b].tolist(),
         )
         self.root = self._lists.topo[0]
 
