@@ -409,7 +409,7 @@ class ArrayForest:
             yield self.tree(k)
 
     def member(self, k: int) -> "ForestMember":
-        """Member ``k`` as list slices of the forest's columns.
+        """Member ``k`` as Python lists of its slices of the forest's columns.
 
         What the list cores read (``core_lists()``, ``n``, ``root``),
         converted from this member's slices of the forest's columns, so
